@@ -163,11 +163,7 @@ def _cmd_pareto(args) -> int:
     if args.points < 1:
         raise SpecError("--points must be >= 1")
     budgets = np.linspace(args.b_min, args.b_max, args.points)
-    workers = None
-    env = os.environ.get("RENTAL_THREADS")
-    if env:
-        workers = max(1, int(env))
-    points = pareto_frontier(spec, budgets, cfg, max_workers=workers)
+    points = pareto_frontier(spec, budgets, cfg)
     m = len(spec.types)
     rows = ["budget,mean_response_time," + ",".join(f"k_{i + 1}" for i in range(m))]
     successes = 0

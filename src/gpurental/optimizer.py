@@ -4,27 +4,25 @@ The planning problem is separable: choose one width k_i per job type to
 minimize the predicted mean response time (1/lambda) * sum_i rho_i / s_i(k_i)
 subject to the time-average GPU usage sum_i rho_i * k_i / s_i(k_i) <= b.
 
-``solve_allocation`` relaxes the budget with a multiplier mu, minimizes the
-per-type penalized cost (1 + mu*k) / s(k) by golden-section search (unimodal
-under the speedup axioms), and bisects mu until the budget binds or the
-multiplier hits zero.  ``brute_force_allocation`` is the independent grid
-oracle used to cross-check the solver.
+``solve_allocation`` relaxes the budget with a multiplier mu.  The per-type
+penalized cost (1 + mu*k) / s(k) has an exact minimizer for each speedup
+family, so only mu is searched: one bisection, vectorised over an array of
+budgets, that ``pareto_frontier`` runs once per sweep and
+``solve_allocation`` runs for one budget.  ``brute_force_allocation`` is
+the independent grid oracle used to cross-check the solver.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BruteForceError
-from .speedup import DEFAULT_K_MAX, SpeedupFunction, scalar_fn
+from .speedup import DEFAULT_K_MAX, Amdahl, PowerLaw, SpeedupFunction, Tabular, scalar_fn
 from .workload import WorkloadSpec
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -32,14 +30,13 @@ class SolverConfig:
     """Numerical knobs for the allocation solver."""
 
     k_max: float = DEFAULT_K_MAX  # cap on any width; flagged when it binds
-    budget_tol: float = 1e-9  # relative slack allowed on the budget
-    bisect_tol: float = 1e-12  # relative width of the final mu bracket
-    inner_tol: float = 1e-12  # relative width of the per-type k bracket
+    budget_tol: float = 1e-9  # relative slack on the budget; the mu search stops within it
+    bisect_tol: float = 1e-12  # relative mu bracket width at which the fill pass takes over
 
     def __post_init__(self):
         if self.k_max < 1.0:
             raise ValueError("k_max must be >= 1")
-        if min(self.budget_tol, self.bisect_tol, self.inner_tol) <= 0:
+        if min(self.budget_tol, self.bisect_tol) <= 0:
             raise ValueError("tolerances must be positive")
 
 
@@ -114,102 +111,88 @@ def merge_segments(k1: float, t1: float, k2: float, t2: float) -> float:
     return (k1 * t1 + k2 * t2) / (t1 + t2)
 
 
+def _minimizer(f: SpeedupFunction, k_max: float):
+    """Exact minimizer of g(k) = (1 + mu*k) / s(k) over [1, k_max], as a
+    function from an array of mu >= 0 to the widths and their speeds.
+
+    The family's constants are computed once, here.  mu = 0 divides by zero
+    on purpose (the width goes to the cap); callers silence that warning.
+    """
+    if isinstance(f, Amdahl):
+        # g'(k) = 0 where mu*(1-p)*k^2 = p; p = 1 is linear (g decreasing).
+        p = f.parallel_fraction
+        q = 1.0 - p
+        if p == 0.0:  # s = 1: a wider job costs more and runs no faster
+            return lambda mu: (np.ones_like(mu), np.ones_like(mu))
+        r = p / q if q > 0.0 else math.inf
+
+        def amdahl(mu):
+            k = np.minimum(np.maximum(np.sqrt(r / mu), 1.0), k_max)
+            return k, 1.0 / (q + p / k)
+
+        return amdahl
+    if isinstance(f, PowerLaw):
+        # g'(k) = 0 where mu*(1-alpha)*k = alpha; alpha >= 1 keeps g decreasing.
+        a = f.exponent
+        c = a / (1.0 - a) if a < 1.0 else math.inf
+
+        def power(mu):
+            k = np.minimum(np.maximum(c / mu, 1.0), k_max)
+            return k, k**a
+
+        return power
+    if isinstance(f, Tabular):
+        # g is monotone on each linear piece (and on the flat ends), so the
+        # minimum sits on a knot, at 1 or at the cap.
+        cand = np.unique(np.clip(np.concatenate(([1.0], f.knots, [k_max])), 1.0, k_max))
+        s = f(cand)
+        inv_s = 1.0 / s
+
+        def tabular(mu):
+            g = (1.0 + np.multiply.outer(mu, cand)) * inv_s
+            # The smallest width within 1e-12 of the minimum: no wasted GPUs
+            # on a flat tail.
+            best = g <= g.min(axis=1, keepdims=True) * (1.0 + 1e-12)
+            j = np.argmax(best, axis=1)
+            return cand[j], s[j]
+
+        return tabular
+    raise TypeError(f"no closed-form minimizer for speedup {type(f).__name__}")
+
+
 def inner_minimize(f: SpeedupFunction, mu: float, cfg: SolverConfig | None = None) -> float:
     """Minimize the penalized cost g(k) = (1 + mu*k) / s(k) over [1, k_max].
 
-    g is unimodal under the speedup axioms, so golden-section search (run in
-    log-k space to handle the wide range) finds the minimum; ties are broken
-    toward the smallest k whose g-value is within inner_tol of it, so flat
-    saturation regions never waste GPUs.
+    Closed form, clipped to [1, k_max]: sqrt(p / (mu*(1-p))) for Amdahl(p),
+    alpha / (mu*(1-alpha)) for k**alpha, and for a tabular speedup the
+    smallest of {1, knots, k_max} whose g is within 1e-12 of the minimum.
     """
     if mu < 0:
         raise ValueError("multiplier must be >= 0")
     cfg = cfg or SolverConfig()
-    s = scalar_fn(f)
-
-    def g(u: float) -> float:
-        k = math.exp(u)
-        return (1.0 + mu * k) / s(k)
-
-    lo, hi = 0.0, math.log(cfg.k_max)
-    tol = math.log1p(cfg.inner_tol)
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    gc, gd = g(c), g(d)
-    while hi - lo > tol:
-        if gc < gd:
-            hi, d, gd = d, c, gc
-            c = hi - _INV_PHI * (hi - lo)
-            gc = g(c)
-        else:
-            lo, c, gc = c, d, gd
-            d = lo + _INV_PHI * (hi - lo)
-            gd = g(d)
-    u_best = 0.5 * (lo + hi)
-    g_best = g(u_best)
-    for u_end in (0.0, math.log(cfg.k_max)):
-        if g(u_end) < g_best:
-            u_best, g_best = u_end, g(u_end)
-
-    # Smallest k whose value is within inner_tol of the minimum.
-    target = g_best * (1.0 + cfg.inner_tol)
-    if g(0.0) <= target:
-        return 1.0
-    left, right = 0.0, u_best
-    while right - left > tol:
-        mid = 0.5 * (left + right)
-        if g(mid) <= target:
-            right = mid
-        else:
-            left = mid
-    return min(math.exp(right), cfg.k_max)
+    with np.errstate(divide="ignore"):
+        k, _ = _minimizer(f, cfg.k_max)(np.array([float(mu)]))
+    return float(k[0])
 
 
 def _fill_budget(
-    spec: WorkloadSpec,
-    ks: np.ndarray,
-    ks_upper: np.ndarray,
-    cfg: SolverConfig,
+    spec: WorkloadSpec, b: float, ks: np.ndarray, ks_upper: np.ndarray, cfg: SolverConfig
 ) -> np.ndarray:
-    """Raise widths toward ``ks_upper`` until the budget binds.
+    """Raise widths toward ``ks_upper``, type by type, until the budget ``b`` binds.
 
-    Supports speedups whose penalized cost has a flat argmin (saturating
-    tails): the bisection brackets the multiplier but usage can jump across
-    it, leaving slack that this pass spends at constant marginal cost.
+    Tabular speedups need this: their minimizers jump from knot to knot, so
+    the bisection brackets the multiplier while usage jumps across the
+    budget, leaving slack that this pass spends at constant marginal cost.
     """
-    b = spec.budget
     ks = ks.copy()
-    usages = [scalar_fn(t.speedup) for t in spec.types]
-    loads = spec.loads
-
-    def u_i(i: int, k: float) -> float:
-        return loads[i] * k / usages[i](k)
-
-    total = sum(u_i(i, k) for i, k in enumerate(ks))
-    slack = b - total
-    for i in range(len(ks)):
+    for i, t in enumerate(spec.types):
+        slack = b - budget_usage(spec, ks)
         if slack <= cfg.budget_tol * b * 0.5:
             break
-        k_hi = max(ks_upper[i], ks[i])
-        if k_hi <= ks[i]:
-            continue
-        gain = u_i(i, k_hi) - u_i(i, ks[i])
-        if gain <= slack:
-            slack -= gain
-            ks[i] = k_hi
-            continue
-        target = u_i(i, ks[i]) + slack
-        lo, hi = ks[i], k_hi
-        for _ in range(200):
-            if hi - lo <= 1e-15 * hi:
-                break
-            mid = 0.5 * (lo + hi)
-            if u_i(i, mid) <= target:
-                lo = mid
-            else:
-                hi = mid
-        ks[i] = lo
-        slack = b - sum(u_i(j, k) for j, k in enumerate(ks))
+        if ks_upper[i] > ks[i]:
+            load = spec.loads[i]
+            own = load * ks[i] / t.speedup(ks[i])
+            ks[i] = max(ks[i], _budget_axis_cap(t.speedup, load, own + slack, ks_upper[i]))
     return ks
 
 
@@ -225,57 +208,74 @@ def _make_allocation(spec: WorkloadSpec, ks: np.ndarray, mu: float, cfg: SolverC
     )
 
 
-def solve_allocation(spec: WorkloadSpec, cfg: SolverConfig | None = None) -> Allocation:
-    """Compute the optimal fixed-width allocation for the workload.
+def _search(spec: WorkloadSpec, budgets: np.ndarray, cfg: SolverConfig) -> list[Allocation]:
+    """Optimal allocation of ``spec`` at each of ``budgets`` (all stable).
 
-    Bisects the budget multiplier: usage of the per-type minimizers is
-    non-increasing in mu, so the bracket closes on either mu = 0 (budget
-    slack, widths at the cap) or mu > 0 with the budget binding within
-    budget_tol.  Raises InstabilityError when total load >= budget.
+    Usage of the per-type minimizers is non-increasing in mu.  A budget that
+    usage at mu = 0 meets is slack.  Otherwise its bracket [0, 1] grows x4
+    until usage at the top fits, then halves until usage is within
+    budget_tol of the budget; if the bracket gets narrower than bisect_tol,
+    or its midpoint equals an endpoint, first, the fill pass spends what is
+    left.  Each budget does the arithmetic it would do alone, so a
+    one-budget call gives the same bits as a sweep.
+    """
+    b = np.asarray(budgets, dtype=float)
+    n, m = len(b), len(spec.types)
+    minimizers = [_minimizer(t.speedup, cfg.k_max) for t in spec.types]
+    loads = spec.loads
+
+    def widths(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ks, speeds = np.empty((n, m)), np.empty((n, m))
+        for i, minimizer in enumerate(minimizers):
+            ks[:, i], speeds[:, i] = minimizer(mu)
+        return ks, (loads * ks / speeds).sum(axis=1)  # as budget_usage sums it
+
+    with np.errstate(divide="ignore"):
+        ks0, u = widths(np.zeros(n))
+        binding = u > b * (1.0 + cfg.budget_tol)
+        mu_lo, mu_hi, ks_lo = np.zeros(n), np.ones(n), ks0
+        ks_hi, u = widths(mu_hi)
+        grow = binding & (u > b)
+        while grow.any():
+            if np.isinf(mu_hi).any():
+                raise RuntimeError("budget multiplier bracket did not close")
+            mu_lo, ks_lo = np.where(grow, mu_hi, mu_lo), np.where(grow[:, None], ks_hi, ks_lo)
+            mu_hi = np.where(grow, 4.0 * mu_hi, mu_hi)
+            ks_hi, u = widths(mu_hi)
+            grow &= u > b
+
+        hit = np.zeros(n, dtype=bool)
+        active = binding
+        while True:
+            mid = 0.5 * (mu_lo + mu_hi)
+            wide = mu_hi - mu_lo > cfg.bisect_tol * mu_hi
+            active = active & wide & (mu_lo < mid) & (mid < mu_hi)
+            if not active.any():
+                break
+            ks_mid, u = widths(mid)
+            now = active & (np.abs(u - b) <= cfg.budget_tol * b)
+            over = active & (u > b) & ~now
+            under = active & ~over
+            mu_lo, ks_lo = np.where(over, mid, mu_lo), np.where(over[:, None], ks_mid, ks_lo)
+            mu_hi, ks_hi = np.where(under, mid, mu_hi), np.where(under[:, None], ks_mid, ks_hi)
+            hit |= now
+            active = active & ~now
+
+    ks = np.where(binding[:, None], ks_hi, ks0)
+    for j in np.flatnonzero(binding & ~hit):
+        ks[j] = _fill_budget(spec, float(b[j]), ks_hi[j], ks_lo[j], cfg)
+    mu = np.where(binding, mu_hi, 0.0)
+    return [_make_allocation(spec, ks[j], mu[j], cfg) for j in range(n)]
+
+
+def solve_allocation(spec: WorkloadSpec, cfg: SolverConfig | None = None) -> Allocation:
+    """Compute the optimal fixed-width allocation for the workload: the
+    one-budget case of the search ``pareto_frontier`` runs.  Raises
+    InstabilityError when total load >= budget.
     """
     cfg = cfg or SolverConfig()
     spec.check_stability()
-    b = spec.budget
-    fns = [t.speedup for t in spec.types]
-
-    def inner_all(mu: float) -> np.ndarray:
-        return np.array([inner_minimize(f, mu, cfg) for f in fns])
-
-    def usage(ks: np.ndarray) -> float:
-        return budget_usage(spec, ks)
-
-    ks0 = inner_all(0.0)
-    if usage(ks0) <= b * (1.0 + cfg.budget_tol):
-        return _make_allocation(spec, ks0, 0.0, cfg)
-
-    mu_lo, ks_lo = 0.0, ks0
-    mu_hi = 1.0
-    ks_hi = inner_all(mu_hi)
-    growth = 0
-    while usage(ks_hi) > b:
-        mu_lo, ks_lo = mu_hi, ks_hi
-        mu_hi *= 4.0
-        ks_hi = inner_all(mu_hi)
-        growth += 1
-        if growth > 2000:
-            raise RuntimeError("budget multiplier bracket did not close")
-
-    mu = mu_hi
-    for _ in range(20000):
-        if mu_hi - mu_lo <= cfg.bisect_tol * mu_hi:
-            break
-        mu = 0.5 * (mu_lo + mu_hi)
-        ks_mid = inner_all(mu)
-        u = usage(ks_mid)
-        if abs(u - b) <= cfg.budget_tol * b:
-            return _make_allocation(spec, ks_mid, mu, cfg)
-        if u > b:
-            mu_lo, ks_lo = mu, ks_mid
-        else:
-            mu_hi, ks_hi = mu, ks_mid
-
-    ks = _fill_budget(spec, ks_hi, ks_lo, cfg)
-    return _make_allocation(spec, ks, mu_hi, cfg)
+    return _search(spec, np.array([spec.budget]), cfg)[0]
 
 
 def _budget_axis_cap(f: SpeedupFunction, load: float, b: float, k_max: float) -> float:
@@ -428,27 +428,25 @@ def brute_force_allocation(
 
 
 def pareto_frontier(
-    spec: WorkloadSpec,
-    budgets,
-    cfg: SolverConfig | None = None,
-    max_workers: int | None = None,
+    spec: WorkloadSpec, budgets, cfg: SolverConfig | None = None
 ) -> list[ParetoPoint]:
-    """Solve the allocation for each budget; infeasible budgets become
-    per-point errors so partial frontiers still come out.  Results are
-    ordered by budget regardless of execution order."""
+    """Solve the allocation for each budget, ordered by budget.
+
+    Infeasible budgets become per-point errors so partial frontiers still
+    come out; the rest go through one multiplier search together and get
+    the allocations ``solve_allocation`` would give them one at a time."""
     cfg = cfg or SolverConfig()
     budgets = sorted(float(b) for b in budgets)
-
-    def solve_one(b: float) -> ParetoPoint:
+    errors: list[str | None] = []
+    for b in budgets:
         try:
-            alloc = solve_allocation(dataclasses.replace(spec, budget=b), cfg)
-            return ParetoPoint(budget=b, allocation=alloc)
+            dataclasses.replace(spec, budget=b).check_stability()
+            errors.append(None)
         except ValueError as exc:
-            return ParetoPoint(budget=b, error=str(exc))
-
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            points = list(pool.map(solve_one, budgets))
-    else:
-        points = [solve_one(b) for b in budgets]
-    return points
+            errors.append(str(exc))
+    feasible = [b for b, err in zip(budgets, errors) if err is None]
+    solved = iter(_search(spec, np.array(feasible), cfg))
+    return [
+        ParetoPoint(b, error=err) if err is not None else ParetoPoint(b, next(solved))
+        for b, err in zip(budgets, errors)
+    ]

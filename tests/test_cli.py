@@ -211,15 +211,6 @@ class TestPareto:
         )
         assert rc == 2
 
-    def test_thread_env_same_output(self, tmp_path, two_type_config_path, monkeypatch):
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        argv = ["pareto", "--spec", two_type_config_path, "--b-min", "1", "--b-max", "3",
-                "--points", "5"]
-        main(argv + ["--out", str(out1)])
-        monkeypatch.setenv("RENTAL_THREADS", "4")
-        main(argv + ["--out", str(out2)])
-        assert out1.read_bytes() == out2.read_bytes()
-
 
 class TestCompare:
     def test_comparison_csv(self, tmp_path, two_type_config_path):

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpurental import (
     Amdahl,
@@ -11,6 +13,7 @@ from gpurental import (
     JobType,
     PowerLaw,
     SolverConfig,
+    SpeedupFunction,
     Tabular,
     WorkloadSpec,
     brute_force_allocation,
@@ -21,6 +24,7 @@ from gpurental import (
     pareto_frontier,
     solve_allocation,
 )
+from gpurental.speedup import DEFAULT_K_MAX
 from randspecs import random_concave_tabular, random_spec, random_speedup
 
 
@@ -74,17 +78,17 @@ class TestInnerMinimize:
 
     def test_stationary_point(self):
         # d/dk (1 + mu*k)/sqrt(k) = 0 at k = 1/mu
-        assert inner_minimize(PowerLaw(0.5), 0.25) == pytest.approx(4.0, rel=1e-3)
+        assert inner_minimize(PowerLaw(0.5), 0.25) == 4.0
 
     def test_zero_multiplier_hits_cap(self):
         cfg = SolverConfig()
-        k = inner_minimize(PowerLaw(0.5), 0.0, cfg)
-        assert k == pytest.approx(cfg.k_max, rel=1e-9)
+        for f in (PowerLaw(0.5), Amdahl(0.8)):
+            assert inner_minimize(f, 0.0, cfg) == cfg.k_max
 
     def test_flat_tail_breaks_ties_left(self):
         # Speed saturates at k = 2; more GPUs buy nothing, so pick 2.
         f = Tabular(((1, 1), (2, 2), (8, 2)))
-        assert inner_minimize(f, 0.0) == pytest.approx(2.0, rel=1e-6)
+        assert inner_minimize(f, 0.0) == 2.0
 
     def test_negative_multiplier_rejected(self):
         with pytest.raises(ValueError):
@@ -95,7 +99,72 @@ class TestInnerMinimize:
         # mu*(1-p)*k^2 = p  =>  k = sqrt(p / (mu*(1-p)))
         p, mu = 0.8, 0.1
         expected = (p / (mu * (1 - p))) ** 0.5
-        assert inner_minimize(Amdahl(p), mu) == pytest.approx(expected, rel=1e-4)
+        assert inner_minimize(Amdahl(p), mu) == pytest.approx(expected, rel=1e-12)
+
+
+def _g(f, mu, k):
+    return (1.0 + mu * k) / f(k)
+
+
+class TestClosedFormInner:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        family=st.sampled_from(["amdahl", "power", "tabular"]),
+        p=st.floats(0.0, 1.0),
+        alpha=st.floats(0.0, 1.5, exclude_min=True),
+        seed=st.integers(0, 2**32 - 1),
+        mu=st.one_of(st.just(0.0), st.floats(1e-6, 1e3)),
+        k_max=st.sampled_from([DEFAULT_K_MAX, 1000.0, 12.0, 1.0]),
+    )
+    def test_no_grid_point_beats_the_closed_form(self, family, p, alpha, seed, mu, k_max):
+        if family == "amdahl":
+            f = Amdahl(p)
+        elif family == "power":
+            f = PowerLaw(alpha)
+        else:
+            rng = np.random.default_rng(seed)
+            f = random_concave_tabular(rng, n_knots=int(rng.integers(1, 8)))
+        k = inner_minimize(f, mu, SolverConfig(k_max=k_max))
+        assert 1.0 <= k <= k_max
+        grid = np.append(np.geomspace(1.0, k_max, 20_000), k_max)
+        assert _g(f, mu, k) <= _g(f, mu, grid).min() * (1 + 1e-12)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.3])
+    def test_constant_speedup_gives_one(self, mu):
+        assert inner_minimize(Amdahl(0.0), mu) == 1.0
+
+    @pytest.mark.parametrize(
+        "f", [Amdahl(1.0), PowerLaw(1.0), PowerLaw(1.5)], ids=["p=1", "alpha=1", "alpha=1.5"]
+    )
+    @pytest.mark.parametrize("mu", [0.0, 0.3])
+    def test_linear_or_faster_rides_the_cap(self, f, mu):
+        assert inner_minimize(f, mu, SolverConfig(k_max=64.0)) == 64.0
+
+    def test_tabular_knots_beyond_cap(self):
+        # Knots past k_max are clipped to it; s keeps rising up to 16.
+        f = Tabular(((1, 1), (4, 3), (64, 10)))
+        cfg = SolverConfig(k_max=16.0)
+        assert inner_minimize(f, 0.0, cfg) == 16.0
+        assert inner_minimize(f, 0.05, cfg) == 4.0
+        assert inner_minimize(f, 10.0, cfg) == 1.0
+
+    def test_tabular_first_knot_above_one(self):
+        # s is held at s(2) = 2 below the first knot, so k = 1 is a candidate.
+        f = Tabular(((2, 2), (4, 3)))
+        assert inner_minimize(f, 0.0) == 4.0
+        assert inner_minimize(f, 0.1) == 4.0
+        assert inner_minimize(f, 1.0) == 1.0
+
+    def test_other_speedup_classes_rejected(self):
+        class Sqrt(SpeedupFunction):
+            def _value(self, k):
+                return np.sqrt(k)
+
+        with pytest.raises(TypeError):
+            inner_minimize(Sqrt(), 0.5)
+        spec = WorkloadSpec((JobType("s", Sqrt(), 0.5, Deterministic(1.0)),), budget=1.0)
+        with pytest.raises(TypeError):
+            solve_allocation(spec)
 
 
 class TestSolve:
@@ -110,11 +179,26 @@ class TestSolve:
     def test_two_type_closed_form(self, two_type_spec):
         # Lagrange stationarity gives k = (6, 9), multiplier 1/9, E[T] = 1/3.
         a = solve_allocation(two_type_spec)
-        assert a.ks[0] == pytest.approx(6.0, abs=1e-4)
-        assert a.ks[1] == pytest.approx(9.0, abs=1e-4)
+        assert a.ks == pytest.approx((6.0, 9.0), rel=1e-7)
         assert a.objective == pytest.approx(1.0 / 3.0, abs=1e-9)
         assert a.budget_used == pytest.approx(2.0, rel=1e-9)
-        assert a.multiplier == pytest.approx(1.0 / 9.0, rel=1e-3)
+        assert a.multiplier == pytest.approx(1.0 / 9.0, rel=1e-8)
+
+    def test_tiny_bisect_tol_terminates_feasible(self, two_type_spec):
+        a = solve_allocation(two_type_spec, SolverConfig(bisect_tol=1e-300))
+        assert a.budget_used <= two_type_spec.budget * (1 + 1e-9)
+        assert a.ks == pytest.approx((6.0, 9.0), rel=1e-7)
+
+    def test_bisection_stops_when_midpoint_meets_an_endpoint(self):
+        # Usage jumps from 2/3 (k=4) to 4/3 (k=16) at mu = 1/8, so it never
+        # comes within budget_tol of b = 1 and a 1e-300 bracket is out of
+        # reach; the fill pass then spends the slack: 0.5*k/s(k) = 1 at k = 8.
+        f = Tabular(((1, 1), (4, 3), (16, 6)))
+        spec = WorkloadSpec((JobType("t", f, 0.5, Deterministic(1.0)),), budget=1.0)
+        a = solve_allocation(spec, SolverConfig(bisect_tol=1e-300))
+        assert a.ks[0] == pytest.approx(8.0, rel=1e-9)
+        assert a.multiplier == pytest.approx(0.125, rel=1e-12)
+        assert a.budget_used <= 1.0 + 1e-9
 
     def test_two_type_matches_brute_force(self, two_type_spec):
         a = solve_allocation(two_type_spec)
@@ -341,10 +425,15 @@ class TestPareto:
             ks = [p.allocation.ks[i] for p in pts]
             assert all(b >= a - 1e-5 for a, b in zip(ks, ks[1:]))
 
-    def test_parallel_matches_serial(self, two_type_spec):
-        budgets = np.linspace(1.0, 3.0, 8)
-        serial = pareto_frontier(two_type_spec, budgets)
-        threaded = pareto_frontier(two_type_spec, budgets, max_workers=4)
-        for a, b in zip(serial, threaded):
-            assert a.budget == b.budget
-            assert a.allocation.ks == b.allocation.ks
+    @pytest.mark.parametrize("with_tabular", [False, True])
+    def test_rows_equal_single_solves_bit_for_bit(self, two_type_spec, with_tabular):
+        spec = two_type_spec
+        if with_tabular:
+            extra = JobType("tab", Tabular(((1, 1), (2, 1.8), (4, 3), (8, 4.2), (16, 5))),
+                            0.5, Deterministic(1.0))
+            spec = WorkloadSpec(spec.types + (extra,), budget=spec.budget)
+        budgets = np.linspace(spec.total_load * 1.01, spec.total_load * 8, 20)
+        pts = pareto_frontier(spec, budgets)
+        for pt in pts:
+            alone = solve_allocation(dataclasses.replace(spec, budget=pt.budget))
+            assert pt.allocation == alone
