@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -57,12 +56,6 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _require_files(*paths: str | None) -> None:
-    for p in paths:
-        if p is not None and not os.path.exists(p):
-            raise TraceError(f"no such file: {p}")
 
 
 def parse_policy(text: str, spec: WorkloadSpec, cfg: SolverConfig) -> Policy:
@@ -268,7 +261,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _require_files(getattr(args, "spec", None), getattr(args, "trace", None))
         return args.fn(args)
     except InstabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)

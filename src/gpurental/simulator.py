@@ -1,9 +1,20 @@
 """Discrete-event replay of a trace under a GPU rental policy.
 
 Fixed-width policies never queue, so their replay is closed-form: each job
-finishes at arrival + size / s(k).  The cluster baselines are event-driven:
-between events every in-service job depletes its remaining work at a
-constant rate, so the next completion is solved exactly (no time stepping).
+finishes at arrival + size / s(k).
+
+The pooled baselines (equal split and SRF) share one event loop.  Each event
+is an arrival or a completion.  Between events every present job depletes its
+remaining work at a constant speed, so the next completion is solved exactly
+(no time stepping): the loop advances time to the earlier of the next arrival
+and the smallest remaining/speed, then re-grants the pool.  A completion
+tied with an arrival goes first; of tied completions, the job that arrived
+first goes first.  Each present job is one record, kept in arrival order;
+its work and GPU-hours go to the outputs once, when it completes.  A grant
+depends only on m, the number of jobs present (equal split: C/m each), or on
+a job's rank by remaining work (SRF: min(k_cap, what is left), in rank
+order), so grants, their speed per job type, and K(t) are computed once per m
+or rank and then looked up.
 
 K(t), the number of GPUs rented at time t, is piecewise constant between
 events; its integral and the per-job GPU-hours are computed exactly.
@@ -17,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -63,8 +75,11 @@ class StaticClusterEqualSplit:
 class SmallestRemainingFirst:
     """Size-priority baseline: a fixed pool of C GPUs, granted to the jobs
     with least remaining work first, at most k_cap each; jobs that find the
-    pool empty wait.  A simplified proxy for size-prioritizing schedulers,
-    not a faithful reimplementation of any of them."""
+    pool empty wait.  Jobs are re-ranked only at arrivals and completions:
+    a job that overtakes another between events (a better-scaling type on a
+    smaller grant can) keeps its grant until the next event.  A simplified
+    proxy for size-prioritizing schedulers, not a faithful reimplementation
+    of any of them."""
 
     cluster_size: float
     k_cap: float
@@ -156,11 +171,14 @@ def _replay_fixed(trace: Trace, spec: WorkloadSpec, widths: np.ndarray) -> _Repl
     return _Replay(completions, gpu_hours, trace.sizes.copy(), seg_times, seg_k)
 
 
+_remaining = itemgetter(0)
+
+
 def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay:
     n = len(trace)
-    arr_t = trace.arrival_times
-    arr_ty = trace.type_indices
-    arr_x = trace.sizes
+    arr_t = trace.arrival_times.tolist()
+    arr_ty = trace.type_indices.tolist()
+    arr_x = trace.sizes.tolist()
     speed_of = [
         _extended_speed(scalar_fn(t.speedup), scalar_fn(t.speedup)(1.0)) for t in spec.types
     ]
@@ -168,73 +186,89 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
     pool = policy.cluster_size
     k_cap = policy.k_cap if isinstance(policy, SmallestRemainingFirst) else math.inf
 
+    # Grants are looked up, not recomputed.  Equal split: m -> (C/m, speed
+    # per type).  SRF: the grant by rank, which no m changes, and its speed
+    # per type, extended while the pool lasts (later ranks wait), and K by m.
+    share_of: dict[int, tuple[float, list[float]]] = {}
+    rank_alloc: list[float] = []
+    rank_speed: list[list[float]] = []
+    left = pool
+    k_of: dict[int, float] = {}
+
     completions = np.zeros(n)
     gpu_hours = np.zeros(n)
     work_done = np.zeros(n)
 
-    ids: list[int] = []
-    rem: list[float] = []
-    alloc: list[float] = []
-    spd: list[float] = []
-
+    jobs: list[list] = []  # [rem, work, gpu_hours, alloc, speed, idx], in arrival order
     seg_times = [0.0]
     seg_k = [0.0]
     t = 0.0
     i_next = 0
 
-    def reallocate() -> None:
-        m = len(ids)
-        if m == 0:
-            return
-        if equal_split:
-            share = pool / m
-            for j in range(m):
-                alloc[j] = share
-                spd[j] = speed_of[arr_ty[ids[j]]](share)
+    while jobs or i_next < n:
+        dt_arr = arr_t[i_next] - t if i_next < n else math.inf
+        dt = math.inf
+        done = None
+        for job in jobs:  # ties: the earliest arrival completes first
+            speed = job[4]
+            if speed > 0.0:
+                rem = job[0]
+                tc = (rem if rem > 0.0 else 0.0) / speed
+                if tc < dt:
+                    dt, done = tc, job
+        if done is None or dt > dt_arr:
+            done = None
+            dt = dt_arr
+
+        if dt > 0.0:
+            for job in jobs:
+                w = job[4] * dt
+                job[0] -= w
+                job[1] += w
+                job[2] += job[3] * dt
+        if done is not None:
+            t += dt
+            jobs.remove(done)
+            i = done[5]
+            completions[i] = t
+            work_done[i] = done[1]
+            gpu_hours[i] = done[2]
         else:
-            order = sorted(range(m), key=lambda j: (rem[j], ids[j]))
-            left = pool
-            for j in order:
+            t = arr_t[i_next]
+            jobs.append([arr_x[i_next], 0.0, 0.0, 0.0, 0.0, i_next])
+            i_next += 1
+
+        m = len(jobs)
+        if m == 0:
+            k_now = 0.0
+        elif equal_split:
+            row = share_of.get(m)
+            if row is None:
+                share = pool / m
+                row = share_of[m] = (share, [f(share) for f in speed_of])
+            share, speeds = row
+            for job in jobs:
+                job[3] = share
+                job[4] = speeds[arr_ty[job[5]]]
+            k_now = pool
+        else:
+            # A stable sort of the arrival-ordered list ranks by (remaining,
+            # arrival).  It is a copy: reordering ``jobs`` would change which
+            # of two jobs with equal completion times completes first.
+            ranked = sorted(jobs, key=_remaining) if m > 1 else jobs
+            while len(rank_alloc) < m and left > 0.0:
                 a = min(k_cap, left)
                 left -= a
-                alloc[j] = a
-                spd[j] = speed_of[arr_ty[ids[j]]](a)
-
-    def advance(dt: float) -> None:
-        if dt > 0.0:
-            for j in range(len(ids)):
-                w = spd[j] * dt
-                rem[j] -= w
-                work_done[ids[j]] += w
-                gpu_hours[ids[j]] += alloc[j] * dt
-
-    while ids or i_next < n:
-        dt_arr = arr_t[i_next] - t if i_next < n else math.inf
-        dt_comp = math.inf
-        j_comp = -1
-        for j in range(len(ids)):
-            if spd[j] > 0.0:
-                tc = max(rem[j], 0.0) / spd[j]
-                if tc < dt_comp:
-                    dt_comp, j_comp = tc, j
-
-        if j_comp >= 0 and dt_comp <= dt_arr:
-            advance(dt_comp)
-            t += dt_comp
-            done = ids[j_comp]
-            completions[done] = t
-            for lst in (ids, rem, alloc, spd):
-                lst.pop(j_comp)
-        else:
-            advance(max(dt_arr, 0.0))
-            t = float(arr_t[i_next])
-            ids.append(i_next)
-            rem.append(float(arr_x[i_next]))
-            alloc.append(0.0)
-            spd.append(0.0)
-            i_next += 1
-        reallocate()
-        k_now = (pool if equal_split else math.fsum(alloc)) if ids else 0.0
+                rank_alloc.append(a)
+                rank_speed.append([f(a) for f in speed_of])
+            for job, a, speeds in zip(ranked, rank_alloc, rank_speed):
+                job[3] = a
+                job[4] = speeds[arr_ty[job[5]]]
+            for job in ranked[len(rank_alloc):]:
+                job[3] = job[4] = 0.0
+            k_now = k_of.get(m)
+            if k_now is None:
+                k_now = k_of[m] = math.fsum(rank_alloc[:m])
         if t == seg_times[-1]:
             seg_k[-1] = k_now
         else:

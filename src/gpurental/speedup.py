@@ -105,6 +105,8 @@ class Tabular(SpeedupFunction):
             raise SpecError("tabular speedup needs at least one (k, s) point")
         ks = [k for k, _ in pts]
         for k, s in pts:
+            if not (math.isfinite(k) and math.isfinite(s)):
+                raise SpecError(f"tabular point is not finite: ({k}, {s})")
             if k < 1.0:
                 raise SpecError(f"tabular point has k < 1: {k}")
             if not s > 0.0:

@@ -91,6 +91,8 @@ SizeDistribution = Deterministic | Exponential | BoundedPareto | Weibull
 
 
 def _check_size_dist(dist: SizeDistribution, where: str) -> None:
+    if not all(math.isfinite(v) for v in vars(dist).values()):
+        raise SpecError(f"{where}: size distribution parameters must be finite")
     if isinstance(dist, Deterministic) and not dist.size > 0:
         raise SpecError(f"{where}: deterministic size must be positive")
     if isinstance(dist, Exponential) and not dist.mean_size > 0:
@@ -175,6 +177,8 @@ class Trace:
         x = np.asarray(self.sizes, dtype=float)
         if not (len(t) == len(ty) == len(x)):
             raise TraceError("arrival_times, type_indices and sizes must have equal length")
+        if not (np.isfinite(t).all() and np.isfinite(x).all()):
+            raise TraceError("arrival times and sizes must be finite")
         if len(t) and np.any(np.diff(t) < 0):
             i = int(np.flatnonzero(np.diff(t) < 0)[0])
             raise TraceError(f"arrivals not sorted at index {i + 1}")
@@ -319,6 +323,7 @@ def read_trace(path) -> Trace:
         if header != TRACE_HEADER:
             raise TraceError(f"expected header {TRACE_HEADER!r}, got {header!r}", line=1)
         prev = -math.inf
+        inf = math.inf
         for lineno, raw in enumerate(fh, start=2):
             row = raw.strip()
             if not row:
@@ -332,10 +337,10 @@ def read_trace(path) -> Trace:
                 raise TraceError(f"could not parse row {row!r}", line=lineno) from None
             if t < prev:
                 raise TraceError(f"arrival time {t!r} is before previous {prev!r}", line=lineno)
-            if t < 0:
-                raise TraceError(f"negative arrival time {t!r}", line=lineno)
-            if x <= 0:
-                raise TraceError(f"non-positive size {x!r}", line=lineno)
+            if not 0.0 <= t < inf:
+                raise TraceError(f"arrival time {t!r} is negative or not finite", line=lineno)
+            if not 0.0 < x < inf:
+                raise TraceError(f"size {x!r} is not positive and finite", line=lineno)
             if ty < 0:
                 raise TraceError(f"negative type index {ty}", line=lineno)
             prev = t

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -56,6 +57,23 @@ class TestValidate:
 
     def test_missing_file_exits_3(self, tmp_path, capsys):
         assert main(["validate", "--spec", str(tmp_path / "nope.json")]) == 3
+
+    @pytest.mark.parametrize(
+        "point", [[math.nan, 2.0], [2.0, math.inf]], ids=["k-nan", "s-inf"]
+    )
+    def test_non_finite_tabular_point_exits_3(self, tmp_path, capsys, point):
+        doc = json.loads(json.dumps(SINGLE_POWER_CONFIG))
+        doc["types"][0]["speedup"] = {"kind": "tabular", "points": [[1.0, 1.0], point]}
+        path = write_config(tmp_path, doc)
+        assert main(["validate", "--spec", path]) == 3
+        assert "not finite" in capsys.readouterr().err
+
+    def test_non_finite_size_param_exits_3(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(SINGLE_POWER_CONFIG))
+        doc["types"][0]["size_dist"] = {"kind": "deterministic", "x": math.inf}
+        path = write_config(tmp_path, doc)
+        assert main(["validate", "--spec", path]) == 3
+        assert "must be finite" in capsys.readouterr().err
 
     def test_bad_json_exits_3(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
@@ -171,6 +189,18 @@ class TestSimulate:
              "--policy", "magic:1"]
         )
         assert rc == 3
+
+    @pytest.mark.parametrize("row", ["nan,0,1.0", "inf,0,1.0", "0.5,1,nan", "0.5,1,inf"])
+    def test_non_finite_trace_value_exits_3(self, tmp_path, two_type_config_path, capsys, row):
+        trace = tmp_path / "bad.csv"
+        trace.write_text(f"arrival_time,type,size\n0.25,0,1.0\n{row}\n", encoding="utf-8")
+        for policy in ("uniform:2", "cluster:4"):
+            rc = main(
+                ["simulate", "--spec", two_type_config_path, "--trace", str(trace),
+                 "--policy", policy]
+            )
+            assert rc == 3
+            assert "line 3" in capsys.readouterr().err
 
     def test_missing_trace_exits_3(self, two_type_config_path, tmp_path):
         rc = main(

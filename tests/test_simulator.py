@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpurental import (
     Deterministic,
@@ -20,7 +22,8 @@ from gpurental import (
     simulate,
     solve_allocation,
 )
-from gpurental.simulator import _replay
+from gpurental.simulator import _replay, _replay_cluster
+from reference_replay import _replay_cluster as reference_replay_cluster
 
 ALL_POLICIES = [
     FixedWidth((3.0, 5.0)),
@@ -30,8 +33,40 @@ ALL_POLICIES = [
 ]
 
 
+REPLAY_FIELDS = ("completions", "gpu_hours", "work_done", "seg_times", "seg_k")
+
+
 def empty_trace():
     return Trace(np.array([]), np.array([], dtype=int), np.array([]))
+
+
+@st.composite
+def tie_heavy_traces(draw):
+    """1-12 jobs of the two-type spec whose arrival times and sizes come from
+    small sets, so that simultaneous arrivals and equal sizes are common."""
+    n = draw(st.integers(1, 12))
+    times = sorted(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5]),
+                                 min_size=n, max_size=n)))
+    types = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    sizes = draw(st.lists(st.sampled_from([0.1, 0.5, 1.0, 1.05, 2.0, 3.0]),
+                          min_size=n, max_size=n))
+    return Trace(np.array(times), np.array(types), np.array(sizes))
+
+
+def pool_sizes(lo, hi):
+    return st.sampled_from([float(c) for c in range(lo, hi + 1)]) | st.floats(lo, hi)
+
+
+def assert_work_conserved(tr, spec):
+    for pol in ALL_POLICIES:
+        rep = _replay(tr, spec, pol)
+        err = np.abs(rep.work_done - tr.sizes)
+        assert np.all(err <= 1e-9 * np.maximum(1.0, tr.sizes)), type(pol).__name__
+
+
+def assert_same_replay(a, b):
+    for field in REPLAY_FIELDS:
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
 class TestPolicyTypes:
@@ -165,11 +200,24 @@ class TestDynamicPolicies:
         assert rep.seg_k[np.searchsorted(rep.seg_times, 0.0, side="right") - 1] == pytest.approx(3.0)
 
     def test_work_conservation_every_policy(self, two_type_spec):
-        tr = generate_trace(two_type_spec, 3000, seed=21)
-        for pol in ALL_POLICIES:
-            rep = _replay(tr, two_type_spec, pol)
-            err = np.abs(rep.work_done - tr.sizes)
-            assert np.all(err <= 1e-9 * np.maximum(1.0, tr.sizes)), type(pol).__name__
+        assert_work_conserved(generate_trace(two_type_spec, 3000, seed=21), two_type_spec)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tr=tie_heavy_traces())
+    def test_work_conservation_every_policy_on_drawn_traces(self, two_type_spec, tr):
+        assert_work_conserved(tr, two_type_spec)
+
+    def test_srf_reranks_only_at_events(self, two_type_spec):
+        # srf:7,4 at t=0: the size-1 sqrt job ranks first and gets 4 GPUs, the
+        # size-1.05 Amdahl(0.8) job gets 3.  The latter overtakes at t~0.35
+        # but keeps 3 GPUs until it completes at 1.05/s_0(3) = 0.49; the
+        # sqrt job then finishes alone on 4 GPUs at 1/s_1(4) = 0.5.
+        tr = Trace(np.array([0.0, 0.0]), np.array([1, 0]), np.array([1.0, 1.05]))
+        m = simulate(tr, two_type_spec, SmallestRemainingFirst(7.0, 4.0))
+        s0_at_3 = 1.0 / (0.2 + 0.8 / 3.0)
+        assert m.per_job[1, 1] == pytest.approx(1.05 / s0_at_3, rel=1e-12)
+        assert m.per_job[0, 1] == pytest.approx(1.0 / np.sqrt(4.0), rel=1e-12)
+        assert 1.05 / s0_at_3 == pytest.approx(0.49, rel=1e-12)
 
     def test_total_gpu_hours_equals_k_integral(self, two_type_spec):
         tr = generate_trace(two_type_spec, 3000, seed=22)
@@ -189,6 +237,46 @@ class TestDynamicPolicies:
             mb = simulate(b, two_type_spec, pol)
             assert ma.mean_response_time == pytest.approx(mb.mean_response_time, rel=1e-12)
             assert ma.total_gpu_hours == pytest.approx(mb.total_gpu_hours, rel=1e-12)
+
+
+class TestReplayMatchesReference:
+    """The pooled replay against the loop it replaced, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tr=tie_heavy_traces(), pool=pool_sizes(1, 8), cap=pool_sizes(1, 4))
+    def test_drawn_traces(self, two_type_spec, tr, pool, cap):
+        for pol in (StaticClusterEqualSplit(pool), SmallestRemainingFirst(pool, cap)):
+            assert_same_replay(
+                _replay_cluster(tr, two_type_spec, pol),
+                reference_replay_cluster(tr, two_type_spec, pol),
+            )
+
+    def test_exact_completion_tie_goes_to_earliest_arrival(self, two_type_spec):
+        # Under srf:6,3 both jobs get 3 GPUs, and size / speed rounds to the
+        # same double for both, yet neither remainder is exactly zero there.
+        # The earlier arrival (ranked second) must complete first, as before.
+        sizes = np.array([2.2171330912780918, 1.7920873419100867])
+        tr = Trace(np.zeros(2), np.array([0, 1]), sizes)
+        speeds = np.array([1.0 / (0.2 + 0.8 / 3.0), np.sqrt(3.0)])
+        assert sizes[0] / speeds[0] == sizes[1] / speeds[1]
+        pol = SmallestRemainingFirst(6.0, 3.0)
+        assert_same_replay(
+            _replay_cluster(tr, two_type_spec, pol),
+            reference_replay_cluster(tr, two_type_spec, pol),
+        )
+
+    @pytest.mark.parametrize(
+        "pol",
+        [StaticClusterEqualSplit(8.0), SmallestRemainingFirst(8.0, 4.0),
+         StaticClusterEqualSplit(1.25), SmallestRemainingFirst(1.25, 1.0)],
+        ids=str,
+    )
+    def test_generated_trace(self, two_type_spec, pol):
+        tr = generate_trace(two_type_spec, 3000, seed=31)
+        assert_same_replay(
+            _replay_cluster(tr, two_type_spec, pol),
+            reference_replay_cluster(tr, two_type_spec, pol),
+        )
 
 
 class TestCompare:

@@ -124,6 +124,11 @@ class TestTraceType:
         with pytest.raises(TraceError):
             Trace(np.array([0.5]), np.array([0]), np.array([0.0]))
 
+    @pytest.mark.parametrize("t, x", [(np.inf, 1.0), (0.5, np.inf), (np.nan, 1.0), (0.5, np.nan)])
+    def test_non_finite_rejected(self, t, x):
+        with pytest.raises(TraceError, match="finite"):
+            Trace(np.array([0.0, t]), np.array([0, 0]), np.array([1.0, x]))
+
     def test_type_bounds_checked_against_spec(self):
         spec = one_type_spec()
         tr = Trace(np.array([1.0]), np.array([3]), np.array([1.0]))
