@@ -26,7 +26,6 @@ from .simulator import (
     SimMetrics,
     SmallestRemainingFirst,
     StaticClusterEqualSplit,
-    UniformWidth,
     budget_timeseries,
     compare_policies,
     simulate,
@@ -82,7 +81,6 @@ __all__ = [
     "Tabular",
     "Trace",
     "TraceError",
-    "UniformWidth",
     "ValidationReport",
     "Weibull",
     "WorkloadSpec",

@@ -21,7 +21,6 @@ from .simulator import (
     SimMetrics,
     SmallestRemainingFirst,
     StaticClusterEqualSplit,
-    UniformWidth,
     budget_timeseries,
     compare_policies,
     simulate,
@@ -60,7 +59,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def parse_policy(text: str, spec: WorkloadSpec, cfg: SolverConfig) -> Policy:
     """Parse a policy string: optimal | fixed:k1,..,kM | uniform:k |
-    cluster:C | srf:C,kcap."""
+    cluster:C | srf:C,kcap.  ``uniform:k`` is ``fixed:k,...,k``."""
     if text == "optimal":
         return FixedWidth(solve_allocation(spec, cfg).ks)
     kind, _, rest = text.partition(":")
@@ -68,7 +67,7 @@ def parse_policy(text: str, spec: WorkloadSpec, cfg: SolverConfig) -> Policy:
         if kind == "fixed":
             return FixedWidth(tuple(float(x) for x in rest.split(",")))
         if kind == "uniform":
-            return UniformWidth(float(rest))
+            return FixedWidth((float(rest),) * len(spec.types))
         if kind == "cluster":
             return StaticClusterEqualSplit(float(rest))
         if kind == "srf":

@@ -22,22 +22,23 @@ import numpy as np
 
 from .errors import BruteForceError
 from .speedup import DEFAULT_K_MAX, Amdahl, PowerLaw, SpeedupFunction, Tabular, scalar_fn
+from .speedup import _check_width
 from .workload import WorkloadSpec
+
+_BUDGET_TOL = 1e-9  # relative slack on the budget; the mu search stops within it
+_BISECT_TOL = 1e-12  # relative mu bracket width at which the fill pass takes over
+_MAX_AXIS_POINTS = 30_000_000  # largest grid axis the oracle will enumerate
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Numerical knobs for the allocation solver."""
+    """The allocation solver's one option: the cap on any width, flagged
+    when it binds."""
 
-    k_max: float = DEFAULT_K_MAX  # cap on any width; flagged when it binds
-    budget_tol: float = 1e-9  # relative slack on the budget; the mu search stops within it
-    bisect_tol: float = 1e-12  # relative mu bracket width at which the fill pass takes over
+    k_max: float = DEFAULT_K_MAX
 
     def __post_init__(self):
-        if self.k_max < 1.0:
-            raise ValueError("k_max must be >= 1")
-        if min(self.budget_tol, self.bisect_tol) <= 0:
-            raise ValueError("tolerances must be positive")
+        _check_width("k_max", self.k_max)
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,7 @@ def _check_ks(spec: WorkloadSpec, ks) -> np.ndarray:
     arr = np.asarray(ks, dtype=float)
     if arr.shape != (len(spec.types),):
         raise ValueError(f"expected {len(spec.types)} widths, got shape {arr.shape}")
-    if np.any(arr < 1.0):
-        raise ValueError(f"widths must be >= 1, got {arr.min()}")
+    _check_width("widths", arr)
     return arr
 
 
@@ -106,8 +106,7 @@ def merge_segments(k1: float, t1: float, k2: float, t2: float) -> float:
     """
     if t1 <= 0 or t2 <= 0:
         raise ValueError("segment durations must be positive")
-    if k1 < 1 or k2 < 1:
-        raise ValueError("widths must be >= 1")
+    _check_width("widths", (k1, k2))
     return (k1 * t1 + k2 * t2) / (t1 + t2)
 
 
@@ -175,9 +174,7 @@ def inner_minimize(f: SpeedupFunction, mu: float, cfg: SolverConfig | None = Non
     return float(k[0])
 
 
-def _fill_budget(
-    spec: WorkloadSpec, b: float, ks: np.ndarray, ks_upper: np.ndarray, cfg: SolverConfig
-) -> np.ndarray:
+def _fill_budget(spec: WorkloadSpec, b: float, ks: np.ndarray, ks_upper: np.ndarray) -> np.ndarray:
     """Raise widths toward ``ks_upper``, type by type, until the budget ``b`` binds.
 
     Tabular speedups need this: their minimizers jump from knot to knot, so
@@ -187,7 +184,7 @@ def _fill_budget(
     ks = ks.copy()
     for i, t in enumerate(spec.types):
         slack = b - budget_usage(spec, ks)
-        if slack <= cfg.budget_tol * b * 0.5:
+        if slack <= _BUDGET_TOL * b * 0.5:
             break
         if ks_upper[i] > ks[i]:
             load = spec.loads[i]
@@ -214,7 +211,7 @@ def _search(spec: WorkloadSpec, budgets: np.ndarray, cfg: SolverConfig) -> list[
     Usage of the per-type minimizers is non-increasing in mu.  A budget that
     usage at mu = 0 meets is slack.  Otherwise its bracket [0, 1] grows x4
     until usage at the top fits, then halves until usage is within
-    budget_tol of the budget; if the bracket gets narrower than bisect_tol,
+    _BUDGET_TOL of the budget; if the bracket gets narrower than _BISECT_TOL,
     or its midpoint equals an endpoint, first, the fill pass spends what is
     left.  Each budget does the arithmetic it would do alone, so a
     one-budget call gives the same bits as a sweep.
@@ -232,7 +229,7 @@ def _search(spec: WorkloadSpec, budgets: np.ndarray, cfg: SolverConfig) -> list[
 
     with np.errstate(divide="ignore"):
         ks0, u = widths(np.zeros(n))
-        binding = u > b * (1.0 + cfg.budget_tol)
+        binding = u > b * (1.0 + _BUDGET_TOL)
         mu_lo, mu_hi, ks_lo = np.zeros(n), np.ones(n), ks0
         ks_hi, u = widths(mu_hi)
         grow = binding & (u > b)
@@ -248,12 +245,12 @@ def _search(spec: WorkloadSpec, budgets: np.ndarray, cfg: SolverConfig) -> list[
         active = binding
         while True:
             mid = 0.5 * (mu_lo + mu_hi)
-            wide = mu_hi - mu_lo > cfg.bisect_tol * mu_hi
+            wide = mu_hi - mu_lo > _BISECT_TOL * mu_hi
             active = active & wide & (mu_lo < mid) & (mid < mu_hi)
             if not active.any():
                 break
             ks_mid, u = widths(mid)
-            now = active & (np.abs(u - b) <= cfg.budget_tol * b)
+            now = active & (np.abs(u - b) <= _BUDGET_TOL * b)
             over = active & (u > b) & ~now
             under = active & ~over
             mu_lo, ks_lo = np.where(over, mid, mu_lo), np.where(over[:, None], ks_mid, ks_lo)
@@ -263,7 +260,7 @@ def _search(spec: WorkloadSpec, budgets: np.ndarray, cfg: SolverConfig) -> list[
 
     ks = np.where(binding[:, None], ks_hi, ks0)
     for j in np.flatnonzero(binding & ~hit):
-        ks[j] = _fill_budget(spec, float(b[j]), ks_hi[j], ks_lo[j], cfg)
+        ks[j] = _fill_budget(spec, float(b[j]), ks_hi[j], ks_lo[j])
     mu = np.where(binding, mu_hi, 0.0)
     return [_make_allocation(spec, ks[j], mu[j], cfg) for j in range(n)]
 
@@ -313,10 +310,7 @@ def _running_argmin(values: np.ndarray) -> np.ndarray:
 
 
 def brute_force_allocation(
-    spec: WorkloadSpec,
-    grid_step: float,
-    cfg: SolverConfig | None = None,
-    max_axis_points: int = 30_000_000,
+    spec: WorkloadSpec, grid_step: float, cfg: SolverConfig | None = None
 ) -> Allocation:
     """Grid-search oracle for the allocation problem.
 
@@ -341,7 +335,7 @@ def brute_force_allocation(
         _budget_axis_cap(t.speedup, loads[i], b, cfg.k_max) for i, t in enumerate(spec.types)
     ]
     sizes = [int(math.floor((c - 1.0) / grid_step)) + 1 for c in caps]
-    if max(sizes) > max_axis_points:
+    if max(sizes) > _MAX_AXIS_POINTS:
         raise BruteForceError(
             f"axis needs {max(sizes)} grid points at step {grid_step}; "
             f"raise grid_step or lower the budget"

@@ -33,7 +33,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import SpecError
-from .speedup import scalar_fn
+from .speedup import _check_width, scalar_fn
 from .workload import Trace, WorkloadSpec
 
 
@@ -45,19 +45,9 @@ class FixedWidth:
 
     def __post_init__(self):
         object.__setattr__(self, "ks", tuple(float(k) for k in self.ks))
-        if len(self.ks) == 0 or min(self.ks) < 1.0:
-            raise SpecError("fixed-width policy needs widths >= 1")
-
-
-@dataclass(frozen=True)
-class UniformWidth:
-    """Every job of every type runs on the same k GPUs."""
-
-    k: float
-
-    def __post_init__(self):
-        if self.k < 1.0:
-            raise SpecError("uniform width must be >= 1")
+        if len(self.ks) == 0:
+            raise SpecError("fixed-width policy needs at least one width")
+        _check_width("widths", self.ks)
 
 
 @dataclass(frozen=True)
@@ -67,8 +57,7 @@ class StaticClusterEqualSplit:
     cluster_size: float
 
     def __post_init__(self):
-        if self.cluster_size < 1.0:
-            raise SpecError("cluster size must be >= 1")
+        _check_width("cluster size", self.cluster_size)
 
 
 @dataclass(frozen=True)
@@ -85,11 +74,11 @@ class SmallestRemainingFirst:
     k_cap: float
 
     def __post_init__(self):
-        if self.cluster_size < 1.0 or self.k_cap < 1.0:
-            raise SpecError("cluster size and k_cap must be >= 1")
+        _check_width("cluster size", self.cluster_size)
+        _check_width("k_cap", self.k_cap)
 
 
-Policy = FixedWidth | UniformWidth | StaticClusterEqualSplit | SmallestRemainingFirst
+Policy = FixedWidth | StaticClusterEqualSplit | SmallestRemainingFirst
 
 
 @dataclass(frozen=True)
@@ -122,18 +111,6 @@ class _Replay:
     work_done: np.ndarray
     seg_times: np.ndarray  # K(t) == seg_k[i] on [seg_times[i], seg_times[i+1])
     seg_k: np.ndarray
-
-
-def _fixed_widths(spec: WorkloadSpec, policy: Policy) -> np.ndarray | None:
-    if isinstance(policy, FixedWidth):
-        if len(policy.ks) != len(spec.types):
-            raise SpecError(
-                f"policy has {len(policy.ks)} widths but workload has {len(spec.types)} types"
-            )
-        return np.asarray(policy.ks)
-    if isinstance(policy, UniformWidth):
-        return np.full(len(spec.types), policy.k)
-    return None
 
 
 def _extended_speed(f, at_one: float):
@@ -284,10 +261,13 @@ def _replay(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay:
         return _Replay(
             np.array([]), np.array([]), np.array([]), np.array([0.0]), np.array([0.0])
         )
-    widths = _fixed_widths(spec, policy)
-    if widths is not None:
-        return _replay_fixed(trace, spec, widths)
-    return _replay_cluster(trace, spec, policy)
+    if not isinstance(policy, FixedWidth):
+        return _replay_cluster(trace, spec, policy)
+    if len(policy.ks) != len(spec.types):
+        raise SpecError(
+            f"policy has {len(policy.ks)} widths but workload has {len(spec.types)} types"
+        )
+    return _replay_fixed(trace, spec, np.asarray(policy.ks))
 
 
 def simulate(
@@ -344,8 +324,8 @@ def budget_timeseries(
     Returns an array of (t, K(t)) rows covering [0, last completion],
     right-continuous at event instants.
     """
-    if sample_step <= 0:
-        raise ValueError("sample_step must be positive")
+    if not 0.0 < sample_step < math.inf:
+        raise ValueError(f"sample_step must be positive and finite, got {sample_step}")
     rep = _replay(trace, spec, policy)
     horizon = float(rep.completions.max()) if len(rep.completions) else 0.0
     ts = np.arange(math.ceil(horizon / sample_step) + 1) * sample_step

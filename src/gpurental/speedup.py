@@ -28,6 +28,15 @@ DEFAULT_K_MAX = float(2**20)
 _GRID_RATIO = 1.1
 
 
+def _check_width(what: str, value) -> None:
+    """The one rule for a GPU width, pool size or cap (a scalar or an
+    array of them): finite and >= 1."""
+    arr = np.asarray(value, dtype=float)
+    bad = ~((arr >= 1.0) & (arr < math.inf))
+    if bad.any():
+        raise SpecError(f"{what} must be finite and >= 1, got {float(arr[bad].flat[0])}")
+
+
 class SpeedupFunction:
     """Base class; subclasses provide ``_value`` vectorized over k >= 1."""
 
@@ -40,14 +49,6 @@ class SpeedupFunction:
         if np.any(arr < 1.0):
             raise ValueError(f"speedup is defined for k >= 1, got {np.min(arr)}")
         out = self._value(arr)
-        if arr.ndim == 0:
-            return float(out)
-        return out
-
-    def cost_rate(self, k):
-        """GPU-hours spent per unit of work at width k: k / s(k)."""
-        arr = np.asarray(k, dtype=float)
-        out = arr / self(arr)
         if arr.ndim == 0:
             return float(out)
         return out
@@ -107,8 +108,7 @@ class Tabular(SpeedupFunction):
         for k, s in pts:
             if not (math.isfinite(k) and math.isfinite(s)):
                 raise SpecError(f"tabular point is not finite: ({k}, {s})")
-            if k < 1.0:
-                raise SpecError(f"tabular point has k < 1: {k}")
+            _check_width("tabular point k", k)
             if not s > 0.0:
                 raise SpecError(f"tabular point has non-positive speed: {s}")
         if any(b <= a for a, b in zip(ks, ks[1:])):
@@ -211,6 +211,7 @@ def validate(f: SpeedupFunction, k_max: float = DEFAULT_K_MAX) -> ValidationRepo
     pairs, concavity on sampled triples.  Violations below REL_TOL
     (relative) are ignored.
     """
+    _check_width("k_max", k_max)
     ks = _grid(f, k_max)
     s = f(ks)
     a, b = ks[:-1], ks[1:]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,12 +159,39 @@ class WorkloadSpec:
             )
 
 
+def _first_bad_row(t: np.ndarray, ty: np.ndarray, x: np.ndarray) -> tuple[int, str] | None:
+    """The trace row rules, in one vectorised pass: (index of the first row
+    that breaks one, why), or None.  A row's rules, in the order checked:
+    the arrival is finite and >= 0, arrivals do not decrease, the type
+    index is >= 0, the size is finite and > 0."""
+    back = np.zeros(len(t), dtype=bool)
+    back[1:] = t[1:] < t[:-1]
+    broken = np.array([
+        ~((t >= 0.0) & (t < math.inf)),
+        back,
+        ty < 0,
+        ~((x > 0.0) & (x < math.inf)),
+    ])
+    bad = broken.any(axis=0)
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    t_i = float(t[i])
+    return i, (
+        f"arrival time {t_i!r} is negative or not finite",
+        f"arrival time {t_i!r} is before previous {float(t[i - 1])!r}",
+        f"negative type index {int(ty[i])}",
+        f"size {float(x[i])!r} is not positive and finite",
+    )[int(np.argmax(broken[:, i]))]
+
+
 @dataclass(frozen=True, eq=False)
 class Trace:
     """A finite arrival sequence: parallel arrays sorted by arrival time.
 
     ``seed`` records the generator seed for provenance and is 0 for traces
-    read from files; it is excluded from equality.
+    read from files; it is excluded from equality.  A row that breaks a
+    rule of ``_first_bad_row`` is refused, named by its index.
     """
 
     arrival_times: np.ndarray
@@ -177,13 +205,9 @@ class Trace:
         x = np.asarray(self.sizes, dtype=float)
         if not (len(t) == len(ty) == len(x)):
             raise TraceError("arrival_times, type_indices and sizes must have equal length")
-        if not (np.isfinite(t).all() and np.isfinite(x).all()):
-            raise TraceError("arrival times and sizes must be finite")
-        if len(t) and np.any(np.diff(t) < 0):
-            i = int(np.flatnonzero(np.diff(t) < 0)[0])
-            raise TraceError(f"arrivals not sorted at index {i + 1}")
-        if len(t) and (np.any(t < 0) or np.any(x <= 0)):
-            raise TraceError("arrival times must be >= 0 and sizes > 0")
+        bad = _first_bad_row(t, ty, x)
+        if bad is not None:
+            raise TraceError(f"row {bad[0]}: {bad[1]}")
         object.__setattr__(self, "arrival_times", t)
         object.__setattr__(self, "type_indices", ty)
         object.__setattr__(self, "sizes", x)
@@ -309,45 +333,48 @@ def write_trace(trace: Trace, path) -> None:
     """Write a trace as CSV; floats use repr so reading it back is exact."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(TRACE_HEADER + "\n")
-        for t, ty, x in zip(trace.arrival_times, trace.type_indices, trace.sizes):
-            fh.write(f"{float(t)!r},{int(ty)},{float(x)!r}\n")
+        columns = (trace.arrival_times.tolist(), trace.type_indices.tolist(), trace.sizes.tolist())
+        for t, ty, x in zip(*columns):
+            fh.write(f"{t!r},{ty},{x!r}\n")
 
 
 def read_trace(path) -> Trace:
-    """Read a trace CSV, reporting the first offending line on bad input."""
+    """Read a trace CSV, reporting the first offending line on bad input:
+    a row that breaks a rule of ``Trace``, else a row that does not parse."""
     times: list[float] = []
     types: list[int] = []
     sizes: list[float] = []
+    blank_at: list[int] = []  # rows read before each skipped blank line
+    fault = None  # (line, message) of the row that did not parse
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != TRACE_HEADER:
             raise TraceError(f"expected header {TRACE_HEADER!r}, got {header!r}", line=1)
-        prev = -math.inf
-        inf = math.inf
         for lineno, raw in enumerate(fh, start=2):
             row = raw.strip()
             if not row:
+                blank_at.append(len(times))
                 continue
             parts = row.split(",")
             if len(parts) != 3:
-                raise TraceError(f"expected 3 fields, got {len(parts)}", line=lineno)
+                fault = lineno, f"expected 3 fields, got {len(parts)}"
+                break
             try:
                 t, ty, x = float(parts[0]), int(parts[1]), float(parts[2])
             except ValueError:
-                raise TraceError(f"could not parse row {row!r}", line=lineno) from None
-            if t < prev:
-                raise TraceError(f"arrival time {t!r} is before previous {prev!r}", line=lineno)
-            if not 0.0 <= t < inf:
-                raise TraceError(f"arrival time {t!r} is negative or not finite", line=lineno)
-            if not 0.0 < x < inf:
-                raise TraceError(f"size {x!r} is not positive and finite", line=lineno)
-            if ty < 0:
-                raise TraceError(f"negative type index {ty}", line=lineno)
-            prev = t
+                fault = lineno, f"could not parse row {row!r}"
+                break
             times.append(t)
             types.append(ty)
             sizes.append(x)
-    return Trace(np.array(times), np.array(types, dtype=np.int64), np.array(sizes), seed=0)
+    arrays = np.array(times), np.array(types, dtype=np.int64), np.array(sizes)
+    bad = _first_bad_row(*arrays)
+    if bad is not None:
+        i, reason = bad
+        raise TraceError(reason, line=i + 2 + bisect_right(blank_at, i))
+    if fault is not None:
+        raise TraceError(fault[1], line=fault[0])
+    return Trace(*arrays, seed=0)
 
 
 def _parse_size_dist(obj, where: str) -> SizeDistribution:

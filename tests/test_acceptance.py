@@ -20,7 +20,6 @@ from gpurental import (
     SmallestRemainingFirst,
     StaticClusterEqualSplit,
     Trace,
-    UniformWidth,
     WorkloadSpec,
     brute_force_allocation,
     budget_usage,
@@ -246,7 +245,7 @@ def test_criterion_8_no_feasible_baseline_beats_optimal(ref_spec):
         return None, None
 
     candidates = []
-    pol, m = tuned(UniformWidth, 1.0, 25.0)
+    pol, m = tuned(lambda k: FixedWidth((k, k)), 1.0, 25.0)
     if m:
         candidates.append(("uniform", m))
     pol, m = tuned(StaticClusterEqualSplit, 1.0, 40.0)

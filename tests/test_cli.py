@@ -112,6 +112,20 @@ class TestSolve:
         assert out["cap_active"] is True
 
 
+@pytest.mark.parametrize("k_max", ["nan", "inf", "0.5"])
+@pytest.mark.parametrize(
+    "command",
+    [["validate"], ["solve"], ["pareto", "--b-min", "2", "--b-max", "3", "--points", "2"]],
+    ids=["validate", "solve", "pareto"],
+)
+def test_bad_k_max_exits_3(two_type_config_path, capsys, command, k_max):
+    rc = main(command + ["--spec", two_type_config_path, "--k-max", k_max])
+    assert rc == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: k_max must be finite and >= 1, got {float(k_max)}\n"
+
+
 class TestGenTrace:
     def test_writes_csv(self, tmp_path, two_type_config_path, capsys):
         out = tmp_path / "t.csv"
@@ -184,11 +198,54 @@ class TestSimulate:
             assert doc["job_count"] == 2000
 
     def test_bad_policy_exits_3(self, two_type_config_path, trace_path, capsys):
+        capsys.readouterr()
+        for policy in ("magic:1", "fixed:nan,2", "uniform:nan", "uniform:inf", "cluster:nan",
+                       "cluster:inf", "srf:nan,2", "srf:8,nan", "srf:8,inf"):
+            rc = main(
+                ["simulate", "--spec", two_type_config_path, "--trace", trace_path,
+                 "--policy", policy]
+            )
+            assert rc == 3, policy
+            out, err = capsys.readouterr()
+            assert out == "", policy
+            assert err.startswith("error: ") and err.count("\n") == 1, policy
+
+    @pytest.mark.parametrize("k_max", ["nan", "inf"])
+    def test_bad_k_max_with_optimal_exits_3(self, two_type_config_path, trace_path, capsys,
+                                            k_max):
+        capsys.readouterr()
         rc = main(
             ["simulate", "--spec", two_type_config_path, "--trace", trace_path,
-             "--policy", "magic:1"]
+             "--policy", "optimal", "--k-max", k_max]
         )
         assert rc == 3
+        assert capsys.readouterr() == ("", f"error: k_max must be finite and >= 1, got {k_max}\n")
+
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_non_finite_timeseries_step_exits_3(self, tmp_path, two_type_config_path,
+                                                trace_path, capsys, step):
+        capsys.readouterr()
+        rc = main(
+            ["simulate", "--spec", two_type_config_path, "--trace", trace_path,
+             "--policy", "uniform:2", "--timeseries", str(tmp_path / "k.csv"),
+             "--timeseries-step", step]
+        )
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert "nan" not in out.lower() and "infinity" not in out.lower()
+        assert err == f"error: sample_step must be positive and finite, got {step}\n"
+        assert not (tmp_path / "k.csv").exists()
+
+    def test_negative_type_index_exits_3(self, tmp_path, two_type_config_path, capsys):
+        trace = tmp_path / "bad.csv"
+        trace.write_text("arrival_time,type,size\n0.25,0,1.0\n\n0.5,-1,1.0\n",
+                         encoding="utf-8")
+        rc = main(
+            ["simulate", "--spec", two_type_config_path, "--trace", str(trace),
+             "--policy", "uniform:2"]
+        )
+        assert rc == 3
+        assert capsys.readouterr().err == "error: line 4: negative type index -1\n"
 
     @pytest.mark.parametrize("row", ["nan,0,1.0", "inf,0,1.0", "0.5,1,nan", "0.5,1,inf"])
     def test_non_finite_trace_value_exits_3(self, tmp_path, two_type_config_path, capsys, row):

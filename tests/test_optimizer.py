@@ -24,6 +24,7 @@ from gpurental import (
     pareto_frontier,
     solve_allocation,
 )
+from gpurental import optimizer
 from gpurental.speedup import DEFAULT_K_MAX
 from randspecs import random_concave_tabular, random_spec, random_speedup
 
@@ -33,7 +34,7 @@ def cost_rate_inverse(jt, target, k_lo, k_hi):
     monotone in k); None when target is outside [u(k_lo), u(k_hi)]."""
 
     def u(k):
-        return jt.load * jt.speedup.cost_rate(k)
+        return jt.load * k / jt.speedup(k)
 
     if not (u(k_lo) <= target <= u(k_hi)):
         return None
@@ -93,6 +94,11 @@ class TestInnerMinimize:
     def test_negative_multiplier_rejected(self):
         with pytest.raises(ValueError):
             inner_minimize(PowerLaw(0.5), -0.1)
+
+    @pytest.mark.parametrize("k_max", [0.5, np.nan, np.inf])
+    def test_k_max_must_be_finite_and_at_least_one(self, k_max):
+        with pytest.raises(ValueError, match="k_max must be finite and >= 1"):
+            SolverConfig(k_max=k_max)
 
     def test_amdahl_matches_calculus(self):
         # Stationarity of (1 + mu*k)/s(k) for Amdahl(p):
@@ -184,18 +190,20 @@ class TestSolve:
         assert a.budget_used == pytest.approx(2.0, rel=1e-9)
         assert a.multiplier == pytest.approx(1.0 / 9.0, rel=1e-8)
 
-    def test_tiny_bisect_tol_terminates_feasible(self, two_type_spec):
-        a = solve_allocation(two_type_spec, SolverConfig(bisect_tol=1e-300))
+    def test_tiny_bisect_tol_terminates_feasible(self, two_type_spec, monkeypatch):
+        monkeypatch.setattr(optimizer, "_BISECT_TOL", 1e-300)
+        a = solve_allocation(two_type_spec)
         assert a.budget_used <= two_type_spec.budget * (1 + 1e-9)
         assert a.ks == pytest.approx((6.0, 9.0), rel=1e-7)
 
-    def test_bisection_stops_when_midpoint_meets_an_endpoint(self):
+    def test_bisection_stops_when_midpoint_meets_an_endpoint(self, monkeypatch):
         # Usage jumps from 2/3 (k=4) to 4/3 (k=16) at mu = 1/8, so it never
-        # comes within budget_tol of b = 1 and a 1e-300 bracket is out of
+        # comes within _BUDGET_TOL of b = 1 and a 1e-300 bracket is out of
         # reach; the fill pass then spends the slack: 0.5*k/s(k) = 1 at k = 8.
         f = Tabular(((1, 1), (4, 3), (16, 6)))
         spec = WorkloadSpec((JobType("t", f, 0.5, Deterministic(1.0)),), budget=1.0)
-        a = solve_allocation(spec, SolverConfig(bisect_tol=1e-300))
+        monkeypatch.setattr(optimizer, "_BISECT_TOL", 1e-300)
+        a = solve_allocation(spec)
         assert a.ks[0] == pytest.approx(8.0, rel=1e-9)
         assert a.multiplier == pytest.approx(0.125, rel=1e-12)
         assert a.budget_used <= 1.0 + 1e-9
@@ -299,8 +307,8 @@ class TestSolve:
                 if i == j:
                     continue
                 ti, tj = two_type_spec.types[i], two_type_spec.types[j]
-                ui = ti.load * ti.speedup.cost_rate(a.ks[i])
-                uj = tj.load * tj.speedup.cost_rate(a.ks[j])
+                ui = ti.load * a.ks[i] / ti.speedup(a.ks[i])
+                uj = tj.load * a.ks[j] / tj.speedup(a.ks[j])
                 ki = cost_rate_inverse(ti, ui - delta, 1.0, a.ks[i])
                 kj = cost_rate_inverse(tj, uj + delta, a.ks[j], a.ks[j] * 16 + 16)
                 if ki is None or kj is None:
@@ -376,6 +384,14 @@ class TestMergeSegments:
             merge_segments(2.0, 0.0, 3.0, 1.0)
         with pytest.raises(ValueError):
             merge_segments(2.0, 1.0, 3.0, -1.0)
+
+    @pytest.mark.parametrize("k", [0.5, np.nan, np.inf])
+    def test_widths_must_be_finite_and_at_least_one(self, k):
+        with pytest.raises(ValueError):
+            merge_segments(k, 1.0, 3.0, 1.0)
+        spec = WorkloadSpec((JobType("t", PowerLaw(0.5), 0.5, Deterministic(1.0)),), 1.0)
+        with pytest.raises(ValueError):
+            objective(spec, [k])
 
     def test_merge_dominance_all_families(self):
         # Work x_i = t_i * s(k_i) done in two segments, redone at the merged

@@ -12,7 +12,6 @@ from gpurental import (
     SpecError,
     StaticClusterEqualSplit,
     Trace,
-    UniformWidth,
     WorkloadSpec,
     budget_timeseries,
     budget_usage,
@@ -27,7 +26,7 @@ from reference_replay import _replay_cluster as reference_replay_cluster
 
 ALL_POLICIES = [
     FixedWidth((3.0, 5.0)),
-    UniformWidth(2.0),
+    FixedWidth((2.0, 2.0)),
     StaticClusterEqualSplit(4.0),
     SmallestRemainingFirst(4.0, 3.0),
 ]
@@ -74,11 +73,28 @@ class TestPolicyTypes:
         with pytest.raises(SpecError):
             FixedWidth((0.5, 2.0))
         with pytest.raises(SpecError):
-            UniformWidth(0.0)
+            FixedWidth((0.0, 0.0))
         with pytest.raises(SpecError):
             StaticClusterEqualSplit(0.9)
         with pytest.raises(SpecError):
             SmallestRemainingFirst(4.0, 0.5)
+        for v in (np.nan, np.inf):
+            for make in (
+                lambda: FixedWidth((v, 2.0)),
+                lambda: StaticClusterEqualSplit(v),
+                lambda: SmallestRemainingFirst(v, 2.0),
+                lambda: SmallestRemainingFirst(8.0, v),
+            ):
+                with pytest.raises(SpecError, match="finite and >= 1"):
+                    make()
+
+    def test_cap_equal_to_pool_grants_like_the_pool(self, two_type_spec):
+        # An infinite cap is refused; a cap equal to the pool grants
+        # min(C, left) = left, as any larger cap does, bit for bit.
+        tr = generate_trace(two_type_spec, 300, seed=8)
+        a = _replay(tr, two_type_spec, SmallestRemainingFirst(3.5, 3.5))
+        b = _replay(tr, two_type_spec, SmallestRemainingFirst(3.5, 1e300))
+        assert_same_replay(a, b)
 
     def test_dimension_mismatch_detected(self, two_type_spec):
         tr = Trace(np.array([0.0]), np.array([0]), np.array([1.0]))
@@ -88,12 +104,12 @@ class TestPolicyTypes:
     def test_trace_spec_mismatch(self, two_type_spec):
         tr = Trace(np.array([0.0]), np.array([7]), np.array([1.0]))
         with pytest.raises(Exception):
-            simulate(tr, two_type_spec, UniformWidth(1.0))
+            simulate(tr, two_type_spec, FixedWidth((1.0, 1.0)))
 
 
 class TestFixedWidth:
     def test_empty_trace(self, two_type_spec):
-        m = simulate(empty_trace(), two_type_spec, UniformWidth(1.0))
+        m = simulate(empty_trace(), two_type_spec, FixedWidth((1.0, 1.0)))
         assert m.job_count == 0
         assert m.mean_response_time is None
         assert m.time_avg_budget == 0.0
@@ -117,7 +133,7 @@ class TestFixedWidth:
 
     def test_uniform_one_gives_mean_size(self, two_type_spec):
         tr = generate_trace(two_type_spec, 5000, seed=4)
-        m = simulate(tr, two_type_spec, UniformWidth(1.0))
+        m = simulate(tr, two_type_spec, FixedWidth((1.0, 1.0)))
         assert m.mean_response_time == pytest.approx(float(tr.sizes.mean()), rel=1e-12)
 
     def test_identities_converge(self, two_type_spec):
@@ -289,20 +305,20 @@ class TestCompare:
     def test_optimal_beats_unit_width(self, two_type_spec):
         tr = generate_trace(two_type_spec, 20_000, seed=14)
         alloc = solve_allocation(two_type_spec)
-        res = compare_policies(tr, two_type_spec, [FixedWidth(alloc.ks), UniformWidth(1.0)])
+        res = compare_policies(tr, two_type_spec, [FixedWidth(alloc.ks), FixedWidth((1.0, 1.0))])
         assert res[0][1].mean_response_time <= res[1][1].mean_response_time
         assert res[1][1].mean_response_time == pytest.approx(float(tr.sizes.mean()))
 
     def test_order_preserved(self, two_type_spec):
         tr = generate_trace(two_type_spec, 100, seed=15)
-        pols = [UniformWidth(2.0), UniformWidth(1.0)]
+        pols = [FixedWidth((2.0, 2.0)), FixedWidth((1.0, 1.0))]
         res = compare_policies(tr, two_type_spec, pols)
         assert [p for p, _ in res] == pols
 
 
 class TestBudgetTimeseries:
     def test_empty_trace_all_zero(self, two_type_spec):
-        ts = budget_timeseries(empty_trace(), two_type_spec, UniformWidth(1.0), 0.5)
+        ts = budget_timeseries(empty_trace(), two_type_spec, FixedWidth((1.0, 1.0)), 0.5)
         assert np.all(ts[:, 1] == 0.0)
 
     def test_single_job_step_function(self, two_type_spec):
@@ -314,8 +330,9 @@ class TestBudgetTimeseries:
 
     def test_non_positive_step_rejected(self, two_type_spec):
         tr = Trace(np.array([0.0]), np.array([0]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            budget_timeseries(tr, two_type_spec, UniformWidth(1.0), 0.0)
+        for step in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                budget_timeseries(tr, two_type_spec, FixedWidth((1.0, 1.0)), step)
 
     def test_riemann_sum_near_integral(self, two_type_spec):
         tr = Trace(np.array([0.0]), np.array([1]), np.array([2.0]))

@@ -50,22 +50,6 @@ class TestEval:
             assert f(k) == s
 
 
-class TestCostRate:
-    def test_power_law(self):
-        assert PowerLaw(0.5).cost_rate(4.0) == pytest.approx(2.0)
-
-    def test_one_gpu_costs_one(self):
-        for f in (Amdahl(0.3), PowerLaw(0.9), Tabular(((1, 1), (2, 1.5)))):
-            assert f.cost_rate(1.0) == pytest.approx(1.0)
-
-    def test_amdahl(self):
-        assert Amdahl(0.8).cost_rate(4.0) == pytest.approx(1.6)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            PowerLaw(0.5).cost_rate(0.0)
-
-
 class TestConstruction:
     def test_amdahl_fraction_bounds(self):
         Amdahl(0.0)
@@ -133,6 +117,11 @@ class TestValidate:
     def test_constant_speedup_passes(self):
         assert validate(Tabular(((1, 1.0),))).ok
 
+    @pytest.mark.parametrize("k_max", [0.5, np.nan, np.inf])
+    def test_k_max_must_be_finite_and_at_least_one(self, k_max):
+        with pytest.raises(SpecError, match="k_max must be finite and >= 1"):
+            validate(PowerLaw(0.5), k_max=k_max)
+
 
 class TestAxiomProperties:
     """Sampled-pair checks of the axioms for every validated family."""
@@ -158,7 +147,7 @@ class TestAxiomProperties:
         rng = np.random.default_rng(42)
         for f in self.families():
             ks = np.sort(np.exp(rng.uniform(0.0, np.log(1e6), size=200)))
-            cr = f.cost_rate(ks)
+            cr = ks / f(ks)  # GPU-hours per unit of work
             assert np.all(np.diff(cr) >= -1e-9 * cr[:-1])
 
     def test_amdahl_saturates(self):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from gpurental import (
     Amdahl,
@@ -263,3 +265,117 @@ class TestTraceFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_trace(tmp_path / "nope.csv")
+
+
+# Values that stress the text round trip: ties, zero, subnormals, the
+# largest finite double.
+EDGE_FLOATS = [0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1.0, 1.7976931348623157e308]
+
+
+@st.composite
+def valid_traces(draw, min_size=0):
+    n = draw(st.integers(min_size, 20))
+    floats = st.sampled_from(EDGE_FLOATS) | st.floats(0.0, 1e300)
+    times = sorted(draw(st.lists(floats, min_size=n, max_size=n)))
+    types = draw(st.lists(st.integers(0, 2**40), min_size=n, max_size=n))
+    sizes = draw(
+        st.lists((st.sampled_from(EDGE_FLOATS) | st.floats(0.0, 1e308)).filter(bool),
+                 min_size=n, max_size=n)
+    )
+    return Trace(np.array(times), np.array(types, dtype=np.int64), np.array(sizes))
+
+
+# One fault per case: (name, column, value) for a value rule; a text edit
+# of the row for the parse faults.
+VALUE_FAULTS = [
+    ("negative arrival", 0, -1.0),
+    ("nan arrival", 0, math.nan),
+    ("infinite arrival", 0, math.inf),
+    ("decreasing arrival", 0, None),
+    ("negative type", 1, -1),
+    ("zero size", 2, 0.0),
+    ("negative size", 2, -2.5),
+    ("nan size", 2, math.nan),
+    ("infinite size", 2, math.inf),
+]
+TEXT_FAULTS = {
+    "too few fields": lambda row: row.rsplit(",", 1)[0],
+    "too many fields": lambda row: row + ",1",
+    "unparsable field": lambda row: row.replace(",", ",x", 1),
+}
+
+
+class TestTraceBoundary:
+    """Property tests for trace files: exact round trips, and the first bad
+    row named by its line in the file and by its index in ``Trace``."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(tr=valid_traces())
+    def test_write_then_read_is_bit_exact(self, tmp_path, tr):
+        p = tmp_path / "t.csv"
+        write_trace(tr, p)
+        back = read_trace(p)
+        for col in ("arrival_times", "type_indices", "sizes"):
+            a, b = getattr(tr, col), getattr(back, col)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), col
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), tr=valid_traces(min_size=1),
+           fault=st.sampled_from([f[0] for f in VALUE_FAULTS] + list(TEXT_FAULTS)))
+    def test_first_bad_row_is_named(self, tmp_path, data, tr, fault):
+        n = len(tr)
+        r = data.draw(st.integers(0, n - 1), label="row")
+        blanks = data.draw(st.integers(0, 2), label="blank lines before the row")
+        cols = [tr.arrival_times.tolist(), tr.type_indices.tolist(), tr.sizes.tolist()]
+        value = next((f for f in VALUE_FAULTS if f[0] == fault), None)
+        if value is not None:
+            _, col, v = value
+            if v is None:  # just below the previous arrival
+                assume(r > 0 and cols[0][r - 1] > 0.0)
+                v = float(np.nextafter(cols[0][r - 1], 0.0))
+            cols[col][r] = v
+        lines = [f"{t!r},{ty},{x!r}" for t, ty, x in zip(*cols)]
+        if value is None:
+            lines[r] = TEXT_FAULTS[fault](lines[r])
+        at = data.draw(st.integers(0, r), label="blank line position")
+        lines[at:at] = [""] * blanks
+        p = tmp_path / "bad.csv"
+        p.write_text("\n".join(["arrival_time,type,size"] + lines) + "\n", encoding="utf-8")
+
+        with pytest.raises(TraceError) as from_file:
+            read_trace(p)
+        assert from_file.value.line == r + 2 + blanks
+        if value is not None:
+            with pytest.raises(TraceError) as from_arrays:
+                Trace(np.array(cols[0]), np.array(cols[1], dtype=np.int64), np.array(cols[2]))
+            reason = str(from_arrays.value).removeprefix(f"row {r}: ")
+            assert str(from_arrays.value) == f"row {r}: {reason}"
+            assert str(from_file.value) == f"line {r + 2 + blanks}: {reason}"
+            if not math.isfinite(v):
+                assert "finite" in reason
+
+    def test_negative_type_index_rejected(self):
+        with pytest.raises(TraceError, match="row 1: negative type index -1"):
+            Trace(np.array([0.0, 1.0]), np.array([0, -1]), np.array([1.0, 1.0]))
+
+    def test_earlier_value_fault_beats_later_parse_fault(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("arrival_time,type,size\n2.0,0,1\n1.0,0,1\n3.0,0,1\n4.0,zero,1\n",
+                     encoding="utf-8")
+        with pytest.raises(TraceError, match="^line 3: arrival time 1.0 is before previous 2.0"):
+            read_trace(p)
+
+    def test_parse_fault_named_when_rows_before_it_pass(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("arrival_time,type,size\n1.0,0,1\n\n2.0,zero,1\n0.5,0,1\n",
+                     encoding="utf-8")
+        with pytest.raises(TraceError, match="^line 4: could not parse row"):
+            read_trace(p)
+
+    def test_line_after_blank_lines(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("arrival_time,type,size\n\n1.0,0,1\n\n\n2.0,-1,1\n", encoding="utf-8")
+        with pytest.raises(TraceError, match="^line 6: negative type index -1"):
+            read_trace(p)
