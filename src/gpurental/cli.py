@@ -219,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("gen-trace", help="generate a synthetic arrival trace CSV")
-    add_common(p)
+    p.add_argument("--spec", required=True, help="workload config JSON")
     p.add_argument("--jobs", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)

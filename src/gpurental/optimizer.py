@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BruteForceError
-from .speedup import DEFAULT_K_MAX, Amdahl, PowerLaw, SpeedupFunction, Tabular, scalar_fn
+from .speedup import DEFAULT_K_MAX, SpeedupFunction, scalar_fn
 from .speedup import _check_width
 from .workload import WorkloadSpec
 
@@ -110,67 +110,19 @@ def merge_segments(k1: float, t1: float, k2: float, t2: float) -> float:
     return (k1 * t1 + k2 * t2) / (t1 + t2)
 
 
-def _minimizer(f: SpeedupFunction, k_max: float):
-    """Exact minimizer of g(k) = (1 + mu*k) / s(k) over [1, k_max], as a
-    function from an array of mu >= 0 to the widths and their speeds.
-
-    The family's constants are computed once, here.  mu = 0 divides by zero
-    on purpose (the width goes to the cap); callers silence that warning.
-    """
-    if isinstance(f, Amdahl):
-        # g'(k) = 0 where mu*(1-p)*k^2 = p; p = 1 is linear (g decreasing).
-        p = f.parallel_fraction
-        q = 1.0 - p
-        if p == 0.0:  # s = 1: a wider job costs more and runs no faster
-            return lambda mu: (np.ones_like(mu), np.ones_like(mu))
-        r = p / q if q > 0.0 else math.inf
-
-        def amdahl(mu):
-            k = np.minimum(np.maximum(np.sqrt(r / mu), 1.0), k_max)
-            return k, 1.0 / (q + p / k)
-
-        return amdahl
-    if isinstance(f, PowerLaw):
-        # g'(k) = 0 where mu*(1-alpha)*k = alpha; alpha >= 1 keeps g decreasing.
-        a = f.exponent
-        c = a / (1.0 - a) if a < 1.0 else math.inf
-
-        def power(mu):
-            k = np.minimum(np.maximum(c / mu, 1.0), k_max)
-            return k, k**a
-
-        return power
-    if isinstance(f, Tabular):
-        # g is monotone on each linear piece (and on the flat ends), so the
-        # minimum sits on a knot, at 1 or at the cap.
-        cand = np.unique(np.clip(np.concatenate(([1.0], f.knots, [k_max])), 1.0, k_max))
-        s = f(cand)
-        inv_s = 1.0 / s
-
-        def tabular(mu):
-            g = (1.0 + np.multiply.outer(mu, cand)) * inv_s
-            # The smallest width within 1e-12 of the minimum: no wasted GPUs
-            # on a flat tail.
-            best = g <= g.min(axis=1, keepdims=True) * (1.0 + 1e-12)
-            j = np.argmax(best, axis=1)
-            return cand[j], s[j]
-
-        return tabular
-    raise TypeError(f"no closed-form minimizer for speedup {type(f).__name__}")
-
-
 def inner_minimize(f: SpeedupFunction, mu: float, cfg: SolverConfig | None = None) -> float:
     """Minimize the penalized cost g(k) = (1 + mu*k) / s(k) over [1, k_max].
 
-    Closed form, clipped to [1, k_max]: sqrt(p / (mu*(1-p))) for Amdahl(p),
-    alpha / (mu*(1-alpha)) for k**alpha, and for a tabular speedup the
-    smallest of {1, knots, k_max} whose g is within 1e-12 of the minimum.
+    The family's closed form, ``f.minimizer``, clipped to [1, k_max]:
+    sqrt(p / (mu*(1-p))) for Amdahl(p), alpha / (mu*(1-alpha)) for
+    k**alpha, and for a tabular speedup the smallest of {1, knots, k_max}
+    whose g is within 1e-12 of the minimum.
     """
     if mu < 0:
         raise ValueError("multiplier must be >= 0")
     cfg = cfg or SolverConfig()
     with np.errstate(divide="ignore"):
-        k, _ = _minimizer(f, cfg.k_max)(np.array([float(mu)]))
+        k, _ = f.minimizer(cfg.k_max)(np.array([float(mu)]))
     return float(k[0])
 
 
@@ -218,7 +170,7 @@ def _search(spec: WorkloadSpec, budgets: np.ndarray, cfg: SolverConfig) -> list[
     """
     b = np.asarray(budgets, dtype=float)
     n, m = len(b), len(spec.types)
-    minimizers = [_minimizer(t.speedup, cfg.k_max) for t in spec.types]
+    minimizers = [t.speedup.minimizer(cfg.k_max) for t in spec.types]
     loads = spec.loads
 
     def widths(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -36,6 +36,8 @@ from .errors import SpecError
 from .speedup import _check_width, scalar_fn
 from .workload import Trace, WorkloadSpec
 
+MAX_TIMESERIES_SAMPLES = 10**7  # ~160 MB of (t, K) rows
+
 
 @dataclass(frozen=True)
 class FixedWidth:
@@ -322,13 +324,21 @@ def budget_timeseries(
     """Sample the exact K(t) step function at multiples of sample_step.
 
     Returns an array of (t, K(t)) rows covering [0, last completion],
-    right-continuous at event instants.
+    right-continuous at event instants.  A step that needs more than
+    MAX_TIMESERIES_SAMPLES samples is refused before they are allocated.
     """
     if not 0.0 < sample_step < math.inf:
         raise ValueError(f"sample_step must be positive and finite, got {sample_step}")
     rep = _replay(trace, spec, policy)
     horizon = float(rep.completions.max()) if len(rep.completions) else 0.0
-    ts = np.arange(math.ceil(horizon / sample_step) + 1) * sample_step
+    steps = horizon / sample_step
+    count = math.ceil(steps) + 1 if steps < math.inf else math.inf
+    if count > MAX_TIMESERIES_SAMPLES:
+        raise ValueError(
+            f"sample_step {sample_step} needs {count:.10g} samples over horizon {horizon}, "
+            f"more than {MAX_TIMESERIES_SAMPLES}"
+        )
+    ts = np.arange(count) * sample_step
     idx = np.searchsorted(rep.seg_times, ts, side="right") - 1
     ks = rep.seg_k[np.maximum(idx, 0)]
     return np.column_stack([ts, ks])

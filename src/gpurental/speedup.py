@@ -11,9 +11,8 @@ from any number of threads.
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,10 +37,21 @@ def _check_width(what: str, value) -> None:
 
 
 class SpeedupFunction:
-    """Base class; subclasses provide ``_value`` vectorized over k >= 1."""
+    """Base class; subclasses provide ``_value`` vectorized over k >= 1 and,
+    for the solver, their family's closed-form ``minimizer``."""
 
     def _value(self, k: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def minimizer(self, k_max: float):
+        """Exact minimizer of g(k) = (1 + mu*k) / s(k) over [1, k_max], as a
+        function from an array of mu >= 0 to the widths and their speeds.
+
+        The family's constants are computed once, here.  mu = 0 divides by
+        zero on purpose (the width goes to the cap); callers silence that
+        warning.
+        """
+        raise TypeError(f"no closed-form minimizer for speedup {type(self).__name__}")
 
     def __call__(self, k):
         """Evaluate s(k). Accepts a float or an ndarray; k must be >= 1."""
@@ -69,6 +79,19 @@ class Amdahl(SpeedupFunction):
         p = self.parallel_fraction
         return 1.0 / ((1.0 - p) + p / k)
 
+    def minimizer(self, k_max: float):
+        # g'(k) = 0 where mu*(1-p)*k^2 = p; p = 1 is linear (g decreasing).
+        p = self.parallel_fraction
+        if p == 0.0:  # s = 1: a wider job costs more and runs no faster
+            return lambda mu: (np.ones_like(mu), np.ones_like(mu))
+        r = p / (1.0 - p) if p < 1.0 else math.inf
+
+        def widths(mu):
+            k = np.minimum(np.maximum(np.sqrt(r / mu), 1.0), k_max)
+            return k, self._value(k)
+
+        return widths
+
 
 @dataclass(frozen=True)
 class PowerLaw(SpeedupFunction):
@@ -88,6 +111,17 @@ class PowerLaw(SpeedupFunction):
     def _value(self, k):
         return k**self.exponent
 
+    def minimizer(self, k_max: float):
+        # g'(k) = 0 where mu*(1-alpha)*k = alpha; alpha >= 1 keeps g decreasing.
+        a = self.exponent
+        c = a / (1.0 - a) if a < 1.0 else math.inf
+
+        def widths(mu):
+            k = np.minimum(np.maximum(c / mu, 1.0), k_max)
+            return k, self._value(k)
+
+        return widths
+
 
 @dataclass(frozen=True)
 class Tabular(SpeedupFunction):
@@ -95,10 +129,13 @@ class Tabular(SpeedupFunction):
 
     Between points the value is linearly interpolated; beyond the last point
     (and below the first) it is held constant, so a saturating tail stays
-    monotone and sub-linear.
+    monotone and sub-linear.  ``knots`` holds the points' k values as a
+    read-only array, built once.
     """
 
     points: tuple[tuple[float, float], ...]
+    knots: np.ndarray = field(init=False, repr=False, compare=False)
+    _speeds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = tuple((float(k), float(s)) for k, s in self.points)
@@ -114,15 +151,30 @@ class Tabular(SpeedupFunction):
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise SpecError("tabular points must have strictly increasing k")
         object.__setattr__(self, "points", pts)
+        for name, column in (("knots", ks), ("_speeds", [s for _, s in pts])):
+            arr = np.array(column)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def _value(self, k):
-        ks = np.array([p[0] for p in self.points])
-        ss = np.array([p[1] for p in self.points])
-        return np.interp(k, ks, ss)
+        return np.interp(k, self.knots, self._speeds)
 
-    @property
-    def knots(self) -> np.ndarray:
-        return np.array([p[0] for p in self.points])
+    def minimizer(self, k_max: float):
+        # g is monotone on each linear piece (and on the flat ends), so the
+        # minimum sits on a knot, at 1 or at the cap.
+        cand = np.unique(np.clip(np.concatenate(([1.0], self.knots, [k_max])), 1.0, k_max))
+        s = self._value(cand)
+        inv_s = 1.0 / s
+
+        def widths(mu):
+            g = (1.0 + np.multiply.outer(mu, cand)) * inv_s
+            # The smallest width within 1e-12 of the minimum: no wasted GPUs
+            # on a flat tail.
+            best = g <= g.min(axis=1, keepdims=True) * (1.0 + 1e-12)
+            j = np.argmax(best, axis=1)
+            return cand[j], s[j]
+
+        return widths
 
 
 @dataclass(frozen=True)
@@ -246,34 +298,11 @@ def validate(f: SpeedupFunction, k_max: float = DEFAULT_K_MAX) -> ValidationRepo
 
 
 def scalar_fn(f: SpeedupFunction):
-    """Specialized scalar evaluator for hot loops.
-
-    The generic ``__call__`` pays ndarray conversion overhead on every
-    evaluation; solvers and simulators call s(k) millions of times.
-    """
-    if isinstance(f, Amdahl):
-        p = f.parallel_fraction
-        q = 1.0 - p
-        return lambda k: 1.0 / (q + p / k)
-    if isinstance(f, PowerLaw):
-        a = f.exponent
-        return lambda k: k**a
-    if isinstance(f, Tabular):
-        xs = [p[0] for p in f.points]
-        ys = [p[1] for p in f.points]
-        n = len(xs)
-
-        def interp(k: float) -> float:
-            i = bisect.bisect_right(xs, k)
-            if i == 0:
-                return ys[0]
-            if i == n:
-                return ys[-1]
-            w = (k - xs[i - 1]) / (xs[i] - xs[i - 1])
-            return ys[i - 1] + w * (ys[i] - ys[i - 1])
-
-        return interp
-    return lambda k: float(f(k))
+    """Scalar evaluator for the event loops and bisections: the family's own
+    ``_value`` on a float k >= 1, without ``__call__``'s array conversion
+    and domain check."""
+    value = f._value
+    return lambda k: float(value(k))
 
 
 def parse_speedup(obj, where: str = "speedup") -> SpeedupFunction:

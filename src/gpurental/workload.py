@@ -163,12 +163,14 @@ def _first_bad_row(t: np.ndarray, ty: np.ndarray, x: np.ndarray) -> tuple[int, s
     """The trace row rules, in one vectorised pass: (index of the first row
     that breaks one, why), or None.  A row's rules, in the order checked:
     the arrival is finite and >= 0, arrivals do not decrease, the type
-    index is >= 0, the size is finite and > 0."""
+    index is an int64 integer (so finite) and >= 0, the size is finite and
+    > 0."""
     back = np.zeros(len(t), dtype=bool)
     back[1:] = t[1:] < t[:-1]
     broken = np.array([
         ~((t >= 0.0) & (t < math.inf)),
         back,
+        ~((ty == np.floor(ty)) & (np.abs(ty) < 2**63)),
         ty < 0,
         ~((x > 0.0) & (x < math.inf)),
     ])
@@ -180,7 +182,8 @@ def _first_bad_row(t: np.ndarray, ty: np.ndarray, x: np.ndarray) -> tuple[int, s
     return i, (
         f"arrival time {t_i!r} is negative or not finite",
         f"arrival time {t_i!r} is before previous {float(t[i - 1])!r}",
-        f"negative type index {int(ty[i])}",
+        f"type index {ty[i]} is not an int64 integer",
+        f"negative type index {ty[i]}",
         f"size {float(x[i])!r} is not positive and finite",
     )[int(np.argmax(broken[:, i]))]
 
@@ -201,7 +204,9 @@ class Trace:
 
     def __post_init__(self):
         t = np.asarray(self.arrival_times, dtype=float)
-        ty = np.asarray(self.type_indices, dtype=np.int64)
+        ty = np.asarray(self.type_indices)
+        if ty.dtype.kind not in "iu":  # floats, bools, Python ints beyond int64
+            ty = ty.astype(float)
         x = np.asarray(self.sizes, dtype=float)
         if not (len(t) == len(ty) == len(x)):
             raise TraceError("arrival_times, type_indices and sizes must have equal length")
@@ -209,7 +214,7 @@ class Trace:
         if bad is not None:
             raise TraceError(f"row {bad[0]}: {bad[1]}")
         object.__setattr__(self, "arrival_times", t)
-        object.__setattr__(self, "type_indices", ty)
+        object.__setattr__(self, "type_indices", ty.astype(np.int64))
         object.__setattr__(self, "sizes", x)
 
     def __len__(self) -> int:
@@ -363,6 +368,9 @@ def read_trace(path) -> Trace:
                 t, ty, x = float(parts[0]), int(parts[1]), float(parts[2])
             except ValueError:
                 fault = lineno, f"could not parse row {row!r}"
+                break
+            if not -(2**63) <= ty < 2**63:
+                fault = lineno, f"type index {ty} is not an int64 integer"
                 break
             times.append(t)
             types.append(ty)

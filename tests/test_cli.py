@@ -145,6 +145,15 @@ class TestGenTrace:
         main(argv + ["--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_k_max_is_not_an_option(self, tmp_path, two_type_config_path, capsys):
+        out = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-trace", "--spec", two_type_config_path, "--jobs", "10", "--seed", "1",
+                  "--out", str(out), "--k-max", "nan"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --k-max nan" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulate:
     @pytest.fixture()
@@ -246,6 +255,33 @@ class TestSimulate:
         )
         assert rc == 3
         assert capsys.readouterr().err == "error: line 4: negative type index -1\n"
+
+    def test_too_many_timeseries_samples_exits_3(self, tmp_path, two_type_config_path,
+                                                 trace_path, capsys):
+        capsys.readouterr()
+        rc = main(
+            ["simulate", "--spec", two_type_config_path, "--trace", trace_path,
+             "--policy", "uniform:2", "--timeseries", str(tmp_path / "k.csv"),
+             "--timeseries-step", "1e-20"]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: sample_step 1e-20 needs ") and err.count("\n") == 1
+        assert "samples over horizon" in err and "more than 10000000" in err
+        assert not (tmp_path / "k.csv").exists()
+
+    def test_type_beyond_int64_exits_3(self, tmp_path, two_type_config_path, capsys):
+        trace = tmp_path / "bad.csv"
+        trace.write_text("arrival_time,type,size\n0.1,0,1\n0.2,99999999999999999999,1\n",
+                         encoding="utf-8")
+        rc = main(
+            ["simulate", "--spec", two_type_config_path, "--trace", str(trace),
+             "--policy", "uniform:1"]
+        )
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: line 3: type index 99999999999999999999 is not an int64 integer\n"
+        )
 
     @pytest.mark.parametrize("row", ["nan,0,1.0", "inf,0,1.0", "0.5,1,nan", "0.5,1,inf"])
     def test_non_finite_trace_value_exits_3(self, tmp_path, two_type_config_path, capsys, row):

@@ -21,6 +21,7 @@ from gpurental import (
     simulate,
     solve_allocation,
 )
+from gpurental import simulator
 from gpurental.simulator import _replay, _replay_cluster
 from reference_replay import _replay_cluster as reference_replay_cluster
 
@@ -333,6 +334,20 @@ class TestBudgetTimeseries:
         for step in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError):
                 budget_timeseries(tr, two_type_spec, FixedWidth((1.0, 1.0)), step)
+
+    def test_sample_count_capped(self, two_type_spec, monkeypatch):
+        tr = Trace(np.array([0.0]), np.array([1]), np.array([2.0]))  # horizon 1.0
+        policy = FixedWidth((1.0, 4.0))
+        # Refused before the samples are allocated: numpy could not allocate
+        # these counts, and would say so in other words.
+        with pytest.raises(ValueError, match="needs 1e\\+20 samples .* more than 10000000"):
+            budget_timeseries(tr, two_type_spec, policy, 1e-20)
+        with pytest.raises(ValueError, match="needs inf samples"):
+            budget_timeseries(tr, two_type_spec, policy, 1e-320)
+        monkeypatch.setattr(simulator, "MAX_TIMESERIES_SAMPLES", 3)
+        assert len(budget_timeseries(tr, two_type_spec, policy, 0.5)) == 3
+        with pytest.raises(ValueError, match="needs 4 samples"):
+            budget_timeseries(tr, two_type_spec, policy, 0.49)
 
     def test_riemann_sum_near_integral(self, two_type_spec):
         tr = Trace(np.array([0.0]), np.array([1]), np.array([2.0]))

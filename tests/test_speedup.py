@@ -33,9 +33,21 @@ class TestEval:
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(0)
         ks = rng.uniform(1.0, 50.0, size=100)
-        for f in (Amdahl(0.7), PowerLaw(0.4), Tabular(((1, 1), (4, 2.5), (16, 4)))):
+        for f in (Amdahl(0.7), Tabular(((1, 1), (4, 2.5), (16, 4)))):
             fast = scalar_fn(f)
-            np.testing.assert_allclose(f(ks), [fast(k) for k in ks], rtol=1e-14)
+            assert f(ks).tolist() == [fast(k) for k in ks]
+        # Python's ** and numpy's array power are different implementations
+        # and disagree in the last bit on about 5% of sampled widths.
+        f = PowerLaw(0.4)
+        fast = scalar_fn(f)
+        np.testing.assert_allclose(f(ks), [fast(k) for k in ks], rtol=1e-14)
+
+    def test_tabular_knots_are_read_only(self):
+        f = Tabular(((1, 1), (4, 2.5), (16, 4)))
+        assert f.knots.tolist() == [1.0, 4.0, 16.0]
+        with pytest.raises(ValueError):
+            f.knots[0] = 2.0
+        assert f(2.0) == 1.5
 
     def test_tabular_interpolates_and_saturates(self):
         f = Tabular(((1, 1), (2, 1.8), (4, 2.4)))

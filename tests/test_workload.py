@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -302,6 +303,7 @@ TEXT_FAULTS = {
     "too few fields": lambda row: row.rsplit(",", 1)[0],
     "too many fields": lambda row: row + ",1",
     "unparsable field": lambda row: row.replace(",", ",x", 1),
+    "type beyond int64": lambda row: re.sub(",[^,]*,", f",{2**63},", row, count=1),
 }
 
 
@@ -359,6 +361,17 @@ class TestTraceBoundary:
     def test_negative_type_index_rejected(self):
         with pytest.raises(TraceError, match="row 1: negative type index -1"):
             Trace(np.array([0.0, 1.0]), np.array([0, -1]), np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [0.7, math.nan, math.inf, -0.5, 1e30])
+    def test_non_integral_type_index_rejected(self, bad):
+        reason = f"row 1: type index {bad} is not an int64 integer"
+        with pytest.raises(TraceError, match=f"^{re.escape(reason)}$"):
+            Trace([0.0, 1.0], [1.0, bad], [1.0, 1.0])
+
+    def test_integral_float_type_index_accepted(self):
+        tr = Trace([0.0, 1.0], [1.0, 0.0], [1.0, 1.0])
+        assert tr.type_indices.dtype == np.int64
+        assert tr.type_indices.tolist() == [1, 0]
 
     def test_earlier_value_fault_beats_later_parse_fault(self, tmp_path):
         p = tmp_path / "t.csv"
