@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -36,6 +38,29 @@ EXIT_IO = 3
 
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
+
+
+def _numbers(ncols: int) -> str:
+    """``str.format`` template of ncols comma-separated numbers, each written
+    as ``_fmt`` writes it."""
+    return ",".join(["{:.12g}"] * ncols)
+
+
+def _csv_rows(table) -> Iterator[str]:
+    """One newline-terminated CSV line per row of a 2-D numeric table.
+
+    The row template is built once and mapped over the table's columns as
+    Python floats, so no per-value formatting call runs."""
+    table = np.asarray(table, dtype=float)
+    return map((_numbers(table.shape[1]) + "\n").format, *table.T.tolist())
+
+
+def _write_csv(path: str, header: str, table) -> None:
+    """Stream the header and the table's rows to path; None writes no rows."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        if table is not None:
+            fh.writelines(_csv_rows(table))
 
 
 def _json_ready(value):
@@ -135,17 +160,10 @@ def _cmd_simulate(args) -> int:
     metrics = simulate(trace, spec, policy, collect_per_job=bool(args.per_job))
     sys.stdout.write(_metrics_json(metrics))
     if args.per_job:
-        rows = ["arrival,completion,response,gpu_hours"]
-        if metrics.per_job is not None:
-            for a, c, r, g in metrics.per_job:
-                rows.append(f"{_fmt(a)},{_fmt(c)},{_fmt(r)},{_fmt(g)}")
-        _emit("\n".join(rows) + "\n", args.per_job)
+        _write_csv(args.per_job, "arrival,completion,response,gpu_hours", metrics.per_job)
     if args.timeseries:
         series = budget_timeseries(trace, spec, policy, args.timeseries_step)
-        rows = ["t,K"]
-        for t, k in series:
-            rows.append(f"{_fmt(t)},{_fmt(k)}")
-        _emit("\n".join(rows) + "\n", args.timeseries)
+        _write_csv(args.timeseries, "t,K", series)
     return EXIT_OK
 
 
@@ -154,20 +172,27 @@ def _cmd_pareto(args) -> int:
     cfg = SolverConfig(k_max=args.k_max)
     if args.points < 1:
         raise SpecError("--points must be >= 1")
+    # The span is not finite when either bound is not, or when it overflows;
+    # np.linspace would then make NaN or infinite budgets.
+    if not math.isfinite(args.b_max - args.b_min):
+        raise SpecError(
+            f"--b-min, --b-max and their difference must be finite, "
+            f"got {args.b_min} and {args.b_max}"
+        )
     budgets = np.linspace(args.b_min, args.b_max, args.points)
     points = pareto_frontier(spec, budgets, cfg)
     m = len(spec.types)
-    rows = ["budget,mean_response_time," + ",".join(f"k_{i + 1}" for i in range(m))]
+    solved_row = (_numbers(2 + m) + "\n").format
+    error_row = (_numbers(1) + ",error: {}" + "," * m + "\n").format
+    rows = ["budget,mean_response_time," + ",".join(f"k_{i + 1}" for i in range(m)) + "\n"]
     successes = 0
     for pt in points:
         if pt.allocation is not None:
             successes += 1
-            ks = ",".join(_fmt(k) for k in pt.allocation.ks)
-            rows.append(f"{_fmt(pt.budget)},{_fmt(pt.allocation.objective)},{ks}")
+            rows.append(solved_row(pt.budget, pt.allocation.objective, *pt.allocation.ks))
         else:
-            err = pt.error.replace(",", ";")
-            rows.append(f"{_fmt(pt.budget)},error: {err}" + "," * m)
-    _emit("\n".join(rows) + "\n", args.out)
+            rows.append(error_row(pt.budget, pt.error.replace(",", ";")))
+    _emit("".join(rows), args.out)
     if args.out:
         print(f"wrote {args.out} ({successes}/{len(points)} budgets solved)")
     return EXIT_OK if successes else EXIT_UNSTABLE
@@ -182,15 +207,16 @@ def _cmd_compare(args) -> int:
         raise SpecError("--policies must name at least one policy")
     policies = [parse_policy(s, spec, cfg) for s in labels]
     results = compare_policies(trace, spec, policies)
-    rows = ["policy,job_count,mean_response_time,time_avg_budget,total_gpu_hours"]
+    row = ("{},{},{}," + _numbers(2) + "\n").format
+    rows = ["policy,job_count,mean_response_time,time_avg_budget,total_gpu_hours\n"]
     for label, (_, metrics) in zip(labels, results):
-        mrt = "" if metrics.mean_response_time is None else _fmt(metrics.mean_response_time)
         field = f'"{label}"' if "," in label else label
+        mrt = metrics.mean_response_time  # None when the trace has no jobs
+        mrt = "" if mrt is None else _numbers(1).format(mrt)
         rows.append(
-            f"{field},{metrics.job_count},{mrt},"
-            f"{_fmt(metrics.time_avg_budget)},{_fmt(metrics.total_gpu_hours)}"
+            row(field, metrics.job_count, mrt, metrics.time_avg_budget, metrics.total_gpu_hours)
         )
-    _emit("\n".join(rows) + "\n", args.out)
+    _emit("".join(rows), args.out)
     if args.out:
         print(f"wrote {args.out}")
     return EXIT_OK

@@ -137,7 +137,7 @@ class WorkloadSpec:
             raise SpecError("workload needs at least one job type")
         object.__setattr__(self, "types", tuple(self.types))
         if not (self.budget > 0 and math.isfinite(self.budget)):
-            raise SpecError(f"budget must be positive, got {self.budget}")
+            raise SpecError(f"budget must be positive and finite, got {self.budget}")
 
     @property
     def loads(self) -> np.ndarray:

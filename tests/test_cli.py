@@ -1,9 +1,20 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gpurental.cli import main
+from gpurental import (
+    FixedWidth,
+    SmallestRemainingFirst,
+    budget_timeseries,
+    load_spec,
+    read_trace,
+    simulate,
+)
+from gpurental.cli import _csv_rows, main
 
 UNSTABLE_CONFIG = {
     "types": [
@@ -34,6 +45,42 @@ def write_config(tmp_path, doc, name="spec.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc), encoding="utf-8")
     return str(p)
+
+
+def read_csv(path, header):
+    """The numeric rows of a CLI CSV as an (n, ncols) array, after checking
+    its header line."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == header
+    ncols = header.count(",") + 1
+    return np.array([[float(v) for v in line.split(",")] for line in lines[1:]]).reshape(-1, ncols)
+
+
+# Finite floats the 12-digit format treats specially: signed zero, subnormals,
+# the largest double, and integral values at and above 1e12, where ".12g"
+# switches to exponent form.
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 999999999999.0, 1e12,
+               1e12 + 1, 123456789012345.0, 2.0 ** 53, 1e22]
+CSV_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
+              | st.sampled_from(EDGE_FLOATS)
+              | st.integers(10 ** 12, 10 ** 17).map(float))
+
+
+@st.composite
+def numeric_tables(draw):
+    ncols = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(CSV_FLOATS, min_size=ncols, max_size=ncols), max_size=50))
+    return np.array(rows, dtype=float).reshape(len(rows), ncols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=numeric_tables())
+def test_csv_rows_match_per_value_format(table):
+    reference = "".join(
+        ",".join(format(float(x), ".12g") for x in row) + "\n" for row in table
+    )
+    assert "".join(_csv_rows(table)) == reference
 
 
 class TestValidate:
@@ -196,6 +243,53 @@ class TestSimulate:
         assert len(per_job.read_text().splitlines()) == 2001
         assert series.read_text().splitlines()[0] == "t,K"
 
+    def write_tie_heavy_trace(self, path):
+        """40 jobs arriving in groups of four with sizes from a small set, so
+        simultaneous arrivals and equal remaining work are common."""
+        rows = [f"{(i // 4) * 0.5!r},{i % 2},{[0.5, 1.0, 2.0][i % 3]!r}" for i in range(40)]
+        path.write_text("arrival_time,type,size\n" + "\n".join(rows) + "\n", encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "policy_text,policy,step",
+        [("uniform:2", FixedWidth((2.0, 2.0)), 10.0),
+         ("srf:8,4", SmallestRemainingFirst(8.0, 4.0), 0.25)],
+        ids=["uniform-2000-jobs", "srf-tie-heavy"],
+    )
+    def test_per_job_and_timeseries_round_trip(self, tmp_path, two_type_config_path,
+                                               trace_path, capsys, policy_text, policy, step):
+        if policy_text.startswith("srf"):
+            trace_path = tmp_path / "ties.csv"
+            self.write_tie_heavy_trace(trace_path)
+        per_job, series = tmp_path / "jobs.csv", tmp_path / "k.csv"
+        rc = main(
+            ["simulate", "--spec", two_type_config_path, "--trace", str(trace_path),
+             "--policy", policy_text, "--per-job", str(per_job),
+             "--timeseries", str(series), "--timeseries-step", repr(step)]
+        )
+        assert rc == 0
+        spec, trace = load_spec(two_type_config_path), read_trace(str(trace_path))
+        # 12 printed significant digits round each value by at most 5e-12 relative
+        np.testing.assert_allclose(
+            read_csv(per_job, "arrival,completion,response,gpu_hours"),
+            simulate(trace, spec, policy).per_job, rtol=1e-11, atol=0,
+        )
+        np.testing.assert_allclose(
+            read_csv(series, "t,K"), budget_timeseries(trace, spec, policy, step),
+            rtol=1e-11, atol=0,
+        )
+
+    def test_empty_trace_writes_header_only(self, tmp_path, two_type_config_path, capsys):
+        trace = tmp_path / "empty.csv"
+        trace.write_text("arrival_time,type,size\n", encoding="utf-8")
+        per_job, series = tmp_path / "jobs.csv", tmp_path / "k.csv"
+        rc = main(
+            ["simulate", "--spec", two_type_config_path, "--trace", str(trace),
+             "--policy", "srf:8,4", "--per-job", str(per_job), "--timeseries", str(series)]
+        )
+        assert rc == 0
+        assert per_job.read_bytes() == b"arrival,completion,response,gpu_hours\n"
+        assert series.read_bytes() == b"t,K\n0,0\n"
+
     def test_cluster_and_srf_policies(self, two_type_config_path, trace_path, capsys):
         for policy in ("cluster:4", "srf:4,2"):
             rc = main(
@@ -333,6 +427,33 @@ class TestPareto:
              "--points", "3"]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "b_min,b_max",
+        [("nan", "4"), ("inf", "4"), ("-inf", "4"), ("1", "nan"), ("1", "inf"), ("1", "-inf"),
+         ("-1e308", "1e308")],
+    )
+    def test_non_finite_budget_bound_exits_3(self, two_type_config_path, capsys, b_min, b_max):
+        rc = main(
+            ["pareto", "--spec", two_type_config_path, "--points", "3",
+             f"--b-min={b_min}", f"--b-max={b_max}"]
+        )
+        assert rc == 3
+        assert capsys.readouterr() == (
+            "",
+            "error: --b-min, --b-max and their difference must be finite, "
+            f"got {float(b_min)} and {float(b_max)}\n",
+        )
+
+    def test_non_positive_finite_budget_is_a_row_error(self, two_type_config_path, capsys):
+        rc = main(
+            ["pareto", "--spec", two_type_config_path, "--b-min=-1", "--b-max", "4",
+             "--points", "2"]
+        )
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "-1,error: budget must be positive and finite; got -1.0,,"
+        assert lines[2].startswith("4,") and "error" not in lines[2]
 
 
 class TestCompare:

@@ -91,6 +91,11 @@ class TestSpecTypes:
         with pytest.raises(SpecError):
             WorkloadSpec(types=(), budget=1.0)
 
+    @pytest.mark.parametrize("budget", [0.0, -1.0, math.nan, math.inf])
+    def test_budget_positive_and_finite(self, budget):
+        with pytest.raises(SpecError, match=f"^budget must be positive and finite, got {budget}$"):
+            one_type_spec(budget=budget)
+
     def test_stability_check(self):
         spec = one_type_spec(rate=1.0, budget=0.5)  # load 1 > budget 0.5
         with pytest.raises(InstabilityError):
