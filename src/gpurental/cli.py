@@ -23,9 +23,10 @@ from .simulator import (
     SimMetrics,
     SmallestRemainingFirst,
     StaticClusterEqualSplit,
-    budget_timeseries,
+    _measure,
+    _replay,
+    _sample_k,
     compare_policies,
-    simulate,
 )
 from .speedup import validate as validate_speedup
 from .workload import WorkloadSpec, generate_trace, load_spec, read_trace, write_trace
@@ -157,13 +158,15 @@ def _cmd_simulate(args) -> int:
     trace = read_trace(args.trace)
     cfg = SolverConfig(k_max=args.k_max)
     policy = parse_policy(args.policy, spec, cfg)
-    metrics = simulate(trace, spec, policy, collect_per_job=bool(args.per_job))
+    # One replay serves the metrics and the K(t) samples: what simulate and
+    # budget_timeseries would each compute from their own replay.
+    rep = _replay(trace, spec, policy)
+    metrics = _measure(trace, rep, collect_per_job=bool(args.per_job))
     sys.stdout.write(_metrics_json(metrics))
     if args.per_job:
         _write_csv(args.per_job, "arrival,completion,response,gpu_hours", metrics.per_job)
     if args.timeseries:
-        series = budget_timeseries(trace, spec, policy, args.timeseries_step)
-        _write_csv(args.timeseries, "t,K", series)
+        _write_csv(args.timeseries, "t,K", _sample_k(rep, args.timeseries_step))
     return EXIT_OK
 
 

@@ -272,19 +272,7 @@ def _replay(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay:
     return _replay_fixed(trace, spec, np.asarray(policy.ks))
 
 
-def simulate(
-    trace: Trace,
-    spec: WorkloadSpec,
-    policy: Policy,
-    collect_per_job: bool = True,
-) -> SimMetrics:
-    """Replay the trace under the policy and measure it.
-
-    Every job runs to completion, including those still in flight past the
-    last arrival; the time-average budget divides by the last completion
-    time, over which K(t) is identically zero afterwards.
-    """
-    rep = _replay(trace, spec, policy)
+def _measure(trace: Trace, rep: _Replay, collect_per_job: bool) -> SimMetrics:
     n = len(trace)
     if n == 0:
         return SimMetrics(0, None, 0.0, 0.0, per_job=None)
@@ -303,6 +291,38 @@ def simulate(
         total_gpu_hours=total,
         per_job=per_job,
     )
+
+
+def _sample_k(rep: _Replay, sample_step: float) -> np.ndarray:
+    if not 0.0 < sample_step < math.inf:
+        raise ValueError(f"sample_step must be positive and finite, got {sample_step}")
+    horizon = float(rep.completions.max()) if len(rep.completions) else 0.0
+    steps = horizon / sample_step
+    count = math.ceil(steps) + 1 if steps < math.inf else math.inf
+    if count > MAX_TIMESERIES_SAMPLES:
+        raise ValueError(
+            f"sample_step {sample_step} needs {count:.10g} samples over horizon {horizon}, "
+            f"more than {MAX_TIMESERIES_SAMPLES}"
+        )
+    ts = np.arange(count) * sample_step
+    idx = np.searchsorted(rep.seg_times, ts, side="right") - 1
+    ks = rep.seg_k[np.maximum(idx, 0)]
+    return np.column_stack([ts, ks])
+
+
+def simulate(
+    trace: Trace,
+    spec: WorkloadSpec,
+    policy: Policy,
+    collect_per_job: bool = True,
+) -> SimMetrics:
+    """Replay the trace under the policy and measure it.
+
+    Every job runs to completion, including those still in flight past the
+    last arrival; the time-average budget divides by the last completion
+    time, over which K(t) is identically zero afterwards.
+    """
+    return _measure(trace, _replay(trace, spec, policy), collect_per_job)
 
 
 def compare_policies(
@@ -324,21 +344,8 @@ def budget_timeseries(
     """Sample the exact K(t) step function at multiples of sample_step.
 
     Returns an array of (t, K(t)) rows covering [0, last completion],
-    right-continuous at event instants.  A step that needs more than
-    MAX_TIMESERIES_SAMPLES samples is refused before they are allocated.
+    right-continuous at event instants.  A step that is not positive and
+    finite, or that needs more than MAX_TIMESERIES_SAMPLES samples, is
+    refused before they are allocated.
     """
-    if not 0.0 < sample_step < math.inf:
-        raise ValueError(f"sample_step must be positive and finite, got {sample_step}")
-    rep = _replay(trace, spec, policy)
-    horizon = float(rep.completions.max()) if len(rep.completions) else 0.0
-    steps = horizon / sample_step
-    count = math.ceil(steps) + 1 if steps < math.inf else math.inf
-    if count > MAX_TIMESERIES_SAMPLES:
-        raise ValueError(
-            f"sample_step {sample_step} needs {count:.10g} samples over horizon {horizon}, "
-            f"more than {MAX_TIMESERIES_SAMPLES}"
-        )
-    ts = np.arange(count) * sample_step
-    idx = np.searchsorted(rep.seg_times, ts, side="right") - 1
-    ks = rep.seg_k[np.maximum(idx, 0)]
-    return np.column_stack([ts, ks])
+    return _sample_k(_replay(trace, spec, policy), sample_step)

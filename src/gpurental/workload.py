@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -343,18 +344,51 @@ def write_trace(trace: Trace, path) -> None:
             fh.write(f"{t!r},{ty},{x!r}\n")
 
 
+# One trace row as numpy's C CSV reader parses it.
+_TRACE_ROW = np.dtype([("arrival_time", np.float64), ("type", np.int64), ("size", np.float64)])
+
+
+def _check_header(fh) -> None:
+    header = fh.readline().strip()
+    if header != TRACE_HEADER:
+        raise TraceError(f"expected header {TRACE_HEADER!r}, got {header!r}", line=1)
+
+
 def read_trace(path) -> Trace:
     """Read a trace CSV, reporting the first offending line on bad input:
-    a row that breaks a rule of ``Trace``, else a row that does not parse."""
+    a row that breaks a rule of ``Trace``, else a row that does not parse.
+
+    numpy's C reader parses the rows.  What it accepts, the line scanner
+    ``_scan_trace`` accepts with the same values.  A file it refuses (by
+    raising or warning), or whose rows ``Trace`` refuses, is rescanned line
+    by line: that names the faulty line, and still reads what only the
+    scanner reads (``1_0``, unicode digits, whitespace-only lines).  The
+    warning filters are process-wide and are swapped while numpy parses, so
+    calls from concurrent threads can leave them changed."""
+    with open(path, "r", encoding="utf-8") as fh:
+        _check_header(fh)
+        try:
+            with warnings.catch_warnings():
+                # numpy 1.x reads 1.0 in an int column with only a
+                # DeprecationWarning; a file without rows gives a UserWarning.
+                warnings.simplefilter("error")
+                rows = np.loadtxt(fh, delimiter=",", dtype=_TRACE_ROW, comments=None, ndmin=1)
+            return Trace(*(np.ascontiguousarray(rows[name]) for name in _TRACE_ROW.names))
+        except (ValueError, Warning):  # TraceError is a ValueError
+            pass
+    return _scan_trace(path)
+
+
+def _scan_trace(path) -> Trace:
+    """``read_trace`` line by line, in Python: slow, but it names the first
+    offending line of a faulty file."""
     times: list[float] = []
     types: list[int] = []
     sizes: list[float] = []
     blank_at: list[int] = []  # rows read before each skipped blank line
     fault = None  # (line, message) of the row that did not parse
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != TRACE_HEADER:
-            raise TraceError(f"expected header {TRACE_HEADER!r}, got {header!r}", line=1)
+        _check_header(fh)
         for lineno, raw in enumerate(fh, start=2):
             row = raw.strip()
             if not row:

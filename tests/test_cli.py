@@ -14,6 +14,7 @@ from gpurental import (
     read_trace,
     simulate,
 )
+from gpurental import cli, simulator
 from gpurental.cli import _csv_rows, main
 
 UNSTABLE_CONFIG = {
@@ -277,6 +278,35 @@ class TestSimulate:
             read_csv(series, "t,K"), budget_timeseries(trace, spec, policy, step),
             rtol=1e-11, atol=0,
         )
+
+    def test_simulate_replays_once(self, tmp_path, two_type_config_path, trace_path, capsys,
+                                   monkeypatch):
+        replay, calls = simulator._replay, []
+
+        def counted(trace, spec, policy):
+            calls.append(policy)
+            return replay(trace, spec, policy)
+
+        monkeypatch.setattr(simulator, "_replay", counted)
+        monkeypatch.setattr(cli, "_replay", counted)
+        per_job, series = tmp_path / "jobs.csv", tmp_path / "k.csv"
+        capsys.readouterr()
+        rc = main(
+            ["simulate", "--spec", two_type_config_path, "--trace", trace_path,
+             "--policy", "srf:8,4", "--per-job", str(per_job),
+             "--timeseries", str(series), "--timeseries-step", "0.5"]
+        )
+        assert rc == 0
+        assert calls == [SmallestRemainingFirst(8.0, 4.0)]
+        # The bytes that separate simulate and budget_timeseries calls give.
+        spec, trace, policy = load_spec(two_type_config_path), read_trace(trace_path), calls[0]
+        metrics = simulate(trace, spec, policy)
+        assert capsys.readouterr().out == cli._metrics_json(metrics)
+        cli._write_csv(tmp_path / "jobs2.csv", "arrival,completion,response,gpu_hours",
+                       metrics.per_job)
+        cli._write_csv(tmp_path / "k2.csv", "t,K", budget_timeseries(trace, spec, policy, 0.5))
+        assert per_job.read_bytes() == (tmp_path / "jobs2.csv").read_bytes()
+        assert series.read_bytes() == (tmp_path / "k2.csv").read_bytes()
 
     def test_empty_trace_writes_header_only(self, tmp_path, two_type_config_path, capsys):
         trace = tmp_path / "empty.csv"

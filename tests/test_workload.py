@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from gpurental import (
     spec_from_dict,
     write_trace,
 )
+from gpurental import workload
 
 
 def one_type_spec(dist=Deterministic(1.0), rate=1.0, budget=10.0):
@@ -397,3 +399,96 @@ class TestTraceBoundary:
         p.write_text("arrival_time,type,size\n\n1.0,0,1\n\n\n2.0,-1,1\n", encoding="utf-8")
         with pytest.raises(TraceError, match="^line 6: negative type index -1"):
             read_trace(p)
+
+    def test_header_only_file_is_empty_without_warning(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("arrival_time,type,size\n", encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tr = read_trace(p)
+        assert caught == [] and len(tr) == 0
+        assert [a.dtype for a in (tr.arrival_times, tr.type_indices, tr.sizes)] == [
+            np.float64, np.int64, np.float64]
+
+    def test_float_type_field_is_refused(self, tmp_path):
+        # numpy 1.x reads 1.0 into an int column with only a DeprecationWarning.
+        p = tmp_path / "t.csv"
+        p.write_text("arrival_time,type,size\n1.0,1.0,2.0\n", encoding="utf-8")
+        with pytest.raises(TraceError, match=r"^line 2: could not parse row '1\.0,1\.0,2\.0'$"):
+            read_trace(p)
+
+    def test_valid_file_is_not_rescanned(self, tmp_path, two_type_spec, monkeypatch):
+        def rescan(path):
+            raise AssertionError("a valid file was rescanned")
+
+        monkeypatch.setattr(workload, "_scan_trace", rescan)
+        tr = generate_trace(two_type_spec, 500, seed=4)
+        p = tmp_path / "t.csv"
+        write_trace(tr, p)
+        text = p.read_text(encoding="utf-8")
+        p.write_bytes((text.replace("\n", "\r\n", 3) + "\n").encode("utf-8"))
+        assert read_trace(p) == tr
+
+
+# Field texts for the two trace readers to agree on: odd spellings of valid
+# values and values or spellings that one of them refuses.
+ODD_FLOATS = ["-0", "+0", "1_0", "\u0661", "\u00b2", " 2.5 ", "\u20032.5", "1e400", "1e-400",
+              "nan", "inf", "-inf", "Infinity", "#1", '"1"', "0x1p3", "1 0", ""]
+ODD_TYPES = ["-0", "+0", "1_0", "\u0661", " 1 ", "1.0", "1e0", "nan", str(2**63),
+             str(-(2**63)), "#0", '"0"', "0x1", ""]
+SKIPPED_LINES = ["", " ", "\t", "\x0c", "\x1c", "\u3000", "# comment", '""']
+NEWLINES = ["\n", "\r\n", "\r"]
+
+
+@st.composite
+def trace_files(draw):
+    """The text of a trace file: rows that are mostly valid, spelled oddly or
+    broken at one per-file rate, lines that may look skippable between them
+    at another, and mixed line endings."""
+    n = draw(st.integers(0, 12))
+    odd_rate = draw(st.sampled_from([0, 0, 1, 4]))  # in 40ths of a field
+    skip_rate = draw(st.sampled_from([0, 4, 12]))  # in 40ths of a row
+    times = sorted(draw(st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(0.0, 1e6),
+                                 min_size=n, max_size=n)))
+
+    def field(valid, odd):
+        return draw(st.sampled_from(odd) if draw(st.integers(0, 39)) < odd_rate else valid)
+
+    lines = ["arrival_time,type,size"]
+    for t in times:
+        if draw(st.integers(0, 39)) < skip_rate:
+            lines.append(draw(st.sampled_from(SKIPPED_LINES)))
+        fields = [
+            field(st.just(repr(t)), ODD_FLOATS),
+            field(st.integers(0, 3).map(str) | st.just(str(2**63 - 1)), ODD_TYPES),
+            field(st.floats(1e-3, 1e3).map(repr), ODD_FLOATS),
+        ]
+        cut = draw(st.integers(0, 39)) < odd_rate
+        extra = draw(st.integers(0, 39)) < odd_rate
+        lines.append(",".join(fields[:2] if cut else fields + ["1"] * extra))
+    ends = [draw(st.sampled_from(NEWLINES)) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""  # no newline after the last line
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _read_outcome(read, path):
+    """The trace's column dtypes and bytes, or the refusal's message and line."""
+    try:
+        tr = read(path)
+    except TraceError as exc:
+        return str(exc), exc.line
+    return [(a.dtype.str, a.tobytes()) for a in (tr.arrival_times, tr.type_indices, tr.sizes)]
+
+
+class TestTraceReaders:
+    """``read_trace`` parses with numpy's C reader and falls back to the line
+    scanner ``workload._scan_trace``; on any file the two must agree."""
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=trace_files())
+    def test_fast_reader_agrees_with_line_scanner(self, tmp_path, text):
+        p = tmp_path / "t.csv"
+        p.write_bytes(text.encode("utf-8"))
+        assert _read_outcome(read_trace, p) == _read_outcome(workload._scan_trace, p)
