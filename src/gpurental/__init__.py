@@ -7,7 +7,7 @@ sweeps budget/response-time trade-off curves, and checks the analytic
 predictions by discrete-event simulation of job traces.
 """
 
-from .errors import BruteForceError, InstabilityError, SpecError, TraceError
+from .errors import AxiomError, BruteForceError, InstabilityError, SpecError, TraceError
 from .optimizer import (
     Allocation,
     ParetoPoint,
@@ -61,6 +61,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Allocation",
     "Amdahl",
+    "AxiomError",
     "BoundedPareto",
     "BruteForceError",
     "Deterministic",

@@ -1,7 +1,8 @@
 """Command-line interface: validate, solve, gen-trace, simulate, pareto, compare.
 
-Exit codes: 0 success, 1 validation failure, 2 instability (total load >=
-budget), 3 I/O or parse errors.  All numbers are printed with 12 significant
+Exit codes: 0 success, 1 validation failure (from ``validate``, or a speedup
+that fails the axioms in a command that solves), 2 instability (total load
+>= budget), 3 I/O or parse errors.  All numbers are printed with 12 significant
 digits so repeated runs with the same inputs are byte-identical.
 """
 
@@ -15,7 +16,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .errors import BruteForceError, InstabilityError, SpecError, TraceError
+from .errors import AxiomError, BruteForceError, InstabilityError, SpecError, TraceError
 from .optimizer import SolverConfig, pareto_frontier, solve_allocation
 from .simulator import (
     FixedWidth,
@@ -110,7 +111,7 @@ def _cmd_validate(args) -> int:
     spec = load_spec(args.spec)
     axioms_ok = True
     for jt in spec.types:
-        report = validate_speedup(jt.speedup, k_max=args.k_max)
+        report = validate_speedup(jt.speedup)
         states = " ".join(f"{c.name}={'pass' if c.passed else 'FAIL'}" for c in report.checks())
         print(f"type {jt.name!r}: {states}")
         for check in report.checks():
@@ -239,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("validate", help="check speedup axioms and stability")
-    add_common(p)
+    p.add_argument("--spec", required=True, help="workload config JSON")
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("solve", help="compute the optimal fixed-width allocation")
@@ -290,6 +291,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except AxiomError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except InstabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE

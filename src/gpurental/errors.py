@@ -5,6 +5,10 @@ class SpecError(ValueError):
     """A workload config document is malformed or violates a structural invariant."""
 
 
+class AxiomError(SpecError):
+    """A job type's speedup breaks an axiom the solver relies on."""
+
+
 class TraceError(ValueError):
     """A trace file or trace object is malformed.
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BruteForceError
-from .speedup import DEFAULT_K_MAX, SpeedupFunction, scalar_fn
+from .errors import AxiomError, BruteForceError
+from .speedup import DEFAULT_K_MAX, SpeedupFunction, scalar_fn, validate
 from .speedup import _check_width
 from .workload import WorkloadSpec
 
@@ -167,7 +167,15 @@ def _search(spec: WorkloadSpec, budgets: np.ndarray, cfg: SolverConfig) -> list[
     or its midpoint equals an endpoint, first, the fill pass spends what is
     left.  Each budget does the arithmetic it would do alone, so a
     one-budget call gives the same bits as a sweep.
+
+    The minimizers assume the speedup axioms, so a type whose speedup fails
+    ``validate`` raises AxiomError first.
     """
+    for t in spec.types:
+        report = validate(t.speedup)
+        if not report.ok:
+            check = next(c for c in report.checks() if not c.passed)
+            raise AxiomError(f"type {t.name!r}: speedup is not {check.name}: {check.detail}")
     b = np.asarray(budgets, dtype=float)
     n, m = len(b), len(spec.types)
     minimizers = [t.speedup.minimizer(cfg.k_max) for t in spec.types]

@@ -1,9 +1,10 @@
 """Speedup functions: how much faster a job runs when given k GPUs.
 
 A speedup function s(k) is defined for k >= 1 and must be monotone
-non-decreasing with non-increasing average speedup s(k)/k (diminishing
-returns per GPU).  ``validate`` checks those axioms numerically on a
-geometric grid; the solver and simulator assume they hold.
+non-decreasing and concave, with non-increasing average speedup s(k)/k
+(diminishing returns per GPU).  ``validate`` decides those axioms exactly,
+on the few widths each family names in ``axiom_ks``; the solver refuses a
+speedup that fails them, and the simulator assumes they hold.
 
 All speedup values are immutable after construction and safe to evaluate
 from any number of threads.
@@ -21,10 +22,11 @@ from .errors import SpecError
 # Axiom violations smaller than this (relative) are treated as round-off.
 REL_TOL = 1e-9
 
-# Default upper end of the validation grid and of the solver's search range.
+# Default cap on any width the solver picks.
 DEFAULT_K_MAX = float(2**20)
 
-_GRID_RATIO = 1.1
+# Amdahl's law and k**alpha are decided on these widths; see ``axiom_ks``.
+_SMOOTH_AXIOM_KS = (1.0, 2.0, 4.0)
 
 
 def _check_width(what: str, value) -> None:
@@ -38,10 +40,18 @@ def _check_width(what: str, value) -> None:
 
 class SpeedupFunction:
     """Base class; subclasses provide ``_value`` vectorized over k >= 1 and,
-    for the solver, their family's closed-form ``minimizer``."""
+    for the solver, their family's closed-form ``minimizer`` and the widths
+    ``axiom_ks`` on which ``validate`` decides the axioms."""
 
     def _value(self, k: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def axiom_ks(self) -> tuple[float, ...]:
+        """The increasing widths, from 1, on which the axioms are decided
+        exactly: the function satisfies them for all k >= 1 iff consecutive
+        pairs are monotone and sub-linear and every interior width lies on
+        or above the chord of its neighbours."""
+        raise TypeError(f"no axiom decision points for speedup {type(self).__name__}")
 
     def minimizer(self, k_max: float):
         """Exact minimizer of g(k) = (1 + mu*k) / s(k) over [1, k_max], as a
@@ -79,6 +89,10 @@ class Amdahl(SpeedupFunction):
         p = self.parallel_fraction
         return 1.0 / ((1.0 - p) + p / k)
 
+    def axiom_ks(self):
+        # Every p in [0, 1] satisfies the axioms; these widths confirm it.
+        return _SMOOTH_AXIOM_KS
+
     def minimizer(self, k_max: float):
         # g'(k) = 0 where mu*(1-p)*k^2 = p; p = 1 is linear (g decreasing).
         p = self.parallel_fraction
@@ -111,8 +125,16 @@ class PowerLaw(SpeedupFunction):
     def _value(self, k):
         return k**self.exponent
 
+    def axiom_ks(self):
+        # With x = 2**alpha, the pair (1, 2) is sub-linear iff x <= 2, and the
+        # chord of (1, 4) lies above s(2) by (x-1)(x-2)/3, positive iff
+        # alpha > 1: the three widths decide all three axioms.
+        return _SMOOTH_AXIOM_KS
+
     def minimizer(self, k_max: float):
-        # g'(k) = 0 where mu*(1-alpha)*k = alpha; alpha >= 1 keeps g decreasing.
+        # g'(k) = 0 where mu*(1-alpha)*k = alpha; alpha >= 1 keeps g
+        # decreasing.  The solver refuses alpha > 1, so that side is reached
+        # only by calling the minimizer directly.
         a = self.exponent
         c = a / (1.0 - a) if a < 1.0 else math.inf
 
@@ -158,6 +180,14 @@ class Tabular(SpeedupFunction):
 
     def _value(self, k):
         return np.interp(k, self.knots, self._speeds)
+
+    def axiom_ks(self):
+        # Piecewise linear and flat at both ends: the breakpoints, with 1 and
+        # a width past the last knot so that the kinks into the flat ends are
+        # interior.  Monotonicity and s(k)/k are monotone on each piece, and
+        # the slopes fall iff every interior breakpoint passes the chord test.
+        last = float(self.knots[-1])
+        return tuple(sorted({1.0, *self.knots.tolist(), 2.0 * last}))
 
     def minimizer(self, k_max: float):
         # g is monotone on each linear piece (and on the flat ends), so the
@@ -205,73 +235,41 @@ class ValidationReport:
         return [self.monotone, self.sublinear, self.concave, self.normalized]
 
 
-def _concavity_check(f: SpeedupFunction, ks: np.ndarray, s: np.ndarray) -> AxiomCheck:
-    """Concavity on sampled triples: the value at an interior point must not
-    fall below the chord through its neighbours.  Two triple families are
-    used so that kinks both at and between grid points are caught:
-    (a) each consecutive pair with its midpoint, (b) each interior grid
-    point with its neighbours."""
-    a, b = ks[:-1], ks[1:]
-    sa, sb = s[:-1], s[1:]
-    scale = np.maximum(np.abs(sa), np.abs(sb))
-
-    mids = 0.5 * (a + b)
-    deficit_mid = 0.5 * (sa + sb) - f(mids)
-    bad = np.flatnonzero(deficit_mid > REL_TOL * scale)
-    if bad.size:
-        i = bad[0]
-        return AxiomCheck(
-            "concave",
-            False,
-            f"s({mids[i]:.6g}) = {f(mids[i]):.6g} < chord mean "
-            f"(s({a[i]:.6g}) + s({b[i]:.6g}))/2 = {0.5 * (sa[i] + sb[i]):.6g}",
-        )
-
-    if len(ks) >= 3:
-        lo, mid, hi = ks[:-2], ks[1:-1], ks[2:]
-        theta = (hi - mid) / (hi - lo)
-        chord = theta * s[:-2] + (1.0 - theta) * s[2:]
-        deficit = chord - s[1:-1]
-        scale3 = np.maximum(np.abs(s[:-2]), np.abs(s[2:]))
-        bad = np.flatnonzero(deficit > REL_TOL * scale3)
-        if bad.size:
-            i = bad[0]
-            return AxiomCheck(
-                "concave",
-                False,
-                f"s({mid[i]:.6g}) = {s[1:-1][i]:.6g} < chord of "
-                f"s({lo[i]:.6g}), s({hi[i]:.6g}) = {chord[i]:.6g}",
-            )
-    return AxiomCheck("concave", True)
+def _concavity_check(ks: np.ndarray, s: np.ndarray) -> AxiomCheck:
+    """Concavity on consecutive triples: the value at each interior width
+    must not fall below the chord through its neighbours."""
+    lo, mid, hi = ks[:-2], ks[1:-1], ks[2:]
+    theta = (hi - mid) / (hi - lo)
+    chord = theta * s[:-2] + (1.0 - theta) * s[2:]
+    deficit = chord - s[1:-1]
+    scale = np.maximum(np.abs(s[:-2]), np.abs(s[2:]))
+    bad = np.flatnonzero(deficit > REL_TOL * scale)
+    if bad.size == 0:
+        return AxiomCheck("concave", True)
+    i = bad[0]
+    return AxiomCheck(
+        "concave",
+        False,
+        f"s({mid[i]:.6g}) = {s[1:-1][i]:.6g} < chord of "
+        f"s({lo[i]:.6g}), s({hi[i]:.6g}) = {chord[i]:.6g}",
+    )
 
 
-def _grid(f: SpeedupFunction, k_max: float) -> np.ndarray:
-    n = int(math.floor(math.log(k_max) / math.log(_GRID_RATIO))) + 1
-    ks = _GRID_RATIO ** np.arange(n)
-    ks = np.append(ks, k_max)
-    if isinstance(f, Tabular):
-        ks = np.append(ks, f.knots)
-    ks = np.unique(ks)
-    return ks[ks >= 1.0]
-
-
-def validate(f: SpeedupFunction, k_max: float = DEFAULT_K_MAX) -> ValidationReport:
-    """Check the speedup axioms on a geometric grid (plus tabular knots).
-
-    Grid checking is the practical surrogate for the universally quantified
-    axioms: monotonicity and sub-linearity are checked on consecutive grid
-    pairs, concavity on sampled triples.  Violations below REL_TOL
-    (relative) are ignored.
+def validate(f: SpeedupFunction) -> ValidationReport:
+    """Decide the speedup axioms for all k >= 1 on the family's ``axiom_ks``:
+    monotonicity and sub-linearity on consecutive pairs, concavity on
+    consecutive triples.  Violations below REL_TOL, relative to the compared
+    quantities (speeds, or for sub-linearity the average speeds s(k)/k), are
+    ignored.
     """
-    _check_width("k_max", k_max)
-    ks = _grid(f, k_max)
+    ks = np.array(f.axiom_ks())
     s = f(ks)
     a, b = ks[:-1], ks[1:]
     sa, sb = s[:-1], s[1:]
-    scale = np.maximum(np.abs(sa), np.abs(sb))
 
-    def first_bad(violation: np.ndarray, fmt) -> AxiomCheck:
-        bad = np.flatnonzero(violation > REL_TOL * scale)
+    def first_bad(lhs: np.ndarray, rhs: np.ndarray, fmt) -> AxiomCheck:
+        # lhs should not fall below rhs, up to REL_TOL of their own size.
+        bad = np.flatnonzero(rhs - lhs > REL_TOL * np.maximum(np.abs(lhs), np.abs(rhs)))
         if bad.size == 0:
             return AxiomCheck(fmt.__name__, True)
         i = bad[0]
@@ -286,11 +284,11 @@ def validate(f: SpeedupFunction, k_max: float = DEFAULT_K_MAX) -> ValidationRepo
             f"s({kb:.6g})/{kb:.6g} = {vb / kb:.6g}"
         )
 
-    mono = first_bad(sa - sb, monotone)
-    sub = first_bad(sb / b - sa / a, sublinear)
-    conc = _concavity_check(f, ks, s)
+    mono = first_bad(sb, sa, monotone)
+    sub = first_bad(sa / a, sb / b, sublinear)
+    conc = _concavity_check(ks, s)
 
-    s1 = f(1.0)
+    s1 = float(s[0])  # the widths start at 1
     norm = AxiomCheck("normalized", abs(s1 - 1.0) <= REL_TOL)
     if not norm.passed:
         norm = AxiomCheck("normalized", False, f"s(1) = {s1:.6g}, expected 1")

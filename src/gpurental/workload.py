@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -274,34 +273,32 @@ def generate_trace(
     # extending any stream that falls short (rare; bound is ~6 sigma).
     expect = job_count * rates / rates.sum()
     counts = np.ceil(expect + 6.0 * np.sqrt(expect) + 64).astype(int)
-    times: list[np.ndarray] = []
-    sizes: list[np.ndarray] = []
-    for i, jt in enumerate(spec.types):
+    times: list[list[np.ndarray]] = [[] for _ in range(m)]  # chunks per type
+    sizes: list[list[np.ndarray]] = [[] for _ in range(m)]
+    last = [0.0] * m  # each stream's latest arrival
+
+    def draw(i: int) -> None:
+        """Extend type i's stream by counts[i] arrivals: gaps, then sizes."""
         if arrivals == "poisson":
             gaps = rngs[i].exponential(1.0 / rates[i], size=counts[i])
         else:
             gaps = np.full(counts[i], 1.0 / rates[i])
-        times.append(np.cumsum(gaps))
-        sizes.append(jt.size_dist.sample(rngs[i], counts[i]))
+        t = last[i] + np.cumsum(gaps)
+        last[i] = t[-1]
+        times[i].append(t)
+        sizes[i].append(spec.types[i].size_dist.sample(rngs[i], counts[i]))
 
-    while True:
-        merged = np.concatenate(times)
-        cut = np.partition(merged, job_count - 1)[job_count - 1]
-        short = [i for i in range(m) if times[i][-1] < cut]
-        if not short:
-            break
+    short = range(m)
+    while short:
         for i in short:
-            n_more = counts[i]
-            if arrivals == "poisson":
-                gaps = rngs[i].exponential(1.0 / rates[i], size=n_more)
-            else:
-                gaps = np.full(n_more, 1.0 / rates[i])
-            times[i] = np.append(times[i], times[i][-1] + np.cumsum(gaps))
-            sizes[i] = np.append(sizes[i], spec.types[i].size_dist.sample(rngs[i], n_more))
+            draw(i)
+        merged = np.concatenate([t for chunks in times for t in chunks])
+        cut = np.partition(merged, job_count - 1)[job_count - 1]
+        short = [i for i in range(m) if last[i] < cut]
 
-    all_times = np.concatenate(times)
-    all_types = np.concatenate([np.full(len(t), i, dtype=np.int64) for i, t in enumerate(times)])
-    all_sizes = np.concatenate(sizes)
+    all_times = np.concatenate([t for chunks in times for t in chunks])
+    all_types = np.repeat(np.arange(m, dtype=np.int64), [sum(map(len, c)) for c in times])
+    all_sizes = np.concatenate([x for chunks in sizes for x in chunks])
     # Stable sort on time keeps tied events in type order, deterministically.
     order = np.argsort(all_times, kind="stable")[:job_count]
     return Trace(all_times[order], all_types[order], all_sizes[order], seed=seed)
@@ -344,7 +341,8 @@ def write_trace(trace: Trace, path) -> None:
             fh.write(f"{t!r},{ty},{x!r}\n")
 
 
-# One trace row as numpy's C CSV reader parses it.
+# One trace row as numpy's C CSV reader parses it, on numpy >= 2 only.
+_C_READER = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
 _TRACE_ROW = np.dtype([("arrival_time", np.float64), ("type", np.int64), ("size", np.float64)])
 
 
@@ -358,24 +356,25 @@ def read_trace(path) -> Trace:
     """Read a trace CSV, reporting the first offending line on bad input:
     a row that breaks a rule of ``Trace``, else a row that does not parse.
 
-    numpy's C reader parses the rows.  What it accepts, the line scanner
-    ``_scan_trace`` accepts with the same values.  A file it refuses (by
-    raising or warning), or whose rows ``Trace`` refuses, is rescanned line
-    by line: that names the faulty line, and still reads what only the
-    scanner reads (``1_0``, unicode digits, whitespace-only lines).  The
-    warning filters are process-wide and are swapped while numpy parses, so
-    calls from concurrent threads can leave them changed."""
-    with open(path, "r", encoding="utf-8") as fh:
-        _check_header(fh)
-        try:
-            with warnings.catch_warnings():
-                # numpy 1.x reads 1.0 in an int column with only a
-                # DeprecationWarning; a file without rows gives a UserWarning.
-                warnings.simplefilter("error")
-                rows = np.loadtxt(fh, delimiter=",", dtype=_TRACE_ROW, comments=None, ndmin=1)
-            return Trace(*(np.ascontiguousarray(rows[name]) for name in _TRACE_ROW.names))
-        except (ValueError, Warning):  # TraceError is a ValueError
-            pass
+    On numpy >= 2, numpy's C reader parses the rows.  What it accepts, the
+    line scanner ``_scan_trace`` accepts with the same values.  A file it
+    refuses, or whose rows ``Trace`` refuses, is rescanned line by line:
+    that names the faulty line, and still reads what only the scanner reads
+    (``1_0``, unicode digits, whitespace-only lines).  A body without rows
+    goes straight to the scanner, which reads it as the empty trace.
+    numpy 1.x accepts 1.0 in an int column with only a warning, so there
+    the scanner reads every file."""
+    if _C_READER:
+        with open(path, "r", encoding="utf-8") as fh:
+            _check_header(fh)
+            body = fh.tell()
+            if any(line.strip() for line in iter(fh.readline, "")):  # numpy warns on no rows
+                fh.seek(body)
+                try:
+                    rows = np.loadtxt(fh, delimiter=",", dtype=_TRACE_ROW, comments=None, ndmin=1)
+                    return Trace(*(np.ascontiguousarray(rows[name]) for name in _TRACE_ROW.names))
+                except ValueError:  # TraceError is a ValueError
+                    pass
     return _scan_trace(path)
 
 

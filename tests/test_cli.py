@@ -128,6 +128,16 @@ class TestValidate:
         p.write_text("{not json", encoding="utf-8")
         assert main(["validate", "--spec", str(p)]) == 3
 
+    @pytest.mark.parametrize("k_max", ["0.5", "inf", "nan", "16"])
+    def test_k_max_is_not_an_option(self, two_type_config_path, capsys, k_max):
+        # The axioms are decided for all k >= 1, so no cap applies.
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--spec", two_type_config_path, "--k-max", k_max])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"unrecognized arguments: --k-max {k_max}" in err
+
 
 class TestSolve:
     def test_closed_form_output(self, tmp_path, capsys):
@@ -163,8 +173,8 @@ class TestSolve:
 @pytest.mark.parametrize("k_max", ["nan", "inf", "0.5"])
 @pytest.mark.parametrize(
     "command",
-    [["validate"], ["solve"], ["pareto", "--b-min", "2", "--b-max", "3", "--points", "2"]],
-    ids=["validate", "solve", "pareto"],
+    [["solve"], ["pareto", "--b-min", "2", "--b-max", "3", "--points", "2"]],
+    ids=["solve", "pareto"],
 )
 def test_bad_k_max_exits_3(two_type_config_path, capsys, command, k_max):
     rc = main(command + ["--spec", two_type_config_path, "--k-max", k_max])
@@ -172,6 +182,64 @@ def test_bad_k_max_exits_3(two_type_config_path, capsys, command, k_max):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: k_max must be finite and >= 1, got {float(k_max)}\n"
+
+
+@pytest.mark.parametrize(
+    "speedup, detail",
+    [
+        ({"kind": "power", "alpha": 1.5}, "s(1)/1 = 1 < s(2)/2 = 1.41421"),
+        ({"kind": "tabular", "points": [[1, 1], [2, 1.1], [4, 3.5]]},
+         "s(2)/2 = 0.55 < s(4)/4 = 0.875"),
+    ],
+    ids=["power-1.5", "convex-table"],
+)
+class TestAxiomFailures:
+    """A stable spec whose first type fails the speedup axioms: every command
+    that solves refuses it with exit 1; fixed widths still replay."""
+
+    @pytest.fixture()
+    def paths(self, tmp_path, speedup):
+        exp = {"kind": "exponential", "mean": 1.0}
+        doc = {
+            "types": [
+                {"name": "bad", "speedup": speedup, "arrival_rate": 0.5, "size_dist": exp},
+                {"name": "amdahl", "speedup": {"kind": "amdahl", "p": 0.9},
+                 "arrival_rate": 0.5, "size_dist": exp},
+            ],
+            "budget": 3.0,
+        }
+        spec = write_config(tmp_path, doc)
+        trace = str(tmp_path / "t.csv")
+        assert main(["gen-trace", "--spec", spec, "--jobs", "200", "--seed", "1",
+                     "--out", trace]) == 0
+        return spec, trace
+
+    @pytest.mark.parametrize("command", [
+        ["solve"],
+        ["pareto", "--b-min", "2", "--b-max", "3", "--points", "3"],
+        ["simulate", "--policy", "optimal"],
+        ["compare", "--policies", "uniform:2;optimal"],
+    ], ids=["solve", "pareto", "simulate", "compare"])
+    def test_solving_commands_exit_1(self, paths, capsys, speedup, detail, command):
+        spec, trace = paths
+        capsys.readouterr()
+        argv = command + ["--spec", spec]
+        if command[0] in ("simulate", "compare"):
+            argv += ["--trace", trace]
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", f"error: type 'bad': speedup is not sublinear: {detail}\n")
+
+    def test_validate_exits_1(self, paths, capsys, speedup, detail):
+        capsys.readouterr()
+        assert main(["validate", "--spec", paths[0]]) == 1
+        assert f"  sublinear: {detail}\n" in capsys.readouterr().out
+
+    def test_fixed_widths_still_replay(self, paths, capsys, speedup, detail):
+        spec, trace = paths
+        capsys.readouterr()
+        assert main(["simulate", "--spec", spec, "--trace", trace, "--policy", "fixed:2,2"]) == 0
+        assert json.loads(capsys.readouterr().out)["job_count"] == 200
 
 
 class TestGenTrace:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gpurental import (
     Amdahl,
+    AxiomError,
     BruteForceError,
     Deterministic,
     InstabilityError,
@@ -171,6 +172,43 @@ class TestClosedFormInner:
         spec = WorkloadSpec((JobType("s", Sqrt(), 0.5, Deterministic(1.0)),), budget=1.0)
         with pytest.raises(TypeError):
             solve_allocation(spec)
+
+
+class TestAxiomRefusal:
+    """The solver refuses a type whose speedup fails the axioms its closed
+    forms rely on; the grid oracle does not check."""
+
+    @pytest.fixture()
+    def spec(self):
+        return WorkloadSpec((
+            JobType("amdahl", Amdahl(0.9), 0.5, Deterministic(1.0)),
+            JobType("kinked", Tabular(((1, 1), (2, 1.1), (4, 3.5))), 0.5, Deterministic(1.0)),
+        ), budget=3.0)
+
+    def test_solve_and_pareto_refuse(self, spec):
+        msg = r"^type 'kinked': speedup is not sublinear: s\(2\)/2 = 0.55 < s\(4\)/4 = 0.875$"
+        with pytest.raises(AxiomError, match=msg):
+            solve_allocation(spec)
+        with pytest.raises(AxiomError, match=msg):
+            pareto_frontier(spec, [0.5, 2.0, 3.0])
+
+    def test_concavity_alone_is_refused(self):
+        # Flat on [1, 2], then rising: monotone and sub-linear, not concave.
+        spec = WorkloadSpec((JobType("late", Tabular(((2, 2), (4, 3))), 0.5,
+                                     Deterministic(1.0)),), budget=3.0)
+        with pytest.raises(AxiomError, match="^type 'late': speedup is not concave: "):
+            solve_allocation(spec)
+
+    def test_each_type_validated_once_per_sweep(self, two_type_spec, monkeypatch):
+        seen = []
+        real = optimizer.validate
+        monkeypatch.setattr(optimizer, "validate", lambda f: seen.append(f) or real(f))
+        pareto_frontier(two_type_spec, np.linspace(0.5, 4.0, 50))
+        assert seen == [t.speedup for t in two_type_spec.types]
+
+    def test_oracle_does_not_check(self, spec):
+        alloc = brute_force_allocation(spec, grid_step=0.01)
+        assert alloc.budget_used <= spec.budget
 
 
 class TestSolve:

@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpurental import Amdahl, PowerLaw, SpecError, Tabular, parse_speedup, validate
-from gpurental.speedup import scalar_fn
+from gpurental.speedup import REL_TOL, scalar_fn
 
 
 def concave_tabular(rng, n_knots=6):
@@ -103,15 +107,54 @@ class TestValidate:
         assert not report.ok
 
     def test_tabular_sublinearity_failure_names_pair(self):
-        # s(2)/2 = 1.5 exceeds s(1)/1 = 1, so the average speedup grows;
-        # the first violating grid pair starts at k = 1.
+        # s(2)/2 = 1.5 exceeds s(1)/1 = 1, so the average speedup grows.
         report = validate(Tabular(((1, 1), (2, 3), (3, 3.5))))
         assert not report.sublinear.passed
-        assert report.sublinear.detail.startswith("s(1)")
+        assert report.sublinear.detail == "s(1)/1 = 1 < s(2)/2 = 1.5"
+
+    @pytest.mark.parametrize(
+        "points, detail",
+        [
+            (((1, 1), (1e9, 1.5e9)), "s(1)/1 = 1 < s(1e+09)/1e+09 = 1.5"),
+            # s(k)/k rises by a relative 5e-7 from k = 1 to k = 1000.
+            (((1, 1), (1000, 1000.0005)), "s(1)/1 = 1 < s(1000)/1000 = 1"),
+        ],
+        ids=["rise-to-1e9", "rise-to-1000"],
+    )
+    def test_wide_pairs_measure_average_speed_rises_in_its_own_units(self, points, detail):
+        # The rise of s(k)/k is compared with REL_TOL times s(k)/k, not times
+        # s(k): a tolerance in speed units would forgive these across a wide
+        # pair.
+        report = validate(Tabular(points))
+        assert report.concave.passed
+        assert report.sublinear.detail == detail
 
     def test_tabular_convex_kink_fails_concavity(self):
         report = validate(Tabular(((1, 1), (2, 1.05), (3, 2.0))))
         assert not report.concave.passed
+        assert report.concave.detail == "s(2) = 1.05 < chord of s(1), s(3) = 1.5"
+
+    def test_failures_name_the_users_knots(self):
+        report = validate(Tabular(((1, 1), (2, 1.1), (4, 3.5))))
+        assert report.sublinear.detail == "s(2)/2 = 0.55 < s(4)/4 = 0.875"
+        assert report.concave.detail == "s(2) = 1.1 < chord of s(1), s(4) = 1.83333"
+
+    def test_kink_at_a_first_knot_above_one_fails_concavity(self):
+        # s is held at 2 on [1, 2] and then rises: a convex kink at k = 2.
+        report = validate(Tabular(((2, 2), (4, 3))))
+        assert report.monotone.passed and report.sublinear.passed
+        assert report.concave.detail == "s(2) = 2 < chord of s(1), s(4) = 2.33333"
+
+    def test_kink_into_the_flat_tail_is_decided(self):
+        # A falling last piece meets the flat tail in a convex kink.
+        report = validate(Tabular(((1, 1), (2, 2), (3, 1.5))))
+        assert report.monotone.detail == "s(2) = 2 > s(3) = 1.5"
+        assert report.concave.detail == "s(3) = 1.5 < chord of s(2), s(6) = 1.875"
+
+    def test_decision_points(self):
+        assert Amdahl(0.5).axiom_ks() == PowerLaw(0.5).axiom_ks() == (1.0, 2.0, 4.0)
+        assert Tabular(((1, 1), (4, 2.5), (16, 4))).axiom_ks() == (1.0, 4.0, 16.0, 32.0)
+        assert Tabular(((3, 1),)).axiom_ks() == (1.0, 3.0, 6.0)
 
     def test_decreasing_tabular_fails_monotonicity(self):
         report = validate(Tabular(((1, 1), (2, 0.8))))
@@ -129,10 +172,72 @@ class TestValidate:
     def test_constant_speedup_passes(self):
         assert validate(Tabular(((1, 1.0),))).ok
 
-    @pytest.mark.parametrize("k_max", [0.5, np.nan, np.inf])
-    def test_k_max_must_be_finite_and_at_least_one(self, k_max):
-        with pytest.raises(SpecError, match="k_max must be finite and >= 1"):
-            validate(PowerLaw(0.5), k_max=k_max)
+
+def relative_violations(f, axiom, ks):
+    """How far the widths break an axiom, as validate measures it: pairs
+    (a, b) for monotone (relative to the larger speed) and sublinear
+    (relative to the larger s(k)/k), triples (lo, mid, hi) for concave
+    (relative to the larger speed at the outer widths)."""
+    if axiom == "concave":
+        lo, mid, hi = ks
+        theta = (hi - mid) / (hi - lo)
+        chord = theta * f(lo) + (1.0 - theta) * f(hi)
+        return (chord - f(mid)) / np.maximum(np.abs(f(lo)), np.abs(f(hi)))
+    a, b = ks
+    va, vb = (f(a), f(b)) if axiom == "monotone" else (f(a) / a, f(b) / b)
+    return (vb - va if axiom == "sublinear" else va - vb) / np.maximum(np.abs(va), np.abs(vb))
+
+
+@st.composite
+def eighth_grid_tables(draw):
+    """Tables with any slope signs and a first knot >= 1.  Knots lie on a
+    1/8 grid and speeds on a 1/1024 grid, so the six-digit details name the
+    knots exactly and every violation is either 0 or over 5 * REL_TOL."""
+    n = draw(st.integers(1, 8))
+    first = 1.0 + draw(st.integers(0, 16)) / 8.0
+    steps = draw(st.lists(st.integers(1, 16), min_size=n - 1, max_size=n - 1))
+    ks = first + np.cumsum([0] + steps) / 8.0
+    speeds = draw(st.lists(st.integers(1, 20 * 1024), min_size=n, max_size=n))
+    return Tabular(tuple(zip(ks.tolist(), (np.array(speeds) / 1024.0).tolist())))
+
+
+# Exponents in (0, 3], often close to 1, where violations are near REL_TOL.
+POWER_LAWS = (st.floats(0.0, 3.0, exclude_min=True) | st.floats(1.0 - 1e-6, 1.0 + 1e-6)).map(
+    PowerLaw)
+
+
+@settings(max_examples=400, deadline=None)
+@given(f=eighth_grid_tables() | POWER_LAWS)
+def test_validate_is_exact(f):
+    """Every FAIL names decision points that break its axiom by more than
+    REL_TOL; every pass holds on 2,000 sampled pairs and midpoint triples in
+    [1, 4 * last knot] (for k**alpha, [1, 16]).
+
+    For k**alpha a relative tolerance depends on spacing.  s(k)/k changes by
+    the factor (b/a)**(alpha-1) across a pair, so a pass on (1, 2) bounds the
+    relative rise across (a, b) by REL_TOL * log2(b/a), not by REL_TOL.  And
+    with alpha about 1 + 7e-9, (1, 2, 4) passes concavity while wider
+    triples fall short of their chords by just over REL_TOL; such an alpha
+    fails sub-linearity, so for power laws the sampled check covers families
+    that pass whole."""
+    report = validate(f)
+    for check in (report.monotone, report.sublinear, report.concave):
+        if not check.passed:
+            ks = [float(k) for k in re.findall(r"s\(([^)]+)\)", check.detail)]
+            assert set(ks) <= set(f.axiom_ks())
+            if check.name == "concave":
+                ks = [ks[1], ks[0], ks[2]]  # the detail names mid, then lo and hi
+            assert relative_violations(f, check.name, ks) > REL_TOL
+    hi = 4.0 * (f.knots[-1] if isinstance(f, Tabular) else 4.0)
+    rng = np.random.default_rng(0)
+    a, b = np.sort(np.exp(rng.uniform(0.0, np.log(hi), size=(2, 2000))), axis=0)
+    pairs = {"monotone": (a, b), "sublinear": (a, b), "concave": (a, 0.5 * (a + b), b)}
+    tol = {name: REL_TOL for name in pairs}
+    if isinstance(f, PowerLaw):
+        tol["sublinear"] = REL_TOL * np.maximum(1.0, np.log2(b / a))
+    for check in (report.monotone, report.sublinear, report.concave):
+        if check.passed and (report.ok or isinstance(f, Tabular)):
+            assert np.all(relative_violations(f, check.name, pairs[check.name]) <= tol[check.name])
 
 
 class TestAxiomProperties:

@@ -410,6 +410,36 @@ class TestTraceBoundary:
         assert [a.dtype for a in (tr.arrival_times, tr.type_indices, tr.sizes)] == [
             np.float64, np.int64, np.float64]
 
+    def test_blank_body_is_empty_without_warning(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("arrival_time,type,size\n\n  \n\t\n", encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tr = read_trace(p)
+        assert caught == [] and len(tr) == 0
+
+    def test_parses_under_the_process_warning_filters(self, tmp_path, two_type_spec,
+                                                      monkeypatch):
+        # The filters are process-wide: swapping them while numpy parses
+        # would change them for every other thread.
+        filters = list(warnings.filters)
+        real = np.loadtxt
+
+        def loadtxt(*args, **kwargs):
+            assert warnings.filters == filters
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(workload.np, "loadtxt", loadtxt)
+        p = tmp_path / "t.csv"
+        write_trace(generate_trace(two_type_spec, 50, seed=1), p)
+        for text in (p.read_text(encoding="utf-8"), "arrival_time,type,size\n1.0,1.0,2.0\n"):
+            p.write_text(text, encoding="utf-8")
+            try:
+                read_trace(p)
+            except TraceError:
+                pass
+        assert warnings.filters == filters
+
     def test_float_type_field_is_refused(self, tmp_path):
         # numpy 1.x reads 1.0 into an int column with only a DeprecationWarning.
         p = tmp_path / "t.csv"
@@ -417,6 +447,8 @@ class TestTraceBoundary:
         with pytest.raises(TraceError, match=r"^line 2: could not parse row '1\.0,1\.0,2\.0'$"):
             read_trace(p)
 
+    @pytest.mark.skipif(not workload._C_READER,
+                        reason="numpy 1.x reads every file with the line scanner")
     def test_valid_file_is_not_rescanned(self, tmp_path, two_type_spec, monkeypatch):
         def rescan(path):
             raise AssertionError("a valid file was rescanned")
