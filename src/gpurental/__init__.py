@@ -11,7 +11,6 @@ from .errors import AxiomError, BruteForceError, InstabilityError, SpecError, Tr
 from .optimizer import (
     Allocation,
     ParetoPoint,
-    SolverConfig,
     brute_force_allocation,
     budget_usage,
     inner_minimize,
@@ -75,7 +74,6 @@ __all__ = [
     "PowerLaw",
     "SimMetrics",
     "SmallestRemainingFirst",
-    "SolverConfig",
     "SpecError",
     "SpeedupFunction",
     "StaticClusterEqualSplit",

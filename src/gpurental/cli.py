@@ -16,8 +16,8 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .errors import AxiomError, BruteForceError, InstabilityError, SpecError, TraceError
-from .optimizer import SolverConfig, pareto_frontier, solve_allocation
+from .errors import AxiomError, InstabilityError, SpecError
+from .optimizer import pareto_frontier, solve_allocation
 from .simulator import (
     FixedWidth,
     Policy,
@@ -29,6 +29,7 @@ from .simulator import (
     _sample_k,
     compare_policies,
 )
+from .speedup import DEFAULT_K_MAX, _check_width
 from .speedup import validate as validate_speedup
 from .workload import WorkloadSpec, generate_trace, load_spec, read_trace, write_trace
 
@@ -84,11 +85,11 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def parse_policy(text: str, spec: WorkloadSpec, cfg: SolverConfig) -> Policy:
+def parse_policy(text: str, spec: WorkloadSpec, k_max: float) -> Policy:
     """Parse a policy string: optimal | fixed:k1,..,kM | uniform:k |
     cluster:C | srf:C,kcap.  ``uniform:k`` is ``fixed:k,...,k``."""
     if text == "optimal":
-        return FixedWidth(solve_allocation(spec, cfg).ks)
+        return FixedWidth(solve_allocation(spec, k_max=k_max).ks)
     kind, _, rest = text.partition(":")
     try:
         if kind == "fixed":
@@ -133,8 +134,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_solve(args) -> int:
     spec = load_spec(args.spec)
-    cfg = SolverConfig(k_max=args.k_max)
-    alloc = solve_allocation(spec, cfg)
+    _check_width("k_max", args.k_max)
+    alloc = solve_allocation(spec, k_max=args.k_max)
     text = json.dumps(_json_ready(alloc.to_dict()), indent=2) + "\n"
     _emit(text, args.out)
     if args.out:
@@ -157,8 +158,8 @@ def _metrics_json(metrics: SimMetrics) -> str:
 def _cmd_simulate(args) -> int:
     spec = load_spec(args.spec)
     trace = read_trace(args.trace)
-    cfg = SolverConfig(k_max=args.k_max)
-    policy = parse_policy(args.policy, spec, cfg)
+    _check_width("k_max", args.k_max)
+    policy = parse_policy(args.policy, spec, args.k_max)
     # One replay serves the metrics and the K(t) samples: what simulate and
     # budget_timeseries would each compute from their own replay.
     rep = _replay(trace, spec, policy)
@@ -173,7 +174,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_pareto(args) -> int:
     spec = load_spec(args.spec)
-    cfg = SolverConfig(k_max=args.k_max)
+    _check_width("k_max", args.k_max)
     if args.points < 1:
         raise SpecError("--points must be >= 1")
     # The span is not finite when either bound is not, or when it overflows;
@@ -184,7 +185,7 @@ def _cmd_pareto(args) -> int:
             f"got {args.b_min} and {args.b_max}"
         )
     budgets = np.linspace(args.b_min, args.b_max, args.points)
-    points = pareto_frontier(spec, budgets, cfg)
+    points = pareto_frontier(spec, budgets, k_max=args.k_max)
     m = len(spec.types)
     solved_row = (_numbers(2 + m) + "\n").format
     error_row = (_numbers(1) + ",error: {}" + "," * m + "\n").format
@@ -205,11 +206,11 @@ def _cmd_pareto(args) -> int:
 def _cmd_compare(args) -> int:
     spec = load_spec(args.spec)
     trace = read_trace(args.trace)
-    cfg = SolverConfig(k_max=args.k_max)
+    _check_width("k_max", args.k_max)
     labels = [s for s in args.policies.split(";") if s]
     if not labels:
         raise SpecError("--policies must name at least one policy")
-    policies = [parse_policy(s, spec, cfg) for s in labels]
+    policies = [parse_policy(s, spec, args.k_max) for s in labels]
     results = compare_policies(trace, spec, policies)
     row = ("{},{},{}," + _numbers(2) + "\n").format
     rows = ["policy,job_count,mean_response_time,time_avg_budget,total_gpu_hours\n"]
@@ -235,9 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--spec", required=True, help="workload config JSON")
-        p.add_argument(
-            "--k-max", type=float, default=SolverConfig().k_max, help="cap on any width"
-        )
+        p.add_argument("--k-max", type=float, default=DEFAULT_K_MAX, help="cap on any width")
 
     p = sub.add_parser("validate", help="check speedup axioms and stability")
     p.add_argument("--spec", required=True, help="workload config JSON")
@@ -297,7 +296,7 @@ def main(argv=None) -> int:
     except InstabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
-    except (SpecError, TraceError, BruteForceError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -31,17 +31,6 @@ _MAX_AXIS_POINTS = 30_000_000  # largest grid axis the oracle will enumerate
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    """The allocation solver's one option: the cap on any width, flagged
-    when it binds."""
-
-    k_max: float = DEFAULT_K_MAX
-
-    def __post_init__(self):
-        _check_width("k_max", self.k_max)
-
-
-@dataclass(frozen=True)
 class Allocation:
     """A fixed-width plan plus its predicted performance.
 
@@ -110,7 +99,7 @@ def merge_segments(k1: float, t1: float, k2: float, t2: float) -> float:
     return (k1 * t1 + k2 * t2) / (t1 + t2)
 
 
-def inner_minimize(f: SpeedupFunction, mu: float, cfg: SolverConfig | None = None) -> float:
+def inner_minimize(f: SpeedupFunction, mu: float, *, k_max: float = DEFAULT_K_MAX) -> float:
     """Minimize the penalized cost g(k) = (1 + mu*k) / s(k) over [1, k_max].
 
     The family's closed form, ``f.minimizer``, clipped to [1, k_max]:
@@ -118,11 +107,11 @@ def inner_minimize(f: SpeedupFunction, mu: float, cfg: SolverConfig | None = Non
     k**alpha, and for a tabular speedup the smallest of {1, knots, k_max}
     whose g is within 1e-12 of the minimum.
     """
+    _check_width("k_max", k_max)
     if mu < 0:
         raise ValueError("multiplier must be >= 0")
-    cfg = cfg or SolverConfig()
     with np.errstate(divide="ignore"):
-        k, _ = f.minimizer(cfg.k_max)(np.array([float(mu)]))
+        k, _ = f.minimizer(k_max)(np.array([float(mu)]))
     return float(k[0])
 
 
@@ -145,9 +134,9 @@ def _fill_budget(spec: WorkloadSpec, b: float, ks: np.ndarray, ks_upper: np.ndar
     return ks
 
 
-def _make_allocation(spec: WorkloadSpec, ks: np.ndarray, mu: float, cfg: SolverConfig) -> Allocation:
-    ks = np.clip(ks, 1.0, cfg.k_max)
-    cap = bool(np.any(ks >= cfg.k_max * (1.0 - 1e-6)))
+def _make_allocation(spec: WorkloadSpec, ks: np.ndarray, mu: float, *, k_max: float) -> Allocation:
+    ks = np.clip(ks, 1.0, k_max)
+    cap = bool(np.any(ks >= k_max * (1.0 - 1e-6)))
     return Allocation(
         ks=tuple(float(k) for k in ks),
         objective=objective(spec, ks),
@@ -157,7 +146,7 @@ def _make_allocation(spec: WorkloadSpec, ks: np.ndarray, mu: float, cfg: SolverC
     )
 
 
-def _search(spec: WorkloadSpec, budgets: np.ndarray, cfg: SolverConfig) -> list[Allocation]:
+def _search(spec: WorkloadSpec, budgets: np.ndarray, *, k_max: float) -> list[Allocation]:
     """Optimal allocation of ``spec`` at each of ``budgets`` (all stable).
 
     Usage of the per-type minimizers is non-increasing in mu.  A budget that
@@ -168,9 +157,11 @@ def _search(spec: WorkloadSpec, budgets: np.ndarray, cfg: SolverConfig) -> list[
     left.  Each budget does the arithmetic it would do alone, so a
     one-budget call gives the same bits as a sweep.
 
-    The minimizers assume the speedup axioms, so a type whose speedup fails
-    ``validate`` raises AxiomError first.
+    A bad ``k_max`` raises SpecError first.  The minimizers assume the
+    speedup axioms, so a type whose speedup fails ``validate`` raises
+    AxiomError next.
     """
+    _check_width("k_max", k_max)
     for t in spec.types:
         report = validate(t.speedup)
         if not report.ok:
@@ -178,7 +169,7 @@ def _search(spec: WorkloadSpec, budgets: np.ndarray, cfg: SolverConfig) -> list[
             raise AxiomError(f"type {t.name!r}: speedup is not {check.name}: {check.detail}")
     b = np.asarray(budgets, dtype=float)
     n, m = len(b), len(spec.types)
-    minimizers = [t.speedup.minimizer(cfg.k_max) for t in spec.types]
+    minimizers = [t.speedup.minimizer(k_max) for t in spec.types]
     loads = spec.loads
 
     def widths(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,17 +213,16 @@ def _search(spec: WorkloadSpec, budgets: np.ndarray, cfg: SolverConfig) -> list[
     for j in np.flatnonzero(binding & ~hit):
         ks[j] = _fill_budget(spec, float(b[j]), ks_hi[j], ks_lo[j])
     mu = np.where(binding, mu_hi, 0.0)
-    return [_make_allocation(spec, ks[j], mu[j], cfg) for j in range(n)]
+    return [_make_allocation(spec, ks[j], mu[j], k_max=k_max) for j in range(n)]
 
 
-def solve_allocation(spec: WorkloadSpec, cfg: SolverConfig | None = None) -> Allocation:
+def solve_allocation(spec: WorkloadSpec, *, k_max: float = DEFAULT_K_MAX) -> Allocation:
     """Compute the optimal fixed-width allocation for the workload: the
     one-budget case of the search ``pareto_frontier`` runs.  Raises
     InstabilityError when total load >= budget.
     """
-    cfg = cfg or SolverConfig()
     spec.check_stability()
-    return _search(spec, np.array([spec.budget]), cfg)[0]
+    return _search(spec, np.array([spec.budget]), k_max=k_max)[0]
 
 
 def _budget_axis_cap(f: SpeedupFunction, load: float, b: float, k_max: float) -> float:
@@ -270,7 +260,7 @@ def _running_argmin(values: np.ndarray) -> np.ndarray:
 
 
 def brute_force_allocation(
-    spec: WorkloadSpec, grid_step: float, cfg: SolverConfig | None = None
+    spec: WorkloadSpec, grid_step: float, *, k_max: float = DEFAULT_K_MAX
 ) -> Allocation:
     """Grid-search oracle for the allocation problem.
 
@@ -281,7 +271,7 @@ def brute_force_allocation(
     widest feasible grid point); with three or four types the remaining axes
     are scanned coarse-to-fine, every level exhaustive on its subgrid.
     """
-    cfg = cfg or SolverConfig()
+    _check_width("k_max", k_max)
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
     m = len(spec.types)
@@ -291,9 +281,7 @@ def brute_force_allocation(
     b = spec.budget
     loads = spec.loads
 
-    caps = [
-        _budget_axis_cap(t.speedup, loads[i], b, cfg.k_max) for i, t in enumerate(spec.types)
-    ]
+    caps = [_budget_axis_cap(t.speedup, loads[i], b, k_max) for i, t in enumerate(spec.types)]
     sizes = [int(math.floor((c - 1.0) / grid_step)) + 1 for c in caps]
     if max(sizes) > _MAX_AXIS_POINTS:
         raise BruteForceError(
@@ -338,15 +326,6 @@ def brute_force_allocation(
         picked = [int(idx_lists[d][coords[d]]) for d in range(len(idx_lists))]
         return float(total[flat]), picked, int(arg_last[j[flat]])
 
-    if not outer:
-        feasible = u_last <= b
-        if not feasible.any():
-            raise BruteForceError("no feasible grid point")
-        n_ok = int(np.searchsorted(u_last, b, side="right"))
-        j = int(np.argmin(obj_last[:n_ok]))
-        ks = np.array([1.0 + j * grid_step])
-        return _make_allocation(spec, ks, 0.0, cfg)
-
     windows = [(0, sizes[ax] - 1) for ax in outer]
     strides = [max(1, (hi - lo) // _ZOOM_POINTS + 1) for lo, hi in windows]
     best = None
@@ -378,18 +357,17 @@ def brute_force_allocation(
     for d, ax in enumerate(outer):
         ks[ax] = 1.0 + picked[d] * grid_step
     ks[last] = 1.0 + j_last * grid_step
-    return _make_allocation(spec, ks, 0.0, cfg)
+    return _make_allocation(spec, ks, 0.0, k_max=k_max)
 
 
 def pareto_frontier(
-    spec: WorkloadSpec, budgets, cfg: SolverConfig | None = None
+    spec: WorkloadSpec, budgets, *, k_max: float = DEFAULT_K_MAX
 ) -> list[ParetoPoint]:
     """Solve the allocation for each budget, ordered by budget.
 
     Infeasible budgets become per-point errors so partial frontiers still
     come out; the rest go through one multiplier search together and get
     the allocations ``solve_allocation`` would give them one at a time."""
-    cfg = cfg or SolverConfig()
     budgets = sorted(float(b) for b in budgets)
     errors: list[str | None] = []
     for b in budgets:
@@ -399,7 +377,7 @@ def pareto_frontier(
         except ValueError as exc:
             errors.append(str(exc))
     feasible = [b for b, err in zip(budgets, errors) if err is None]
-    solved = iter(_search(spec, np.array(feasible), cfg))
+    solved = iter(_search(spec, np.array(feasible), k_max=k_max))
     return [
         ParetoPoint(b, error=err) if err is not None else ParetoPoint(b, next(solved))
         for b, err in zip(budgets, errors)

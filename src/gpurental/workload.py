@@ -16,6 +16,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -124,6 +125,12 @@ class JobType:
         """Work arriving per hour: arrival_rate * mean job size."""
         return self.arrival_rate * self.size_dist.mean
 
+    @cached_property
+    def least_usage(self) -> float:
+        """GPUs the type uses at width 1, load / s(1); the axioms make
+        k / s(k) non-decreasing, so no width uses fewer."""
+        return self.load / self.speedup(1.0)
+
 
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -145,7 +152,8 @@ class WorkloadSpec:
 
     @property
     def total_load(self) -> float:
-        return float(self.loads.sum())
+        """The least GPU usage any plan reaches: every type at width 1."""
+        return float(np.array([t.least_usage for t in self.types]).sum())
 
     @property
     def total_rate(self) -> float:
@@ -192,15 +200,13 @@ def _first_bad_row(t: np.ndarray, ty: np.ndarray, x: np.ndarray) -> tuple[int, s
 class Trace:
     """A finite arrival sequence: parallel arrays sorted by arrival time.
 
-    ``seed`` records the generator seed for provenance and is 0 for traces
-    read from files; it is excluded from equality.  A row that breaks a
-    rule of ``_first_bad_row`` is refused, named by its index.
+    A row that breaks a rule of ``_first_bad_row`` is refused, named by its
+    index.
     """
 
     arrival_times: np.ndarray
     type_indices: np.ndarray
     sizes: np.ndarray
-    seed: int = 0
 
     def __post_init__(self):
         t = np.asarray(self.arrival_times, dtype=float)
@@ -265,7 +271,7 @@ def generate_trace(
         raise SpecError("job_count must be >= 0")
     m = len(spec.types)
     if job_count == 0:
-        return Trace(np.array([]), np.array([], dtype=np.int64), np.array([]), seed=seed)
+        return Trace(np.array([]), np.array([], dtype=np.int64), np.array([]))
 
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(m)]
     rates = np.array([t.arrival_rate for t in spec.types])
@@ -301,7 +307,7 @@ def generate_trace(
     all_sizes = np.concatenate([x for chunks in sizes for x in chunks])
     # Stable sort on time keeps tied events in type order, deterministically.
     order = np.argsort(all_times, kind="stable")[:job_count]
-    return Trace(all_times[order], all_types[order], all_sizes[order], seed=seed)
+    return Trace(all_times[order], all_types[order], all_sizes[order])
 
 
 def empirical_loads(trace: Trace, spec: WorkloadSpec) -> list[LoadEstimate]:
@@ -415,7 +421,7 @@ def _scan_trace(path) -> Trace:
         raise TraceError(reason, line=i + 2 + bisect_right(blank_at, i))
     if fault is not None:
         raise TraceError(fault[1], line=fault[0])
-    return Trace(*arrays, seed=0)
+    return Trace(*arrays)
 
 
 def _parse_size_dist(obj, where: str) -> SizeDistribution:

@@ -42,6 +42,19 @@ SINGLE_POWER_CONFIG = {
 }
 
 
+def edited(doc, where: tuple, value):
+    """A deep copy of doc with the item at the key path ``where`` set to
+    value; the empty path replaces the whole document."""
+    doc = json.loads(json.dumps(doc))
+    if not where:
+        return value
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    return doc
+
+
 def write_config(tmp_path, doc, name="spec.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc), encoding="utf-8")
@@ -123,6 +136,33 @@ class TestValidate:
         assert main(["validate", "--spec", path]) == 3
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "where, value, message",
+        [
+            ((), [1], "config root must be an object"),
+            (("types",), [], "'types' must be a non-empty list"),
+            (("types", 0), "sqrt", "types[0]: expected an object"),
+            (("types", 0, "arrival_rate"), "fast", "types[0].arrival_rate: expected a number"),
+            (("budget",), "lots", "budget: expected a number"),
+            (("types", 0, "size_dist"), {"kind": "lognormal"},
+             "types[0].size_dist.kind: unknown size distribution 'lognormal'"),
+            (("types", 0, "size_dist"), {"kind": "exponential", "mean": "big"},
+             "types[0].size_dist: could not convert string to float: 'big'"),
+            (("types", 0, "size_dist"), {"kind": "exponential", "mean": 0},
+             "type 'sqrt': exponential mean must be positive"),
+            (("types", 0, "size_dist"), {"kind": "weibull", "shape": 0, "scale": 1},
+             "type 'sqrt': weibull needs positive shape and scale"),
+            (("types", 0, "speedup"), {"kind": "tabular", "points": "1,1"},
+             "types[0].speedup.points: expected a list of [k, s] pairs"),
+        ],
+        ids=["root", "no-types", "type-entry", "arrival-rate", "budget", "size-kind",
+             "size-field", "exponential-mean", "weibull-shape", "tabular-points"],
+    )
+    def test_malformed_spec_exits_3(self, tmp_path, capsys, where, value, message):
+        path = write_config(tmp_path, edited(SINGLE_POWER_CONFIG, where, value))
+        assert main(["validate", "--spec", path]) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_bad_json_exits_3(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text("{not json", encoding="utf-8")
@@ -173,15 +213,62 @@ class TestSolve:
 @pytest.mark.parametrize("k_max", ["nan", "inf", "0.5"])
 @pytest.mark.parametrize(
     "command",
-    [["solve"], ["pareto", "--b-min", "2", "--b-max", "3", "--points", "2"]],
-    ids=["solve", "pareto"],
+    [["solve"], ["pareto", "--b-min", "2", "--b-max", "3", "--points", "2"],
+     ["simulate", "--policy", "fixed:2,2"], ["compare", "--policies", "cluster:4"]],
+    ids=["solve", "pareto", "simulate-fixed", "compare-cluster"],
 )
-def test_bad_k_max_exits_3(two_type_config_path, capsys, command, k_max):
+def test_bad_k_max_exits_3(tmp_path, two_type_config_path, capsys, command, k_max):
+    # simulate and compare check the cap even when no policy solves.
+    if command[0] in ("simulate", "compare"):
+        trace = tmp_path / "t.csv"
+        main(["gen-trace", "--spec", two_type_config_path, "--jobs", "10", "--seed", "5",
+              "--out", str(trace)])
+        capsys.readouterr()
+        command = command + ["--trace", str(trace)]
     rc = main(command + ["--spec", two_type_config_path, "--k-max", k_max])
     assert rc == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: k_max must be finite and >= 1, got {float(k_max)}\n"
+
+
+class TestUnnormalizedSpeedup:
+    """s(1) = 0.5: width 1 already uses 2 GPUs for load 1, so budgets below 2
+    are unstable in every command, and larger ones solve."""
+
+    @pytest.fixture()
+    def path(self, tmp_path):
+        slow = {
+            "name": "slow",
+            "speedup": {"kind": "tabular", "points": [[1, 0.5], [4, 1.5]]},
+            "arrival_rate": 1,
+            "size_dist": {"kind": "deterministic", "x": 1},
+        }
+        return write_config(tmp_path, {"types": [slow], "budget": 1.5})
+
+    def test_validate_exits_2(self, path, capsys):
+        assert main(["validate", "--spec", path]) == 2
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines()[-2:] == [
+            "stability: total load 2 >= budget 1.5", "FAILED: unstable workload"
+        ]
+
+    def test_solve_exits_2(self, path, capsys):
+        assert main(["solve", "--spec", path]) == 2
+        assert capsys.readouterr() == ("", "error: total load 2 >= budget 1.5\n")
+
+    def test_pareto_solves_the_stable_budgets(self, path, capsys):
+        rc = main(["pareto", "--spec", path, "--b-min", "1.2", "--b-max", "3", "--points", "4"])
+        assert rc == 0
+        assert capsys.readouterr() == (
+            "budget,mean_response_time,k_1\n"
+            "1.2,error: total load 2 >= budget 1.2,\n"
+            "1.8,error: total load 2 >= budget 1.8,\n"
+            "2.4,1.2,2\n"
+            "3,0.666666666667,4\n",
+            "",
+        )
 
 
 @pytest.mark.parametrize(
@@ -411,6 +498,20 @@ class TestSimulate:
             assert out == "", policy
             assert err.startswith("error: ") and err.count("\n") == 1, policy
 
+    @pytest.mark.parametrize("policy", ["fixed:a,2", "srf:8", "cluster:", "uniform:"])
+    def test_unparsable_policy_arguments_exit_3(self, two_type_config_path, trace_path, capsys,
+                                                policy):
+        capsys.readouterr()
+        rc = main(
+            ["simulate", "--spec", two_type_config_path, "--trace", trace_path,
+             "--policy", policy]
+        )
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: bad policy arguments in {policy!r}: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("k_max", ["nan", "inf"])
     def test_bad_k_max_with_optimal_exits_3(self, two_type_config_path, trace_path, capsys,
                                             k_max):
@@ -542,6 +643,14 @@ class TestPareto:
             "error: --b-min, --b-max and their difference must be finite, "
             f"got {float(b_min)} and {float(b_max)}\n",
         )
+
+    def test_no_points_exits_3(self, two_type_config_path, capsys):
+        rc = main(
+            ["pareto", "--spec", two_type_config_path, "--b-min", "1", "--b-max", "2",
+             "--points", "0"]
+        )
+        assert rc == 3
+        assert capsys.readouterr() == ("", "error: --points must be >= 1\n")
 
     def test_non_positive_finite_budget_is_a_row_error(self, two_type_config_path, capsys):
         rc = main(

@@ -13,7 +13,6 @@ from gpurental import (
     InstabilityError,
     JobType,
     PowerLaw,
-    SolverConfig,
     SpeedupFunction,
     Tabular,
     WorkloadSpec,
@@ -48,6 +47,18 @@ def cost_rate_inverse(jt, target, k_lo, k_hi):
     return 0.5 * (k_lo + k_hi)
 
 
+def unnormalized_spec(budget: float) -> WorkloadSpec:
+    """A table with s(1) = 2 (load 1, least usage 0.5) plus Amdahl(0.8)
+    (load 0.2): total load 0.7, where the loads alone sum to 1.2."""
+    return WorkloadSpec(
+        (
+            JobType("fast", Tabular(((1, 2), (4, 3))), 1.0, Deterministic(1.0)),
+            JobType("amdahl", Amdahl(0.8), 0.2, Deterministic(1.0)),
+        ),
+        budget=budget,
+    )
+
+
 class TestObjectiveAndBudget:
     def test_all_ones_gives_weighted_mean_size(self, two_type_spec):
         # s(1) = 1, so E[T] = total load / total rate = mean job size here.
@@ -59,6 +70,9 @@ class TestObjectiveAndBudget:
 
     def test_budget_all_ones_is_total_load(self, two_type_spec):
         assert budget_usage(two_type_spec, [1.0, 1.0]) == pytest.approx(0.8)
+        # With s(1) != 1, total load is still the usage at width 1, to the bit.
+        spec = unnormalized_spec(budget=0.9)
+        assert budget_usage(spec, [1.0, 1.0]) == spec.total_load == 0.7
 
     def test_single_power(self, single_power_spec):
         assert budget_usage(single_power_spec, [4.0]) == pytest.approx(1.0)
@@ -83,9 +97,8 @@ class TestInnerMinimize:
         assert inner_minimize(PowerLaw(0.5), 0.25) == 4.0
 
     def test_zero_multiplier_hits_cap(self):
-        cfg = SolverConfig()
         for f in (PowerLaw(0.5), Amdahl(0.8)):
-            assert inner_minimize(f, 0.0, cfg) == cfg.k_max
+            assert inner_minimize(f, 0.0) == DEFAULT_K_MAX
 
     def test_flat_tail_breaks_ties_left(self):
         # Speed saturates at k = 2; more GPUs buy nothing, so pick 2.
@@ -97,9 +110,18 @@ class TestInnerMinimize:
             inner_minimize(PowerLaw(0.5), -0.1)
 
     @pytest.mark.parametrize("k_max", [0.5, np.nan, np.inf])
-    def test_k_max_must_be_finite_and_at_least_one(self, k_max):
-        with pytest.raises(ValueError, match="k_max must be finite and >= 1"):
-            SolverConfig(k_max=k_max)
+    def test_k_max_must_be_finite_and_at_least_one(self, k_max, two_type_spec):
+        # Each solver entry point refuses it, whatever else it is given.
+        calls = (
+            lambda: inner_minimize(PowerLaw(0.5), 0.1, k_max=k_max),
+            lambda: solve_allocation(two_type_spec, k_max=k_max),
+            lambda: pareto_frontier(two_type_spec, [0.5, 2.0], k_max=k_max),
+            lambda: pareto_frontier(two_type_spec, [], k_max=k_max),
+            lambda: brute_force_allocation(two_type_spec, 0.1, k_max=k_max),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^k_max must be finite and >= 1, got {k_max}$"):
+                call()
 
     def test_amdahl_matches_calculus(self):
         # Stationarity of (1 + mu*k)/s(k) for Amdahl(p):
@@ -131,7 +153,7 @@ class TestClosedFormInner:
         else:
             rng = np.random.default_rng(seed)
             f = random_concave_tabular(rng, n_knots=int(rng.integers(1, 8)))
-        k = inner_minimize(f, mu, SolverConfig(k_max=k_max))
+        k = inner_minimize(f, mu, k_max=k_max)
         assert 1.0 <= k <= k_max
         grid = np.append(np.geomspace(1.0, k_max, 20_000), k_max)
         assert _g(f, mu, k) <= _g(f, mu, grid).min() * (1 + 1e-12)
@@ -145,15 +167,14 @@ class TestClosedFormInner:
     )
     @pytest.mark.parametrize("mu", [0.0, 0.3])
     def test_linear_or_faster_rides_the_cap(self, f, mu):
-        assert inner_minimize(f, mu, SolverConfig(k_max=64.0)) == 64.0
+        assert inner_minimize(f, mu, k_max=64.0) == 64.0
 
     def test_tabular_knots_beyond_cap(self):
         # Knots past k_max are clipped to it; s keeps rising up to 16.
         f = Tabular(((1, 1), (4, 3), (64, 10)))
-        cfg = SolverConfig(k_max=16.0)
-        assert inner_minimize(f, 0.0, cfg) == 16.0
-        assert inner_minimize(f, 0.05, cfg) == 4.0
-        assert inner_minimize(f, 10.0, cfg) == 1.0
+        assert inner_minimize(f, 0.0, k_max=16.0) == 16.0
+        assert inner_minimize(f, 0.05, k_max=16.0) == 4.0
+        assert inner_minimize(f, 10.0, k_max=16.0) == 1.0
 
     def test_tabular_first_knot_above_one(self):
         # s is held at s(2) = 2 below the first knot, so k = 1 is a candidate.
@@ -246,6 +267,25 @@ class TestSolve:
         assert a.multiplier == pytest.approx(0.125, rel=1e-12)
         assert a.budget_used <= 1.0 + 1e-9
 
+    def test_speed_above_one_at_width_one_matches_brute_force(self):
+        # The loads sum to 1.2 > 0.9, but the least usage is 0.7 < 0.9.
+        spec = unnormalized_spec(budget=0.9)
+        a = solve_allocation(spec)
+        bf = brute_force_allocation(spec, 1e-3)
+        assert a.budget_used <= spec.budget * (1 + 1e-9)
+        assert a.objective <= bf.objective
+        assert a.objective == pytest.approx(bf.objective, rel=1e-4)
+
+    def test_speed_below_one_at_width_one_is_unstable(self):
+        # s(1) = 0.5: width 1 already uses 2 GPUs for load 1.
+        f = Tabular(((1, 0.5), (4, 1.5)))
+        spec = WorkloadSpec((JobType("slow", f, 1.0, Deterministic(1.0)),), budget=1.5)
+        assert spec.total_load == 2.0
+        with pytest.raises(InstabilityError, match="^total load 2 >= budget 1.5$"):
+            solve_allocation(spec)
+        with pytest.raises(InstabilityError):
+            brute_force_allocation(spec, 0.01)
+
     def test_two_type_matches_brute_force(self, two_type_spec):
         a = solve_allocation(two_type_spec)
         bf = brute_force_allocation(two_type_spec, 1e-3)
@@ -273,8 +313,7 @@ class TestSolve:
         spec = WorkloadSpec(
             (JobType("a", Amdahl(0.8), 0.4, Deterministic(1.0)),), budget=10.0
         )
-        cfg = SolverConfig(k_max=64.0)
-        a = solve_allocation(spec, cfg)
+        a = solve_allocation(spec, k_max=64.0)
         assert a.ks[0] == pytest.approx(64.0, rel=1e-6)
         assert a.multiplier == 0.0
         assert a.cap_active
@@ -359,10 +398,9 @@ class TestSolve:
         rng = np.random.default_rng(11)
         for _ in range(10):
             spec = random_spec(rng, m=2, with_tabular=True)
-            cfg = SolverConfig()
             usages = []
             for mu in np.logspace(-4, 1.5, 25):
-                ks = [inner_minimize(t.speedup, mu, cfg) for t in spec.types]
+                ks = [inner_minimize(t.speedup, mu) for t in spec.types]
                 usages.append(budget_usage(spec, ks))
             usages = np.array(usages)
             assert np.all(np.diff(usages) <= 1e-9 * usages[:-1] + 1e-12)
