@@ -168,7 +168,7 @@ def _cmd_simulate(args) -> int:
     if args.per_job:
         _write_csv(args.per_job, "arrival,completion,response,gpu_hours", metrics.per_job)
     if args.timeseries:
-        _write_csv(args.timeseries, "t,K", _sample_k(rep, args.timeseries_step))
+        _write_csv(args.timeseries, "t,K", _sample_k(trace, rep, args.timeseries_step))
     return EXIT_OK
 
 

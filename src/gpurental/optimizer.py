@@ -14,7 +14,6 @@ the independent grid oracle used to cross-check the solver.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -23,7 +22,7 @@ import numpy as np
 from .errors import AxiomError, BruteForceError
 from .speedup import DEFAULT_K_MAX, SpeedupFunction, scalar_fn, validate
 from .speedup import _check_width
-from .workload import WorkloadSpec
+from .workload import WorkloadSpec, _check_budget, _check_stable
 
 _BUDGET_TOL = 1e-9  # relative slack on the budget; the mu search stops within it
 _BISECT_TOL = 1e-12  # relative mu bracket width at which the fill pass takes over
@@ -93,8 +92,8 @@ def merge_segments(k1: float, t1: float, k2: float, t2: float) -> float:
     job with this single width finishes the combined work no later and with
     no more GPU-hours, for any valid concave speedup.
     """
-    if t1 <= 0 or t2 <= 0:
-        raise ValueError("segment durations must be positive")
+    if not (0 < t1 < math.inf and 0 < t2 < math.inf):
+        raise ValueError(f"segment durations must be positive and finite, got {t1} and {t2}")
     _check_width("widths", (k1, k2))
     return (k1 * t1 + k2 * t2) / (t1 + t2)
 
@@ -108,8 +107,8 @@ def inner_minimize(f: SpeedupFunction, mu: float, *, k_max: float = DEFAULT_K_MA
     whose g is within 1e-12 of the minimum.
     """
     _check_width("k_max", k_max)
-    if mu < 0:
-        raise ValueError("multiplier must be >= 0")
+    if not mu >= 0:
+        raise ValueError(f"multiplier must be >= 0, got {mu}")
     with np.errstate(divide="ignore"):
         k, _ = f.minimizer(k_max)(np.array([float(mu)]))
     return float(k[0])
@@ -369,10 +368,12 @@ def pareto_frontier(
     come out; the rest go through one multiplier search together and get
     the allocations ``solve_allocation`` would give them one at a time."""
     budgets = sorted(float(b) for b in budgets)
+    load = spec.total_load
     errors: list[str | None] = []
     for b in budgets:
         try:
-            dataclasses.replace(spec, budget=b).check_stability()
+            _check_budget(b)
+            _check_stable(load, b)
             errors.append(None)
         except ValueError as exc:
             errors.append(str(exc))

@@ -13,12 +13,12 @@ first goes first.  Each present job is one record, kept in arrival order;
 its work and GPU-hours go to the outputs once, when it completes.  A grant
 depends only on m, the number of jobs present (equal split: C/m each), or on
 a job's rank by remaining work (SRF: min(k_cap, what is left), in rank
-order), so grants, their speed per job type, and K(t) are computed once per m
-or rank and then looked up.
+order), so grants and their speed per job type are computed once per m or
+rank and then looked up.
 
-K(t), the number of GPUs rented at time t, is piecewise constant between
-events; its integral and the per-job GPU-hours are computed exactly.
-K(t) is right-continuous: at the instant a job completes, it is gone.
+K(t), the number of GPUs rented at time t, depends only on the jobs present,
+so it is built from arrivals and completions, and only when sampled.  It is
+right-continuous: at the instant a job completes, it is gone.
 
 One replay is strictly sequential (event-ordered); distinct replays share
 no state and may run concurrently.
@@ -111,8 +111,10 @@ class _Replay:
     completions: np.ndarray
     gpu_hours: np.ndarray
     work_done: np.ndarray
-    seg_times: np.ndarray  # K(t) == seg_k[i] on [seg_times[i], seg_times[i+1])
-    seg_k: np.ndarray
+    # K(t) sums job_k over the jobs present.  A pooled policy sets job_k to 1
+    # and rents k_by_count[min(m, len(k_by_count) - 1)] GPUs with m present.
+    job_k: np.ndarray
+    k_by_count: np.ndarray | None = None
 
 
 def _extended_speed(f, at_one: float):
@@ -129,25 +131,11 @@ def _extended_speed(f, at_one: float):
     return speed
 
 
-def _segments_from_deltas(times: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    uniq, inv = np.unique(times, return_inverse=True)
-    k_after = np.cumsum(np.bincount(inv, weights=deltas))
-    if uniq.size == 0 or uniq[0] > 0.0:
-        uniq = np.concatenate([[0.0], uniq])
-        k_after = np.concatenate([[0.0], k_after])
-    return uniq, k_after
-
-
 def _replay_fixed(trace: Trace, spec: WorkloadSpec, widths: np.ndarray) -> _Replay:
     speeds_per_type = np.array([t.speedup(k) for t, k in zip(spec.types, widths)])
     k_job = widths[trace.type_indices]
     durations = trace.sizes / speeds_per_type[trace.type_indices]
-    completions = trace.arrival_times + durations
-    gpu_hours = k_job * durations
-    times = np.concatenate([trace.arrival_times, completions])
-    deltas = np.concatenate([k_job, -k_job])
-    seg_times, seg_k = _segments_from_deltas(times, deltas)
-    return _Replay(completions, gpu_hours, trace.sizes.copy(), seg_times, seg_k)
+    return _Replay(trace.arrival_times + durations, k_job * durations, trace.sizes.copy(), k_job)
 
 
 _remaining = itemgetter(0)
@@ -167,20 +155,17 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
 
     # Grants are looked up, not recomputed.  Equal split: m -> (C/m, speed
     # per type).  SRF: the grant by rank, which no m changes, and its speed
-    # per type, extended while the pool lasts (later ranks wait), and K by m.
+    # per type, extended while the pool lasts (later ranks wait).
     share_of: dict[int, tuple[float, list[float]]] = {}
     rank_alloc: list[float] = []
     rank_speed: list[list[float]] = []
     left = pool
-    k_of: dict[int, float] = {}
 
     completions = np.zeros(n)
     gpu_hours = np.zeros(n)
     work_done = np.zeros(n)
 
     jobs: list[list] = []  # [rem, work, gpu_hours, alloc, speed, idx], in arrival order
-    seg_times = [0.0]
-    seg_k = [0.0]
     t = 0.0
     i_next = 0
 
@@ -219,8 +204,8 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
 
         m = len(jobs)
         if m == 0:
-            k_now = 0.0
-        elif equal_split:
+            continue
+        if equal_split:
             row = share_of.get(m)
             if row is None:
                 share = pool / m
@@ -229,7 +214,6 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
             for job in jobs:
                 job[3] = share
                 job[4] = speeds[arr_ty[job[5]]]
-            k_now = pool
         else:
             # A stable sort of the arrival-ordered list ranks by (remaining,
             # arrival).  It is a copy: reordering ``jobs`` would change which
@@ -245,24 +229,16 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
                 job[4] = speeds[arr_ty[job[5]]]
             for job in ranked[len(rank_alloc):]:
                 job[3] = job[4] = 0.0
-            k_now = k_of.get(m)
-            if k_now is None:
-                k_now = k_of[m] = math.fsum(rank_alloc[:m])
-        if t == seg_times[-1]:
-            seg_k[-1] = k_now
-        else:
-            seg_times.append(t)
-            seg_k.append(k_now)
 
-    return _Replay(completions, gpu_hours, work_done, np.array(seg_times), np.array(seg_k))
+    if equal_split:
+        k_by_count = [0.0, pool]
+    else:
+        k_by_count = [math.fsum(rank_alloc[:j]) for j in range(len(rank_alloc) + 1)]
+    return _Replay(completions, gpu_hours, work_done, np.ones(n), np.array(k_by_count))
 
 
 def _replay(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay:
     trace.check_against(spec)
-    if len(trace) == 0:
-        return _Replay(
-            np.array([]), np.array([]), np.array([]), np.array([0.0]), np.array([0.0])
-        )
     if not isinstance(policy, FixedWidth):
         return _replay_cluster(trace, spec, policy)
     if len(policy.ks) != len(spec.types):
@@ -293,7 +269,17 @@ def _measure(trace: Trace, rep: _Replay, collect_per_job: bool) -> SimMetrics:
     )
 
 
-def _sample_k(rep: _Replay, sample_step: float) -> np.ndarray:
+def _k_steps(trace: Trace, rep: _Replay) -> tuple[np.ndarray, np.ndarray]:
+    """K(t) as (times, ks): K(t) == ks[i] on [times[i], times[i+1]), times[0] == 0."""
+    times = np.concatenate([[0.0], trace.arrival_times, rep.completions])
+    times, inv = np.unique(times, return_inverse=True)
+    ks = np.cumsum(np.bincount(inv, weights=np.concatenate([[0.0], rep.job_k, -rep.job_k])))
+    if rep.k_by_count is not None:
+        ks = rep.k_by_count.take(ks.astype(np.intp), mode="clip")
+    return times, ks
+
+
+def _sample_k(trace: Trace, rep: _Replay, sample_step: float) -> np.ndarray:
     if not 0.0 < sample_step < math.inf:
         raise ValueError(f"sample_step must be positive and finite, got {sample_step}")
     horizon = float(rep.completions.max()) if len(rep.completions) else 0.0
@@ -305,9 +291,8 @@ def _sample_k(rep: _Replay, sample_step: float) -> np.ndarray:
             f"more than {MAX_TIMESERIES_SAMPLES}"
         )
     ts = np.arange(count) * sample_step
-    idx = np.searchsorted(rep.seg_times, ts, side="right") - 1
-    ks = rep.seg_k[np.maximum(idx, 0)]
-    return np.column_stack([ts, ks])
+    times, ks = _k_steps(trace, rep)
+    return np.column_stack([ts, ks[np.searchsorted(times, ts, side="right") - 1]])
 
 
 def simulate(
@@ -348,4 +333,4 @@ def budget_timeseries(
     finite, or that needs more than MAX_TIMESERIES_SAMPLES samples, is
     refused before they are allocated.
     """
-    return _sample_k(_replay(trace, spec, policy), sample_step)
+    return _sample_k(trace, _replay(trace, spec, policy), sample_step)

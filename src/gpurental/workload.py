@@ -143,8 +143,7 @@ class WorkloadSpec:
         if len(self.types) == 0:
             raise SpecError("workload needs at least one job type")
         object.__setattr__(self, "types", tuple(self.types))
-        if not (self.budget > 0 and math.isfinite(self.budget)):
-            raise SpecError(f"budget must be positive and finite, got {self.budget}")
+        _check_budget(self.budget)
 
     @property
     def loads(self) -> np.ndarray:
@@ -161,10 +160,17 @@ class WorkloadSpec:
 
     def check_stability(self) -> None:
         """The system can only keep up if total load is strictly below budget."""
-        if self.total_load >= self.budget:
-            raise InstabilityError(
-                f"total load {self.total_load:.6g} >= budget {self.budget:.6g}"
-            )
+        _check_stable(self.total_load, self.budget)
+
+
+def _check_budget(budget: float) -> None:
+    if not (budget > 0 and math.isfinite(budget)):
+        raise SpecError(f"budget must be positive and finite, got {budget}")
+
+
+def _check_stable(load: float, budget: float) -> None:
+    if load >= budget:
+        raise InstabilityError(f"total load {load:.6g} >= budget {budget:.6g}")
 
 
 def _first_bad_row(t: np.ndarray, ty: np.ndarray, x: np.ndarray) -> tuple[int, str] | None:

@@ -1,7 +1,10 @@
 """The pooled-baseline replay as it stood before the per-job-record loop in
 ``gpurental.simulator``, kept verbatim as the oracle for tests only: parallel
 per-job lists, a full reallocation and a ``math.fsum`` of K(t) at every
-event.  The current loop must reproduce its arrays bit for bit.
+event.  It returns its arrays by name, K(t) as ``seg_times`` and ``seg_k``
+(K(t) == seg_k[i] on [seg_times[i], seg_times[i+1])).  The current loop,
+with K(t) built from its arrivals and completions, must reproduce them bit
+for bit.
 """
 
 from __future__ import annotations
@@ -15,13 +18,12 @@ from gpurental.simulator import (
     SmallestRemainingFirst,
     StaticClusterEqualSplit,
     _extended_speed,
-    _Replay,
 )
 from gpurental.speedup import scalar_fn
 from gpurental.workload import Trace, WorkloadSpec
 
 
-def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay:
+def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> dict[str, np.ndarray]:
     n = len(trace)
     arr_t = trace.arrival_times
     arr_ty = trace.type_indices
@@ -106,4 +108,10 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
             seg_times.append(t)
             seg_k.append(k_now)
 
-    return _Replay(completions, gpu_hours, work_done, np.array(seg_times), np.array(seg_k))
+    return {
+        "completions": completions,
+        "gpu_hours": gpu_hours,
+        "work_done": work_done,
+        "seg_times": np.array(seg_times),
+        "seg_k": np.array(seg_k),
+    }

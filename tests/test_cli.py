@@ -463,17 +463,32 @@ class TestSimulate:
         assert per_job.read_bytes() == (tmp_path / "jobs2.csv").read_bytes()
         assert series.read_bytes() == (tmp_path / "k2.csv").read_bytes()
 
-    def test_empty_trace_writes_header_only(self, tmp_path, two_type_config_path, capsys):
+    @pytest.mark.parametrize("policy", ["srf:8,4", "cluster:4", "fixed:2,2"])
+    def test_empty_trace_writes_header_only(self, tmp_path, two_type_config_path, capsys,
+                                            policy):
         trace = tmp_path / "empty.csv"
         trace.write_text("arrival_time,type,size\n", encoding="utf-8")
         per_job, series = tmp_path / "jobs.csv", tmp_path / "k.csv"
         rc = main(
             ["simulate", "--spec", two_type_config_path, "--trace", str(trace),
-             "--policy", "srf:8,4", "--per-job", str(per_job), "--timeseries", str(series)]
+             "--policy", policy, "--per-job", str(per_job), "--timeseries", str(series)]
         )
         assert rc == 0
         assert per_job.read_bytes() == b"arrival,completion,response,gpu_hours\n"
         assert series.read_bytes() == b"t,K\n0,0\n"
+
+    @pytest.mark.parametrize("rows", ["", "0,0,1\n"], ids=["empty", "one-row"])
+    def test_width_count_checked_on_every_trace(self, tmp_path, two_type_config_path, capsys,
+                                                rows):
+        trace = tmp_path / "t.csv"
+        trace.write_text("arrival_time,type,size\n" + rows, encoding="utf-8")
+        capsys.readouterr()
+        for argv in (["simulate", "--policy", "fixed:2"],
+                     ["compare", "--policies", "cluster:4;fixed:2"]):
+            rc = main(argv + ["--spec", two_type_config_path, "--trace", str(trace)])
+            out, err = capsys.readouterr()
+            assert (rc, out) == (3, ""), argv
+            assert err == "error: policy has 1 widths but workload has 2 types\n", argv
 
     def test_cluster_and_srf_policies(self, two_type_config_path, trace_path, capsys):
         for policy in ("cluster:4", "srf:4,2"):

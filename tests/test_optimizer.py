@@ -91,6 +91,9 @@ class TestObjectiveAndBudget:
 class TestInnerMinimize:
     def test_boundary_minimum(self):
         assert inner_minimize(PowerLaw(0.5), 1.0) == pytest.approx(1.0)
+        # An infinite price on GPUs buys the least width, for every family.
+        for f in (PowerLaw(0.5), Amdahl(0.8), Tabular(((1, 1), (2, 2), (8, 2)))):
+            assert inner_minimize(f, np.inf) == 1.0
 
     def test_stationary_point(self):
         # d/dk (1 + mu*k)/sqrt(k) = 0 at k = 1/mu
@@ -106,8 +109,10 @@ class TestInnerMinimize:
         assert inner_minimize(f, 0.0) == 2.0
 
     def test_negative_multiplier_rejected(self):
-        with pytest.raises(ValueError):
-            inner_minimize(PowerLaw(0.5), -0.1)
+        for mu in (-0.1, np.nan):
+            for f in (PowerLaw(0.5), Amdahl(0.8), Tabular(((1, 1), (2, 2), (8, 2)))):
+                with pytest.raises(ValueError, match=f"^multiplier must be >= 0, got {mu}$"):
+                    inner_minimize(f, mu)
 
     @pytest.mark.parametrize("k_max", [0.5, np.nan, np.inf])
     def test_k_max_must_be_finite_and_at_least_one(self, k_max, two_type_spec):
@@ -456,10 +461,10 @@ class TestMergeSegments:
         assert merge_segments(2.0, 1.0, 5.0, 3.0) == pytest.approx(4.25)
 
     def test_non_positive_duration(self):
-        with pytest.raises(ValueError):
-            merge_segments(2.0, 0.0, 3.0, 1.0)
-        with pytest.raises(ValueError):
-            merge_segments(2.0, 1.0, 3.0, -1.0)
+        for t1, t2 in ((0.0, 1.0), (1.0, -1.0), (np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0),
+                       (1.0, np.inf)):
+            with pytest.raises(ValueError, match="^segment durations must be positive and finite"):
+                merge_segments(2.0, t1, 3.0, t2)
 
     @pytest.mark.parametrize("k", [0.5, np.nan, np.inf])
     def test_widths_must_be_finite_and_at_least_one(self, k):
@@ -499,10 +504,17 @@ class TestPareto:
         assert all(k <= 1.01 for k in ks)
 
     def test_infeasible_budgets_become_errors(self, two_type_spec):
-        pts = pareto_frontier(two_type_spec, [0.5, 0.8, 2.0])
-        assert pts[0].error is not None and pts[0].allocation is None
-        assert pts[1].error is not None  # equality is unstable too
-        assert pts[2].allocation is not None
+        pts = pareto_frontier(two_type_spec, [-1.0, 0.5, 0.8, 2.0])
+        assert [p.error for p in pts[:3]] == [
+            "budget must be positive and finite, got -1.0",
+            "total load 0.8 >= budget 0.5",
+            "total load 0.8 >= budget 0.8",  # equality is unstable too
+        ]
+        assert all(p.allocation is None for p in pts[:3])
+        assert pts[3].allocation is not None and pts[3].error is None
+        for b in (np.nan, np.inf):
+            (pt,) = pareto_frontier(two_type_spec, [b])
+            assert pt.error == f"budget must be positive and finite, got {b}"
 
     def test_results_sorted_by_budget(self, two_type_spec):
         pts = pareto_frontier(two_type_spec, [3.0, 1.0, 2.0])

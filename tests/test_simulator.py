@@ -22,7 +22,7 @@ from gpurental import (
     solve_allocation,
 )
 from gpurental import simulator
-from gpurental.simulator import _replay, _replay_cluster
+from gpurental.simulator import _k_steps, _replay, _replay_cluster
 from reference_replay import _replay_cluster as reference_replay_cluster
 
 ALL_POLICIES = [
@@ -31,9 +31,6 @@ ALL_POLICIES = [
     StaticClusterEqualSplit(4.0),
     SmallestRemainingFirst(4.0, 3.0),
 ]
-
-
-REPLAY_FIELDS = ("completions", "gpu_hours", "work_done", "seg_times", "seg_k")
 
 
 def empty_trace():
@@ -64,9 +61,23 @@ def assert_work_conserved(tr, spec):
         assert np.all(err <= 1e-9 * np.maximum(1.0, tr.sizes)), type(pol).__name__
 
 
+def replay_arrays(tr, rep):
+    """A replay's per-job arrays and its K(t) steps, named as the reference
+    oracle names them."""
+    seg_times, seg_k = _k_steps(tr, rep)
+    return {
+        "completions": rep.completions,
+        "gpu_hours": rep.gpu_hours,
+        "work_done": rep.work_done,
+        "seg_times": seg_times,
+        "seg_k": seg_k,
+    }
+
+
 def assert_same_replay(a, b):
-    for field in REPLAY_FIELDS:
-        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    assert a.keys() == b.keys()
+    for field in a:
+        assert np.array_equal(a[field], b[field]), field
 
 
 class TestPolicyTypes:
@@ -95,12 +106,15 @@ class TestPolicyTypes:
         tr = generate_trace(two_type_spec, 300, seed=8)
         a = _replay(tr, two_type_spec, SmallestRemainingFirst(3.5, 3.5))
         b = _replay(tr, two_type_spec, SmallestRemainingFirst(3.5, 1e300))
-        assert_same_replay(a, b)
+        assert_same_replay(replay_arrays(tr, a), replay_arrays(tr, b))
 
     def test_dimension_mismatch_detected(self, two_type_spec):
-        tr = Trace(np.array([0.0]), np.array([0]), np.array([1.0]))
-        with pytest.raises(SpecError):
-            simulate(tr, two_type_spec, FixedWidth((2.0,)))
+        # An empty trace is no exception.
+        for tr in (Trace(np.array([0.0]), np.array([0]), np.array([1.0])), empty_trace()):
+            with pytest.raises(SpecError, match="^policy has 1 widths but workload has 2 types$"):
+                simulate(tr, two_type_spec, FixedWidth((2.0,)))
+            with pytest.raises(SpecError, match="^policy has 1 widths but workload has 2 types$"):
+                budget_timeseries(tr, two_type_spec, FixedWidth((2.0,)), 0.5)
 
     def test_trace_spec_mismatch(self, two_type_spec):
         tr = Trace(np.array([0.0]), np.array([7]), np.array([1.0]))
@@ -197,10 +211,14 @@ class TestDynamicPolicies:
         # all finish together at t=2 (work 1 at speed 0.5)
         assert m.per_job[:, 1] == pytest.approx(2.0)
 
-    def test_cluster_budget_never_exceeds_c(self, two_type_spec):
+    @pytest.mark.parametrize(
+        "pol", [StaticClusterEqualSplit(4.0), SmallestRemainingFirst(4.0, 1.5)],
+        ids=["cluster", "srf"],
+    )
+    def test_cluster_budget_never_exceeds_c(self, two_type_spec, pol):
         tr = generate_trace(two_type_spec, 3000, seed=8)
-        rep = _replay(tr, two_type_spec, StaticClusterEqualSplit(4.0))
-        assert rep.seg_k.max() <= 4.0 + 1e-9
+        _, ks = _k_steps(tr, _replay(tr, two_type_spec, pol))
+        assert ks.max() <= 4.0 + 1e-9
 
     def test_srf_grants_and_queueing(self, two_type_spec):
         # cluster 2, cap 2: the smaller job takes both GPUs, larger waits.
@@ -213,8 +231,8 @@ class TestDynamicPolicies:
     def test_srf_splits_pool_leftover(self, two_type_spec):
         # cluster 3, cap 2: smallest gets 2, next gets the leftover 1.
         tr = Trace(np.array([0.0, 0.0]), np.array([1, 1]), np.array([1.0, 4.0]))
-        rep = _replay(tr, two_type_spec, SmallestRemainingFirst(3.0, 2.0))
-        assert rep.seg_k[np.searchsorted(rep.seg_times, 0.0, side="right") - 1] == pytest.approx(3.0)
+        times, ks = _k_steps(tr, _replay(tr, two_type_spec, SmallestRemainingFirst(3.0, 2.0)))
+        assert ks[np.searchsorted(times, 0.0, side="right") - 1] == pytest.approx(3.0)
 
     def test_work_conservation_every_policy(self, two_type_spec):
         assert_work_conserved(generate_trace(two_type_spec, 3000, seed=21), two_type_spec)
@@ -240,7 +258,8 @@ class TestDynamicPolicies:
         tr = generate_trace(two_type_spec, 3000, seed=22)
         for pol in ALL_POLICIES:
             rep = _replay(tr, two_type_spec, pol)
-            integral = float((rep.seg_k[:-1] * np.diff(rep.seg_times)).sum())
+            times, ks = _k_steps(tr, rep)
+            integral = float((ks[:-1] * np.diff(times)).sum())
             total = float(rep.gpu_hours.sum())
             assert integral == pytest.approx(total, rel=1e-9), type(pol).__name__
 
@@ -257,14 +276,15 @@ class TestDynamicPolicies:
 
 
 class TestReplayMatchesReference:
-    """The pooled replay against the loop it replaced, bit for bit."""
+    """The pooled replay, with K(t) built from its arrivals and completions,
+    against the loop it replaced, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(tr=tie_heavy_traces(), pool=pool_sizes(1, 8), cap=pool_sizes(1, 4))
     def test_drawn_traces(self, two_type_spec, tr, pool, cap):
         for pol in (StaticClusterEqualSplit(pool), SmallestRemainingFirst(pool, cap)):
             assert_same_replay(
-                _replay_cluster(tr, two_type_spec, pol),
+                replay_arrays(tr, _replay_cluster(tr, two_type_spec, pol)),
                 reference_replay_cluster(tr, two_type_spec, pol),
             )
 
@@ -278,7 +298,7 @@ class TestReplayMatchesReference:
         assert sizes[0] / speeds[0] == sizes[1] / speeds[1]
         pol = SmallestRemainingFirst(6.0, 3.0)
         assert_same_replay(
-            _replay_cluster(tr, two_type_spec, pol),
+            replay_arrays(tr, _replay_cluster(tr, two_type_spec, pol)),
             reference_replay_cluster(tr, two_type_spec, pol),
         )
 
@@ -291,7 +311,7 @@ class TestReplayMatchesReference:
     def test_generated_trace(self, two_type_spec, pol):
         tr = generate_trace(two_type_spec, 3000, seed=31)
         assert_same_replay(
-            _replay_cluster(tr, two_type_spec, pol),
+            replay_arrays(tr, _replay_cluster(tr, two_type_spec, pol)),
             reference_replay_cluster(tr, two_type_spec, pol),
         )
 
@@ -318,6 +338,27 @@ class TestCompare:
 
 
 class TestBudgetTimeseries:
+    def test_k_built_only_when_sampled(self, two_type_spec, monkeypatch):
+        tr = generate_trace(two_type_spec, 200, seed=5)
+        k_steps, calls = simulator._k_steps, []
+
+        def refuse(*args):
+            raise AssertionError("K(t) built but not sampled")
+
+        def counted(*args):
+            calls.append(args)
+            return k_steps(*args)
+
+        monkeypatch.setattr(simulator, "_k_steps", refuse)
+        for pol in ALL_POLICIES:
+            simulate(tr, two_type_spec, pol)
+        compare_policies(tr, two_type_spec, ALL_POLICIES)
+        monkeypatch.setattr(simulator, "_k_steps", counted)
+        for n, pol in enumerate(ALL_POLICIES, start=1):
+            budget_timeseries(tr, two_type_spec, pol, 0.5)
+            assert len(calls) == n
+        assert all(args[0] is tr for args in calls)
+
     def test_empty_trace_all_zero(self, two_type_spec):
         ts = budget_timeseries(empty_trace(), two_type_spec, FixedWidth((1.0, 1.0)), 0.5)
         assert np.all(ts[:, 1] == 0.0)
