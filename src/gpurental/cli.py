@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 validation failure (from ``validate``, or a speedup
 that fails the axioms in a command that solves), 2 instability (total load
->= budget), 3 I/O or parse errors.  All numbers are printed with 12 significant
-digits so repeated runs with the same inputs are byte-identical.
+>= budget, or >= the pool of a ``cluster``/``srf`` policy), 3 I/O or parse
+errors.  All numbers are printed with 12 significant digits so repeated runs
+with the same inputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .simulator import (
     SimMetrics,
     SmallestRemainingFirst,
     StaticClusterEqualSplit,
+    _check_pool,
     _measure,
     _replay,
     _sample_k,
@@ -108,6 +110,16 @@ def parse_policy(text: str, spec: WorkloadSpec, k_max: float) -> Policy:
     raise SpecError(f"unknown policy {text!r}")
 
 
+def _check_pools(spec: WorkloadSpec, labels, policies) -> None:
+    """Refuse, before any replay, a pooled policy that cannot keep up, by
+    the label it was given."""
+    for label, policy in zip(labels, policies):
+        try:
+            _check_pool(spec, policy)
+        except InstabilityError as exc:
+            raise InstabilityError(f"policy {label!r}: {exc}") from None
+
+
 def _cmd_validate(args) -> int:
     spec = load_spec(args.spec)
     axioms_ok = True
@@ -160,6 +172,7 @@ def _cmd_simulate(args) -> int:
     trace = read_trace(args.trace)
     _check_width("k_max", args.k_max)
     policy = parse_policy(args.policy, spec, args.k_max)
+    _check_pools(spec, [args.policy], [policy])
     # One replay serves the metrics and the K(t) samples: what simulate and
     # budget_timeseries would each compute from their own replay.
     rep = _replay(trace, spec, policy)
@@ -211,6 +224,7 @@ def _cmd_compare(args) -> int:
     if not labels:
         raise SpecError("--policies must name at least one policy")
     policies = [parse_policy(s, spec, args.k_max) for s in labels]
+    _check_pools(spec, labels, policies)
     results = compare_policies(trace, spec, policies)
     row = ("{},{},{}," + _numbers(2) + "\n").format
     rows = ["policy,job_count,mean_response_time,time_avg_budget,total_gpu_hours\n"]

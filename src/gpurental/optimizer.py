@@ -367,7 +367,7 @@ def pareto_frontier(
     Infeasible budgets become per-point errors so partial frontiers still
     come out; the rest go through one multiplier search together and get
     the allocations ``solve_allocation`` would give them one at a time."""
-    budgets = sorted(float(b) for b in budgets)
+    budgets = np.sort([float(b) for b in budgets], kind="stable").tolist()  # NaN last
     load = spec.total_load
     errors: list[str | None] = []
     for b in budgets:

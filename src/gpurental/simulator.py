@@ -16,6 +16,17 @@ a job's rank by remaining work (SRF: min(k_cap, what is left), in rank
 order), so grants and their speed per job type are computed once per m or
 rank and then looked up.
 
+Most jobs at moderate load never share the pool.  A job that arrives to an
+empty pool runs alone on the first grant: the pool under equal split,
+min(k_cap, C) under SRF.  If that solo run, size / s(first), lasts no longer
+than the gap to the next arrival, the job completes first (the tie rule
+above) and the next job also finds the pool empty.  So every job's solo
+outcome is computed up front in one vectorised step, each value by the same
+single floating-point operation the loop would do, and whenever the loop
+finds the pool empty it jumps to the next arrival that outlasts its gap.
+The loop thus runs only on busy periods of two or more jobs, and its results
+are bit for bit those of replaying every job through it.
+
 K(t), the number of GPUs rented at time t, depends only on the jobs present,
 so it is built from arrivals and completions, and only when sampled.  It is
 right-continuous: at the instant a job completes, it is gone.
@@ -34,7 +45,7 @@ import numpy as np
 
 from .errors import SpecError
 from .speedup import _check_width, scalar_fn
-from .workload import Trace, WorkloadSpec
+from .workload import Trace, WorkloadSpec, _check_stable
 
 MAX_TIMESERIES_SAMPLES = 10**7  # ~160 MB of (t, K) rows
 
@@ -131,8 +142,29 @@ def _extended_speed(f, at_one: float):
     return speed
 
 
+def _check_speeds(spec: WorkloadSpec, widths, speeds) -> None:
+    """Refuse a type whose speed at the width it is granted is not finite."""
+    for jt, k, s in zip(spec.types, widths, speeds):
+        if not s < math.inf:
+            raise SpecError(f"type {jt.name!r}: speed at width {k:.6g} is not finite")
+
+
+def _speed_row(spec: WorkloadSpec, speed_of, a: float) -> list[float]:
+    """Each type's speed on a grant of a GPUs, refused if not finite."""
+    row = []
+    for f in speed_of:
+        try:
+            row.append(f(a))
+        except OverflowError:  # a float power past the largest double
+            row.append(math.inf)
+    _check_speeds(spec, [a] * len(row), row)
+    return row
+
+
 def _replay_fixed(trace: Trace, spec: WorkloadSpec, widths: np.ndarray) -> _Replay:
-    speeds_per_type = np.array([t.speedup(k) for t, k in zip(spec.types, widths)])
+    with np.errstate(over="ignore"):
+        speeds_per_type = np.array([t.speedup(k) for t, k in zip(spec.types, widths)])
+    _check_speeds(spec, widths, speeds_per_type)
     k_job = widths[trace.type_indices]
     durations = trace.sizes / speeds_per_type[trace.type_indices]
     return _Replay(trace.arrival_times + durations, k_job * durations, trace.sizes.copy(), k_job)
@@ -143,9 +175,6 @@ _remaining = itemgetter(0)
 
 def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay:
     n = len(trace)
-    arr_t = trace.arrival_times.tolist()
-    arr_ty = trace.type_indices.tolist()
-    arr_x = trace.sizes.tolist()
     speed_of = [
         _extended_speed(scalar_fn(t.speedup), scalar_fn(t.speedup)(1.0)) for t in spec.types
     ]
@@ -155,21 +184,42 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
 
     # Grants are looked up, not recomputed.  Equal split: m -> (C/m, speed
     # per type).  SRF: the grant by rank, which no m changes, and its speed
-    # per type, extended while the pool lasts (later ranks wait).
-    share_of: dict[int, tuple[float, list[float]]] = {}
-    rank_alloc: list[float] = []
-    rank_speed: list[list[float]] = []
-    left = pool
+    # per type, extended while the pool lasts (later ranks wait).  Both start
+    # from the first grant, which a job alone in the pool holds.
+    first = pool if equal_split else min(k_cap, pool)
+    solo_speeds = _speed_row(spec, speed_of, first)
+    share_of: dict[int, tuple[float, list[float]]] = {1: (first, solo_speeds)}
+    rank_alloc: list[float] = [first]
+    rank_speed: list[list[float]] = [solo_speeds]
+    left = pool - first
 
-    completions = np.zeros(n)
-    gpu_hours = np.zeros(n)
-    work_done = np.zeros(n)
+    # Every job's outcome if it runs alone; the loop overwrites those of jobs
+    # in busy periods.  Each job in ``outlasts`` runs alone past the next
+    # arrival (the last job always fits); a busy period starts at one.
+    job_speed = np.array(solo_speeds)[trace.type_indices]
+    solo = trace.sizes / job_speed
+    completions = trace.arrival_times + solo
+    work_done = job_speed * solo
+    gpu_hours = first * solo
+    outlasts = np.flatnonzero(solo[:-1] > np.diff(trace.arrival_times))
+    del job_speed, solo  # before the list copies, so that peak memory stays flat
 
+    arr_t = trace.arrival_times.tolist()
+    arr_ty = trace.type_indices.tolist()
+    arr_x = trace.sizes.tolist()
     jobs: list[list] = []  # [rem, work, gpu_hours, alloc, speed, idx], in arrival order
     t = 0.0
     i_next = 0
+    p, n_outlasts = 0, len(outlasts)  # outlasts[p] is the next busy period's start
 
-    while jobs or i_next < n:
+    while True:
+        if not jobs:
+            # The pool is empty: skip the jobs that run alone.
+            while p < n_outlasts and outlasts[p] < i_next:
+                p += 1
+            if p == n_outlasts:
+                break
+            i_next = int(outlasts[p])
         dt_arr = arr_t[i_next] - t if i_next < n else math.inf
         dt = math.inf
         done = None
@@ -209,7 +259,7 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
             row = share_of.get(m)
             if row is None:
                 share = pool / m
-                row = share_of[m] = (share, [f(share) for f in speed_of])
+                row = share_of[m] = (share, _speed_row(spec, speed_of, share))
             share, speeds = row
             for job in jobs:
                 job[3] = share
@@ -223,7 +273,7 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
                 a = min(k_cap, left)
                 left -= a
                 rank_alloc.append(a)
-                rank_speed.append([f(a) for f in speed_of])
+                rank_speed.append(_speed_row(spec, speed_of, a))
             for job, a, speeds in zip(ranked, rank_alloc, rank_speed):
                 job[3] = a
                 job[4] = speeds[arr_ty[job[5]]]
@@ -237,8 +287,18 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
     return _Replay(completions, gpu_hours, work_done, np.ones(n), np.array(k_by_count))
 
 
+def _check_pool(spec: WorkloadSpec, policy: Policy) -> None:
+    """A pooled policy keeps up only if the total load is below its pool.
+    With m jobs present each holds at most C/m GPUs, and once that is below
+    one a job runs at (C/m) * s(1): the pool then serves no faster than C
+    GPUs of width-1 jobs, which need the total load's GPUs to keep up."""
+    if not isinstance(policy, FixedWidth):
+        _check_stable(spec.total_load, policy.cluster_size)
+
+
 def _replay(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay:
     trace.check_against(spec)
+    _check_pool(spec, policy)
     if not isinstance(policy, FixedWidth):
         return _replay_cluster(trace, spec, policy)
     if len(policy.ks) != len(spec.types):
@@ -306,6 +366,10 @@ def simulate(
     Every job runs to completion, including those still in flight past the
     last arrival; the time-average budget divides by the last completion
     time, over which K(t) is identically zero afterwards.
+
+    A pooled policy whose pool is at or below the total load cannot keep up
+    and raises InstabilityError before any replay; a type whose speed at a
+    width the policy grants is not finite raises SpecError.
     """
     return _measure(trace, _replay(trace, spec, policy), collect_per_job)
 

@@ -678,6 +678,83 @@ class TestPareto:
         assert lines[2].startswith("4,") and "error" not in lines[2]
 
 
+def edited_config(tmp_path, config_path, *edits):
+    """The config at config_path with each (key path, value) edit applied,
+    written to a new file."""
+    with open(config_path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for where, value in edits:
+        doc = edited(doc, where, value)
+    return write_config(tmp_path, doc, "edited.json")
+
+
+def refuse_replays(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("replayed before every pool was checked")
+
+    monkeypatch.setattr(simulator, "_replay_cluster", refuse)
+    monkeypatch.setattr(simulator, "_replay_fixed", refuse)
+
+
+class TestPooledRefusals:
+    """A pool at or below the total load exits 2, naming the policy, before
+    any replay; a type whose speed at a granted width is not finite exits 3."""
+
+    @pytest.fixture()
+    def doubled(self, tmp_path, two_type_config_path):
+        """two_type with both arrival rates doubled: total load 1.6."""
+        return edited_config(tmp_path, two_type_config_path,
+                             (("types", 0, "arrival_rate"), 0.8),
+                             (("types", 1, "arrival_rate"), 0.8))
+
+    @pytest.fixture()
+    def trace_path(self, tmp_path, doubled):
+        out = tmp_path / "t.csv"
+        main(["gen-trace", "--spec", doubled, "--jobs", "2000", "--seed", "1",
+              "--out", str(out)])
+        return str(out)
+
+    def test_simulate_unstable_pool_exits_2(self, doubled, trace_path, capsys, monkeypatch):
+        refuse_replays(monkeypatch)
+        capsys.readouterr()
+        for policy, pool in (("cluster:1", "1"), ("srf:1.5,1", "1.5")):
+            rc = main(["simulate", "--spec", doubled, "--trace", trace_path,
+                       "--policy", policy])
+            out, err = capsys.readouterr()
+            assert (rc, out) == (2, ""), policy
+            assert err == f"error: policy {policy!r}: total load 1.6 >= budget {pool}\n"
+
+    def test_compare_names_the_unstable_policy_before_any_replay(
+        self, doubled, trace_path, capsys, monkeypatch
+    ):
+        refuse_replays(monkeypatch)
+        capsys.readouterr()
+        rc = main(["compare", "--spec", doubled, "--trace", trace_path,
+                   "--policies", "uniform:2;cluster:8;cluster:1;srf:1,1"])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err == "error: policy 'cluster:1': total load 1.6 >= budget 1\n"
+
+    def test_stable_pools_still_replay(self, doubled, trace_path, capsys):
+        rc = main(["compare", "--spec", doubled, "--trace", trace_path,
+                   "--policies", "cluster:1.7;srf:8,4"])
+        assert rc == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
+    @pytest.mark.parametrize("policy", ["cluster:4", "srf:8,4", "fixed:4,4", "uniform:4"])
+    def test_infinite_speed_exits_3(self, tmp_path, two_type_config_path, capsys, policy):
+        # k**717 overflows a double at k = 4.
+        spec = edited_config(tmp_path, two_type_config_path,
+                             (("types", 1, "speedup", "alpha"), 717))
+        trace = tmp_path / "t.csv"
+        trace.write_text("arrival_time,type,size\n0,1,1\n", encoding="utf-8")
+        capsys.readouterr()
+        rc = main(["simulate", "--spec", spec, "--trace", str(trace), "--policy", policy])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (3, "")
+        assert err == "error: type 'sqrt': speed at width 4 is not finite\n"
+
+
 class TestCompare:
     def test_comparison_csv(self, tmp_path, two_type_config_path):
         trace = tmp_path / "t.csv"

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -519,6 +520,15 @@ class TestPareto:
     def test_results_sorted_by_budget(self, two_type_spec):
         pts = pareto_frontier(two_type_spec, [3.0, 1.0, 2.0])
         assert [p.budget for p in pts] == [1.0, 2.0, 3.0]
+
+    def test_nan_budget_sorts_last(self, two_type_spec):
+        # As np.sort orders them; sorted() would leave 3, nan, 1, 2 as given.
+        pts = pareto_frontier(two_type_spec, [3.0, np.nan, 1.0, 2.0])
+        assert [p.budget for p in pts[:3]] == [1.0, 2.0, 3.0]
+        assert math.isnan(pts[3].budget)
+        assert pts[3].allocation is None
+        assert pts[3].error == "budget must be positive and finite, got nan"
+        assert all(p.allocation is not None for p in pts[:3])
 
     def test_monotone_frontier(self, two_type_spec):
         budgets = np.linspace(0.85, 4.0, 15)

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from gpurental import (
     Deterministic,
+    Exponential,
     FixedWidth,
+    InstabilityError,
     JobType,
     PowerLaw,
     SmallestRemainingFirst,
@@ -48,6 +50,20 @@ def tie_heavy_traces(draw):
     sizes = draw(st.lists(st.sampled_from([0.1, 0.5, 1.0, 1.05, 2.0, 3.0]),
                           min_size=n, max_size=n))
     return Trace(np.array(times), np.array(types), np.array(sizes))
+
+
+@st.composite
+def spread_out_traces(draw):
+    """1-14 jobs of the two-type spec with gaps from none to long, so that
+    jobs that run alone alternate with busy periods, and solo durations
+    (size / s(first)) often equal a gap exactly."""
+    n = draw(st.integers(1, 14))
+    gaps = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 10.0]) | st.floats(0.0, 10.0),
+                         min_size=n, max_size=n))
+    types = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    sizes = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]) | st.floats(0.01, 5.0),
+                          min_size=n, max_size=n))
+    return Trace(np.cumsum(gaps), np.array(types), np.array(sizes))
 
 
 def pool_sizes(lo, hi):
@@ -314,6 +330,140 @@ class TestReplayMatchesReference:
             replay_arrays(tr, _replay_cluster(tr, two_type_spec, pol)),
             reference_replay_cluster(tr, two_type_spec, pol),
         )
+
+
+class TestBusyPeriods:
+    """Jobs that run alone take their solo outcome; the loop runs only on
+    busy periods.  Each case is checked against the reference loop, which
+    replays every job, bit for bit."""
+
+    # Both grant 4 GPUs to a job alone; two jobs present each get less than
+    # that under equal split, and the second in rank gets 2 under SRF.
+    POOLED = [StaticClusterEqualSplit(4.0), SmallestRemainingFirst(6.0, 4.0)]
+
+    def assert_matches_reference(self, tr, spec, pol):
+        rep = _replay_cluster(tr, spec, pol)
+        assert_same_replay(replay_arrays(tr, rep), reference_replay_cluster(tr, spec, pol))
+        return rep
+
+    @settings(max_examples=300, deadline=None)
+    @given(tr=spread_out_traces(), pool=pool_sizes(1, 8), cap=pool_sizes(1, 4))
+    def test_spread_out_traces(self, two_type_spec, tr, pool, cap):
+        for pol in (StaticClusterEqualSplit(pool), SmallestRemainingFirst(pool, cap)):
+            self.assert_matches_reference(tr, two_type_spec, pol)
+
+    @pytest.mark.parametrize("pol", POOLED, ids=str)
+    def test_solo_run_equal_to_the_gap_completes_first(self, two_type_spec, pol):
+        # Alone on 4 GPUs a size-2 sqrt job runs at 2 for exactly the gap of
+        # 1: it completes as the next job arrives, so that one runs alone too.
+        tr = Trace(np.array([0.0, 1.0]), np.array([1, 1]), np.array([2.0, 2.0]))
+        rep = self.assert_matches_reference(tr, two_type_spec, pol)
+        assert rep.completions.tolist() == [1.0, 2.0]
+        assert rep.gpu_hours.tolist() == [4.0, 4.0]
+        # One ulp more work and the two share the pool.
+        tr = Trace(np.array([0.0, 1.0]), np.array([1, 1]), np.array([np.nextafter(2.0, 3.0), 2.0]))
+        rep = self.assert_matches_reference(tr, two_type_spec, pol)
+        assert rep.completions[0] > 1.0
+
+    def test_srf_budget_timeseries_when_every_job_runs_alone(self, two_type_spec):
+        # The first SRF grant, 4 of the 8 GPUs, is K(t) while a job runs,
+        # though the event loop never runs.
+        tr = Trace(np.array([0.0, 5.0, 10.0]), np.array([0, 1, 1]), np.array([1.0, 1.0, 3.0]))
+        pol = SmallestRemainingFirst(8.0, 4.0)
+        self.assert_matches_reference(tr, two_type_spec, pol)
+        ts = budget_timeseries(tr, two_type_spec, pol, 0.25)
+        ref = reference_replay_cluster(tr, two_type_spec, pol)
+        ref_k = ref["seg_k"][np.searchsorted(ref["seg_times"], ts[:, 0], side="right") - 1]
+        assert np.array_equal(ts[:, 1], ref_k)
+        assert ts[0, 1] == 4.0 and ts[:, 1].max() == 4.0 and ts[-1, 1] == 0.0
+
+    @pytest.mark.parametrize("pol", POOLED, ids=str)
+    def test_last_job_alone(self, two_type_spec, pol):
+        # Jobs 0 and 1 share the pool; the last job arrives long after.
+        tr = Trace(np.array([0.0, 0.1, 5.0]), np.array([1, 0, 1]), np.array([1.0, 1.0, 1.0]))
+        rep = self.assert_matches_reference(tr, two_type_spec, pol)
+        assert rep.completions[1] > 0.1 + 1.0 / two_type_spec.types[0].speedup(4.0)
+        assert rep.completions[2] == 5.0 + 1.0 / 2.0
+
+    @pytest.mark.parametrize("pol", POOLED, ids=str)
+    def test_last_job_in_a_busy_period(self, two_type_spec, pol):
+        # Job 0 runs alone; jobs 1 and 2 share the pool, and the last job
+        # completes after its solo time.
+        tr = Trace(np.array([0.0, 5.0, 5.1]), np.array([1, 1, 0]), np.array([1.0, 1.0, 1.0]))
+        rep = self.assert_matches_reference(tr, two_type_spec, pol)
+        assert rep.completions[0] == 0.5
+        assert rep.completions[2] > 5.1 + 1.0 / two_type_spec.types[0].speedup(4.0)
+
+    @pytest.mark.parametrize("pol", POOLED, ids=str)
+    def test_empty_trace(self, two_type_spec, pol):
+        self.assert_matches_reference(empty_trace(), two_type_spec, pol)
+        m = simulate(empty_trace(), two_type_spec, pol)
+        assert (m.job_count, m.mean_response_time, m.total_gpu_hours) == (0, None, 0.0)
+        assert budget_timeseries(empty_trace(), two_type_spec, pol, 0.5).tolist() == [[0.0, 0.0]]
+
+    @pytest.mark.parametrize(
+        "pol",
+        [StaticClusterEqualSplit(8.0), SmallestRemainingFirst(8.0, 4.0),
+         StaticClusterEqualSplit(1.25), SmallestRemainingFirst(1.25, 1.0)],
+        ids=str,
+    )
+    def test_periodic_arrivals(self, two_type_spec, pol):
+        tr = generate_trace(two_type_spec, 2000, seed=32, arrivals="periodic")
+        self.assert_matches_reference(tr, two_type_spec, pol)
+
+
+def doubled_rates(spec, factor=2.0):
+    """spec with every arrival rate multiplied by factor."""
+    return WorkloadSpec(
+        tuple(JobType(t.name, t.speedup, t.arrival_rate * factor, t.size_dist)
+              for t in spec.types),
+        budget=spec.budget * factor,
+    )
+
+
+class TestPooledRefusals:
+    def test_pool_below_load_refused_before_any_replay(self, two_type_spec, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("replayed an unstable pool")
+
+        monkeypatch.setattr(simulator, "_replay_cluster", refuse)
+        spec = doubled_rates(two_type_spec)  # load 1.6
+        tr = generate_trace(spec, 200, seed=3)
+        for pol, pool in ((StaticClusterEqualSplit(1.0), "1"),
+                          (SmallestRemainingFirst(1.5, 1.0), "1.5")):
+            with pytest.raises(InstabilityError, match=f"^total load 1.6 >= budget {pool}$"):
+                simulate(tr, spec, pol)
+            with pytest.raises(InstabilityError, match=f"^total load 1.6 >= budget {pool}$"):
+                budget_timeseries(tr, spec, pol, 1.0)
+
+    def test_pool_equal_to_load_refused(self, two_type_spec):
+        spec = doubled_rates(two_type_spec, 1.25)  # load 1.0
+        tr = generate_trace(spec, 50, seed=4)
+        with pytest.raises(InstabilityError, match="^total load 1 >= budget 1$"):
+            simulate(tr, spec, StaticClusterEqualSplit(1.0))
+        assert simulate(tr, spec, StaticClusterEqualSplit(1.0 + 1e-9)).job_count == 50
+
+    def test_fixed_widths_need_no_pool(self, two_type_spec):
+        spec = doubled_rates(two_type_spec)
+        tr = generate_trace(spec, 50, seed=5)
+        assert simulate(tr, spec, FixedWidth((1.0, 1.0))).job_count == 50
+
+    @pytest.mark.parametrize(
+        "pol", [StaticClusterEqualSplit(4.0), SmallestRemainingFirst(8.0, 4.0),
+                FixedWidth((4.0, 4.0)), FixedWidth((1.0, 4.0))],
+        ids=str,
+    )
+    def test_infinite_speed_refused(self, two_type_spec, pol):
+        # 4**717 overflows a double; 2**717 does not.
+        blowup = JobType("steep", PowerLaw(717.0), 0.4, Exponential(1.0))
+        spec = WorkloadSpec((two_type_spec.types[0], blowup), budget=2.0)
+        tr = generate_trace(spec, 20, seed=6)
+        for call in (lambda: simulate(tr, spec, pol),
+                     lambda: budget_timeseries(tr, spec, pol, 1.0)):
+            with pytest.raises(SpecError, match="^type 'steep': speed at width 4 is not finite$"):
+                call()
+        assert simulate(tr, spec, FixedWidth((4.0, 2.0))).job_count == 20
+        assert simulate(tr, spec, SmallestRemainingFirst(8.0, 2.0)).job_count == 20
 
 
 class TestCompare:
