@@ -6,9 +6,13 @@ subject to the time-average GPU usage sum_i rho_i * k_i / s_i(k_i) <= b.
 
 ``solve_allocation`` relaxes the budget with a multiplier mu.  The per-type
 penalized cost (1 + mu*k) / s(k) has an exact minimizer for each speedup
-family, so only mu is searched: one bisection, vectorised over an array of
-budgets, that ``pareto_frontier`` runs once per sweep and
-``solve_allocation`` runs for one budget.  ``brute_force_allocation`` is
+family, and the usage of those minimizers is piecewise in mu: constant, or
+a sum of powers of mu, between breakpoints each family names.  So mu is
+found exactly, with no bisection: the piece on which usage crosses the
+budget is located among the breakpoints, and the equation on it is solved
+in closed form or by a few monotone Newton steps.  ``pareto_frontier``
+runs this search once per sweep, vectorised over its budgets, and
+``solve_allocation`` runs it for one budget.  ``brute_force_allocation`` is
 the independent grid oracle used to cross-check the solver.
 """
 
@@ -24,8 +28,7 @@ from .speedup import DEFAULT_K_MAX, SpeedupFunction, scalar_fn, validate
 from .speedup import _check_width
 from .workload import WorkloadSpec, _check_budget, _check_stable
 
-_BUDGET_TOL = 1e-9  # relative slack on the budget; the mu search stops within it
-_BISECT_TOL = 1e-12  # relative mu bracket width at which the fill pass takes over
+_BUDGET_TOL = 1e-9  # relative slack on the budget; the fill pass stops within it
 _MAX_AXIS_POINTS = 30_000_000  # largest grid axis the oracle will enumerate
 
 
@@ -118,8 +121,8 @@ def _fill_budget(spec: WorkloadSpec, b: float, ks: np.ndarray, ks_upper: np.ndar
     """Raise widths toward ``ks_upper``, type by type, until the budget ``b`` binds.
 
     Tabular speedups need this: their minimizers jump from knot to knot, so
-    the bisection brackets the multiplier while usage jumps across the
-    budget, leaving slack that this pass spends at constant marginal cost.
+    usage can jump across the budget at a breakpoint of the multiplier,
+    leaving slack that this pass spends at constant marginal cost.
     """
     ks = ks.copy()
     for i, t in enumerate(spec.types):
@@ -148,13 +151,24 @@ def _make_allocation(spec: WorkloadSpec, ks: np.ndarray, mu: float, *, k_max: fl
 def _search(spec: WorkloadSpec, budgets: np.ndarray, *, k_max: float) -> list[Allocation]:
     """Optimal allocation of ``spec`` at each of ``budgets`` (all stable).
 
-    Usage of the per-type minimizers is non-increasing in mu.  A budget that
-    usage at mu = 0 meets is slack.  Otherwise its bracket [0, 1] grows x4
-    until usage at the top fits, then halves until usage is within
-    _BUDGET_TOL of the budget; if the bracket gets narrower than _BISECT_TOL,
-    or its midpoint equals an endpoint, first, the fill pass spends what is
-    left.  Each budget does the arithmetic it would do alone, so a
-    one-budget call gives the same bits as a sweep.
+    Usage U(mu) of the per-type minimizers is non-increasing in mu and
+    piecewise: between consecutive breakpoints (every type's, plus 0 and
+    inf) each type's usage is constant or load * (a * mu**-e + c), its
+    family's ``power_term``.  U is evaluated at every breakpoint in one
+    call per type.  A budget that U(0) meets is slack.  Otherwise the first
+    breakpoint whose usage fits ends the piece on which U crosses the
+    budget, and on that piece C + sum_j A_j * mu**-e_j = b is solved: in
+    closed form, mu = (sum A / (b - C))**(1/e), when the active exponents
+    agree, else by Newton's method in log mu.  That function is convex and
+    decreasing in log mu, so Newton started left of the root rises
+    monotonically to it; the start is the larger of the piece's left end
+    and the root of each term alone, and the iteration stops when a step
+    makes no progress.  If usage instead jumps across the budget at the
+    piece's right end (a tabular width changes there), mu is that
+    breakpoint and the fill pass raises the jumping widths back toward
+    their left-side values until the budget binds.  Each budget does the
+    arithmetic it would do alone, so a one-budget call gives the same bits
+    as a sweep.
 
     A bad ``k_max`` raises SpecError first.  The minimizers assume the
     speedup axioms, so a type whose speedup fails ``validate`` raises
@@ -167,52 +181,73 @@ def _search(spec: WorkloadSpec, budgets: np.ndarray, *, k_max: float) -> list[Al
             check = next(c for c in report.checks() if not c.passed)
             raise AxiomError(f"type {t.name!r}: speedup is not {check.name}: {check.detail}")
     b = np.asarray(budgets, dtype=float)
-    n, m = len(b), len(spec.types)
-    minimizers = [t.speedup.minimizer(k_max) for t in spec.types]
+    fs = [t.speedup for t in spec.types]
+    minimizers = [f.minimizer(k_max) for f in fs]
     loads = spec.loads
 
     def widths(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ks, speeds = np.empty((n, m)), np.empty((n, m))
+        ks, speeds = np.empty((len(mu), len(fs))), np.empty((len(mu), len(fs)))
         for i, minimizer in enumerate(minimizers):
             ks[:, i], speeds[:, i] = minimizer(mu)
-        return ks, (loads * ks / speeds).sum(axis=1)  # as budget_usage sums it
+        return ks, loads * ks / speeds  # each type's usage, as budget_usage has it
+
+    bps = np.array(sorted({0.0, math.inf}.union(*(f.breakpoints(k_max) for f in fs))))
+    with np.errstate(divide="ignore"):
+        ks_bp, use_bp = widths(bps)
+    # The first breakpoint whose usage fits the budget; 0 when it is slack.
+    j = np.searchsorted(-np.minimum.accumulate(use_bp.sum(axis=1)), -b)
+
+    # Piece p runs from bps[p] to bps[p + 1].  On it a type whose power term
+    # is active uses load * (a * mu**-e + c); any other type's usage is
+    # constant, its value at the piece's left end.
+    none = (math.inf, -math.inf, 0.0, 0.0, 0.0)
+    lo, hi, a, e, c = np.array([f.power_term(k_max) or none for f in fs]).T
+    left, right = bps[:-1], bps[1:]
+    active = (lo <= left[:, None]) & (right[:, None] <= hi)
+    coef = np.where(active, loads * a, 0.0)
+    const = np.where(active, loads * c, use_bp[:-1]).sum(axis=1)
+
+    rows = np.flatnonzero(j > 0)
+    p = j[rows] - 1
+    A, C, target, mu_lo, mu_hi = coef[p], const[p], b[rows], left[p], right[p]
+    jump = C + (A * mu_hi[:, None] ** -e).sum(axis=1) > target
+    mu = np.zeros(len(b))
+    mu[rows] = mu_hi
+
+    # The other pieces have an active term: a constant piece's usage is its
+    # left end's, which exceeds the budget, so it ends in a jump.
+    A, C, target, mu_lo, mu_hi = A[~jump], C[~jump], target[~jump], mu_lo[~jump], mu_hi[~jump]
+    on = A > 0.0
+    e_lo = np.where(on, e, math.inf).min(axis=1)
+    closed = e_lo == np.where(on, e, -math.inf).max(axis=1)
+    todo = np.flatnonzero(~closed)
+    with np.errstate(divide="ignore"):
+        x = np.log(A.sum(axis=1) / (target - C)) / e_lo  # log mu, in closed form
+        # Newton starts at the larger of the left end and the roots of the
+        # terms alone; at each such root the other terms add usage, so it
+        # lies left of the piece's root.
+        alone = np.log(A[todo] / (target[todo] - C[todo])[:, None]) / np.where(on[todo], e, 1.0)
+        x[todo] = np.maximum(np.log(mu_lo[todo]), alone.max(axis=1))
+    x_hi = np.log(mu_hi)
+    e_on = np.where(on, e, 0.0)
+    while todo.size:
+        terms = A[todo] * np.exp(-e_on[todo] * x[todo, None])
+        step = (C[todo] + terms.sum(axis=1) - target[todo]) / (e * terms).sum(axis=1)
+        x_next = np.minimum(x[todo] + step, x_hi[todo])
+        moved = x_next > x[todo]
+        x[todo[moved]] = x_next[moved]
+        todo = todo[moved]
+    mu[rows[~jump]] = np.clip(np.exp(x), mu_lo, mu_hi)
 
     with np.errstate(divide="ignore"):
-        ks0, u = widths(np.zeros(n))
-        binding = u > b * (1.0 + _BUDGET_TOL)
-        mu_lo, mu_hi, ks_lo = np.zeros(n), np.ones(n), ks0
-        ks_hi, u = widths(mu_hi)
-        grow = binding & (u > b)
-        while grow.any():
-            if np.isinf(mu_hi).any():
-                raise RuntimeError("budget multiplier bracket did not close")
-            mu_lo, ks_lo = np.where(grow, mu_hi, mu_lo), np.where(grow[:, None], ks_hi, ks_lo)
-            mu_hi = np.where(grow, 4.0 * mu_hi, mu_hi)
-            ks_hi, u = widths(mu_hi)
-            grow &= u > b
-
-        hit = np.zeros(n, dtype=bool)
-        active = binding
-        while True:
-            mid = 0.5 * (mu_lo + mu_hi)
-            wide = mu_hi - mu_lo > _BISECT_TOL * mu_hi
-            active = active & wide & (mu_lo < mid) & (mid < mu_hi)
-            if not active.any():
-                break
-            ks_mid, u = widths(mid)
-            now = active & (np.abs(u - b) <= _BUDGET_TOL * b)
-            over = active & (u > b) & ~now
-            under = active & ~over
-            mu_lo, ks_lo = np.where(over, mid, mu_lo), np.where(over[:, None], ks_mid, ks_lo)
-            mu_hi, ks_hi = np.where(under, mid, mu_hi), np.where(under[:, None], ks_mid, ks_hi)
-            hit |= now
-            active = active & ~now
-
-    ks = np.where(binding[:, None], ks_hi, ks0)
-    for j in np.flatnonzero(binding & ~hit):
-        ks[j] = _fill_budget(spec, float(b[j]), ks_hi[j], ks_lo[j])
-    mu = np.where(binding, mu_hi, 0.0)
-    return [_make_allocation(spec, ks[j], mu[j], k_max=k_max) for j in range(n)]
+        ks, _ = widths(mu)
+    # A jumping width may rise back to its left-side value; a smooth one is
+    # continuous and stays.
+    smooth = np.isfinite(lo)
+    for r, q in zip(rows[jump], p[jump]):
+        upper = np.where(smooth, ks_bp[q + 1], ks_bp[q])
+        ks[r] = _fill_budget(spec, float(b[r]), ks[r], upper)
+    return [_make_allocation(spec, ks[r], mu[r], k_max=k_max) for r in range(len(b))]
 
 
 def solve_allocation(spec: WorkloadSpec, *, k_max: float = DEFAULT_K_MAX) -> Allocation:

@@ -166,8 +166,11 @@ def _replay_fixed(trace: Trace, spec: WorkloadSpec, widths: np.ndarray) -> _Repl
         speeds_per_type = np.array([t.speedup(k) for t, k in zip(spec.types, widths)])
     _check_speeds(spec, widths, speeds_per_type)
     k_job = widths[trace.type_indices]
-    durations = trace.sizes / speeds_per_type[trace.type_indices]
-    return _Replay(trace.arrival_times + durations, k_job * durations, trace.sizes.copy(), k_job)
+    with np.errstate(over="ignore"):  # _check_finite refuses what overflows
+        durations = trace.sizes / speeds_per_type[trace.type_indices]
+        return _Replay(
+            trace.arrival_times + durations, k_job * durations, trace.sizes.copy(), k_job
+        )
 
 
 _remaining = itemgetter(0)
@@ -197,10 +200,11 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
     # in busy periods.  Each job in ``outlasts`` runs alone past the next
     # arrival (the last job always fits); a busy period starts at one.
     job_speed = np.array(solo_speeds)[trace.type_indices]
-    solo = trace.sizes / job_speed
-    completions = trace.arrival_times + solo
-    work_done = job_speed * solo
-    gpu_hours = first * solo
+    with np.errstate(over="ignore"):  # _check_finite refuses what overflows
+        solo = trace.sizes / job_speed
+        completions = trace.arrival_times + solo
+        work_done = job_speed * solo
+        gpu_hours = first * solo
     outlasts = np.flatnonzero(solo[:-1] > np.diff(trace.arrival_times))
     del job_speed, solo  # before the list copies, so that peak memory stays flat
 
@@ -248,6 +252,10 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
             work_done[i] = done[1]
             gpu_hours[i] = done[2]
         else:
+            if i_next == n:  # no job present completes in finite time
+                for job in jobs:
+                    completions[job[5]] = math.inf
+                break
             t = arr_t[i_next]
             jobs.append([arr_x[i_next], 0.0, 0.0, 0.0, 0.0, i_next])
             i_next += 1
@@ -296,16 +304,29 @@ def _check_pool(spec: WorkloadSpec, policy: Policy) -> None:
         _check_stable(spec.total_load, policy.cluster_size)
 
 
+def _check_finite(rep: _Replay) -> None:
+    """Refuse a replay in which a job's completion time or GPU-hours is not
+    finite, naming its line in the trace CSV (row i is line i + 2)."""
+    bad = ~((rep.completions < math.inf) & (rep.gpu_hours < math.inf))
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = "completion time" if not rep.completions[i] < math.inf else "GPU-hours"
+        raise SpecError(f"trace line {i + 2}: job {what} is not finite")
+
+
 def _replay(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay:
     trace.check_against(spec)
     _check_pool(spec, policy)
     if not isinstance(policy, FixedWidth):
-        return _replay_cluster(trace, spec, policy)
-    if len(policy.ks) != len(spec.types):
+        rep = _replay_cluster(trace, spec, policy)
+    elif len(policy.ks) != len(spec.types):
         raise SpecError(
             f"policy has {len(policy.ks)} widths but workload has {len(spec.types)} types"
         )
-    return _replay_fixed(trace, spec, np.asarray(policy.ks))
+    else:
+        rep = _replay_fixed(trace, spec, np.asarray(policy.ks))
+    _check_finite(rep)
+    return rep
 
 
 def _measure(trace: Trace, rep: _Replay, collect_per_job: bool) -> SimMetrics:
@@ -313,7 +334,11 @@ def _measure(trace: Trace, rep: _Replay, collect_per_job: bool) -> SimMetrics:
     if n == 0:
         return SimMetrics(0, None, 0.0, 0.0, per_job=None)
     responses = rep.completions - trace.arrival_times
-    total = float(rep.gpu_hours.sum())
+    with np.errstate(over="ignore"):
+        total = float(rep.gpu_hours.sum())
+        mean_response = float(responses.mean())
+    if not (total < math.inf and mean_response < math.inf):
+        raise SpecError("the replay's total GPU-hours or mean response time overflows")
     horizon = float(rep.completions.max())
     per_job = None
     if collect_per_job:
@@ -322,7 +347,7 @@ def _measure(trace: Trace, rep: _Replay, collect_per_job: bool) -> SimMetrics:
         )
     return SimMetrics(
         job_count=n,
-        mean_response_time=float(responses.mean()),
+        mean_response_time=mean_response,
         time_avg_budget=total / horizon,
         total_gpu_hours=total,
         per_job=per_job,

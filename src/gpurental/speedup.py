@@ -40,8 +40,10 @@ def _check_width(what: str, value) -> None:
 
 class SpeedupFunction:
     """Base class; subclasses provide ``_value`` vectorized over k >= 1 and,
-    for the solver, their family's closed-form ``minimizer`` and the widths
-    ``axiom_ks`` on which ``validate`` decides the axioms."""
+    for the solver, their family's closed-form ``minimizer`` with the
+    ``breakpoints`` and ``power_term`` that describe its usage as a function
+    of mu, and the widths ``axiom_ks`` on which ``validate`` decides the
+    axioms."""
 
     def _value(self, k: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -59,9 +61,22 @@ class SpeedupFunction:
 
         The family's constants are computed once, here.  mu = 0 divides by
         zero on purpose (the width goes to the cap); callers silence that
-        warning.
+        warning.  mu = inf gives width 1, or the cap where s is linear.
         """
         raise TypeError(f"no closed-form minimizer for speedup {type(self).__name__}")
+
+    def breakpoints(self, k_max: float) -> tuple[float, ...]:
+        """The multipliers mu > 0 at which ``minimizer``'s width changes
+        form: between two consecutive ones the width is constant or follows
+        ``power_term``.  By default, the ends of ``power_term``."""
+        term = self.power_term(k_max)
+        return () if term is None else term[:2]
+
+    def power_term(self, k_max: float) -> tuple[float, float, float, float, float] | None:
+        """(lo, hi, a, e, c) such that on lo <= mu <= hi the minimizing
+        width k has k / s(k) = a * mu**-e + c; None when the width is
+        piecewise constant in mu."""
+        return None
 
     def __call__(self, k):
         """Evaluate s(k). Accepts a float or an ndarray; k must be >= 1."""
@@ -72,6 +87,12 @@ class SpeedupFunction:
         if arr.ndim == 0:
             return float(out)
         return out
+
+
+def _fixed_width(f: SpeedupFunction, k: float):
+    """A ``minimizer`` whose width k does not depend on mu."""
+    s = f._value(np.float64(k))
+    return lambda mu: (np.full_like(mu, k), np.full_like(mu, s))
 
 
 @dataclass(frozen=True)
@@ -94,17 +115,28 @@ class Amdahl(SpeedupFunction):
         return _SMOOTH_AXIOM_KS
 
     def minimizer(self, k_max: float):
-        # g'(k) = 0 where mu*(1-p)*k^2 = p; p = 1 is linear (g decreasing).
+        # g'(k) = 0 where mu*(1-p)*k^2 = p.  The ends are constant in mu:
+        # s = 1 (p = 0) runs no faster wider, and s = k (p = 1) makes g
+        # decreasing, so the cap.
         p = self.parallel_fraction
-        if p == 0.0:  # s = 1: a wider job costs more and runs no faster
-            return lambda mu: (np.ones_like(mu), np.ones_like(mu))
-        r = p / (1.0 - p) if p < 1.0 else math.inf
+        if p == 0.0 or p == 1.0:
+            return _fixed_width(self, 1.0 if p == 0.0 else k_max)
+        r = p / (1.0 - p)
 
         def widths(mu):
             k = np.minimum(np.maximum(np.sqrt(r / mu), 1.0), k_max)
             return k, self._value(k)
 
         return widths
+
+    def power_term(self, k_max: float):
+        # Between the cap (mu = r/k_max^2) and width 1 (mu = r),
+        # k/s(k) = (1-p)*k + p with k = sqrt(r/mu).
+        p = self.parallel_fraction
+        if p == 0.0 or p == 1.0:
+            return None
+        r = p / (1.0 - p)
+        return r / (k_max * k_max), r, (1.0 - p) * math.sqrt(r), 0.5, p
 
 
 @dataclass(frozen=True)
@@ -133,16 +165,27 @@ class PowerLaw(SpeedupFunction):
 
     def minimizer(self, k_max: float):
         # g'(k) = 0 where mu*(1-alpha)*k = alpha; alpha >= 1 keeps g
-        # decreasing.  The solver refuses alpha > 1, so that side is reached
-        # only by calling the minimizer directly.
+        # decreasing, so the cap.  The solver refuses alpha > 1, so that side
+        # is reached only by calling the minimizer directly.
         a = self.exponent
-        c = a / (1.0 - a) if a < 1.0 else math.inf
+        if a >= 1.0:
+            return _fixed_width(self, k_max)
+        c = a / (1.0 - a)
 
         def widths(mu):
             k = np.minimum(np.maximum(c / mu, 1.0), k_max)
             return k, self._value(k)
 
         return widths
+
+    def power_term(self, k_max: float):
+        # Between the cap (mu = c/k_max) and width 1 (mu = c),
+        # k/s(k) = k**(1-alpha) with k = c/mu.
+        a = self.exponent
+        if a >= 1.0:
+            return None
+        c = a / (1.0 - a)
+        return c / k_max, c, c ** (1.0 - a), 1.0 - a, 0.0
 
 
 @dataclass(frozen=True)
@@ -189,11 +232,14 @@ class Tabular(SpeedupFunction):
         last = float(self.knots[-1])
         return tuple(sorted({1.0, *self.knots.tolist(), 2.0 * last}))
 
-    def minimizer(self, k_max: float):
+    def _candidates(self, k_max: float) -> tuple[np.ndarray, np.ndarray]:
         # g is monotone on each linear piece (and on the flat ends), so the
         # minimum sits on a knot, at 1 or at the cap.
         cand = np.unique(np.clip(np.concatenate(([1.0], self.knots, [k_max])), 1.0, k_max))
-        s = self._value(cand)
+        return cand, self._value(cand)
+
+    def minimizer(self, k_max: float):
+        cand, s = self._candidates(k_max)
         inv_s = 1.0 / s
 
         def widths(mu):
@@ -205,6 +251,27 @@ class Tabular(SpeedupFunction):
             return cand[j], s[j]
 
         return widths
+
+    def breakpoints(self, k_max: float):
+        # Each candidate width is a line in mu, g = 1/s + mu * k/s; the
+        # minimizer follows their lower envelope.  From the line lowest at
+        # mu = 0, each vertex is the earliest crossing with a flatter line,
+        # and the envelope goes on along the flattest line crossing there.
+        cand, s = self._candidates(k_max)
+        lines = list(zip((1.0 / s).tolist(), (cand / s).tolist()))  # (intercept, slope)
+        j = min(range(len(lines)), key=lambda i: lines[i][0])
+        vertices = [0.0]
+        while True:
+            icept, slope = lines[j]
+            crossings = [
+                ((other - icept) / (slope - flatter), flatter, i)
+                for i, (other, flatter) in enumerate(lines)
+                if flatter < slope
+            ]
+            if not crossings:
+                return tuple(vertices[1:])
+            mu, _, j = min(crossings)
+            vertices.append(max(mu, vertices[-1]))
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,12 @@ def _check_size_dist(dist: SizeDistribution, where: str) -> None:
             raise SpecError(f"{where}: bounded pareto needs shape > 0 and 0 < min < max")
     if isinstance(dist, Weibull) and not (dist.shape > 0 and dist.scale > 0):
         raise SpecError(f"{where}: weibull needs positive shape and scale")
+    try:
+        mean = dist.mean
+    except (OverflowError, ZeroDivisionError):  # past the range of a double
+        mean = math.nan
+    if not 0.0 < mean < math.inf:
+        raise SpecError(f"{where}: size distribution mean is not positive and finite")
 
 
 @dataclass(frozen=True)
@@ -119,6 +125,8 @@ class JobType:
         if not (self.arrival_rate > 0 and math.isfinite(self.arrival_rate)):
             raise SpecError(f"type {self.name!r}: arrival rate must be positive")
         _check_size_dist(self.size_dist, f"type {self.name!r}")
+        if not self.load < math.inf:
+            raise SpecError(f"type {self.name!r}: load arrival_rate * mean size overflows")
 
     @property
     def load(self) -> float:

@@ -801,3 +801,91 @@ class TestDeterminism:
         main(argv)
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestOverflowingSpecs:
+    """A size distribution whose mean, or a type whose load, is past the
+    range of a double is a spec error (exit 3) in every command that loads
+    the spec, not a traceback or an infinite load."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [["validate"], ["solve"], ["pareto", "--b-min", "2", "--b-max", "3", "--points", "2"]],
+        ids=["validate", "solve", "pareto"],
+    )
+    @pytest.mark.parametrize(
+        "size_dist, rate, message",
+        [
+            ({"kind": "weibull", "shape": 0.005, "scale": 1}, 0.4,
+             "size distribution mean is not positive and finite"),  # gamma(201)
+            ({"kind": "bounded_pareto", "shape": 30.5, "min": 1e-12, "max": 2e-12}, 0.4,
+             "size distribution mean is not positive and finite"),  # min**-29.5
+            ({"kind": "bounded_pareto", "shape": 1e-300, "min": 1, "max": 100}, 0.4,
+             "size distribution mean is not positive and finite"),  # normaliser 0
+            ({"kind": "deterministic", "x": 1e300}, 1e10,
+             "load arrival_rate * mean size overflows"),
+        ],
+        ids=["weibull-mean", "bounded-pareto-mean", "bounded-pareto-normaliser", "load"],
+    )
+    def test_refused_with_exit_3(self, tmp_path, two_type_config_path, capsys,
+                                 command, size_dist, rate, message):
+        spec = edited_config(tmp_path, two_type_config_path,
+                             (("types", 0, "size_dist"), size_dist),
+                             (("types", 0, "arrival_rate"), rate))
+        rc = main(command + ["--spec", spec])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (3, "")
+        assert err == f"error: type 'amdahl': {message}\n"
+
+
+class TestNonFiniteReplay:
+    """A job whose completion time or GPU-hours overflows is refused with
+    exit 3, naming its trace line, under fixed and pooled policies alike."""
+
+    @pytest.fixture()
+    def spec(self, tmp_path):
+        # s(1) = 0.5 and s(2) = 0.9: a size of 1e308 takes ~1.1e308 hours
+        # on 2 GPUs, so its GPU-hours overflow.
+        doc = {"types": [{"name": "tab",
+                          "speedup": {"kind": "tabular", "points": [[1, 0.5], [2, 0.9]]},
+                          "arrival_rate": 0.1,
+                          "size_dist": {"kind": "deterministic", "x": 1}}],
+               "budget": 2}
+        return write_config(tmp_path, doc)
+
+    def run(self, tmp_path, capsys, spec, rows, policy):
+        trace = tmp_path / "t.csv"
+        trace.write_text("arrival_time,type,size\n" + rows, encoding="utf-8")
+        rc = main(["simulate", "--spec", spec, "--trace", str(trace), "--policy", policy])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (3, "")
+        return err
+
+    @pytest.mark.parametrize("policy", ["fixed:2", "cluster:2", "srf:2,2"])
+    def test_overflowing_gpu_hours(self, tmp_path, capsys, spec, policy):
+        err = self.run(tmp_path, capsys, spec, "1.0,0,1e308\n2.0,0,1.0\n", policy)
+        assert err == "error: trace line 2: job GPU-hours is not finite\n"
+
+    @pytest.mark.parametrize("policy", ["cluster:2", "srf:2,1"])
+    def test_jobs_that_never_complete(self, tmp_path, capsys, spec, policy):
+        # Two such jobs share the pool at speed 0.5 each: neither completes
+        # in finite time, where the event loop once ran past the last arrival.
+        err = self.run(tmp_path, capsys, spec, "1.0,0,1e308\n2.0,0,1e308\n", policy)
+        assert err == "error: trace line 2: job completion time is not finite\n"
+
+    def test_the_first_such_line_is_named(self, tmp_path, capsys, spec):
+        err = self.run(tmp_path, capsys, spec, "1.0,0,1\n2.0,0,1e308\n3.0,0,1e308\n",
+                       "fixed:2")
+        assert err == "error: trace line 3: job GPU-hours is not finite\n"
+
+    @pytest.mark.parametrize("policy", ["fixed:1", "cluster:2"])
+    def test_overflowing_totals(self, tmp_path, capsys, policy):
+        # Each job's GPU-hours are finite, their sum is not.
+        doc = {"types": [{"name": "tab",
+                          "speedup": {"kind": "tabular", "points": [[1, 1], [2, 1.8]]},
+                          "arrival_rate": 0.1,
+                          "size_dist": {"kind": "deterministic", "x": 1}}],
+               "budget": 2}
+        spec = write_config(tmp_path, doc)
+        err = self.run(tmp_path, capsys, spec, "1.0,0,1e308\n2.0,0,1e308\n", policy)
+        assert err == "error: the replay's total GPU-hours or mean response time overflows\n"

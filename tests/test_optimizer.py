@@ -249,29 +249,25 @@ class TestSolve:
 
     def test_two_type_closed_form(self, two_type_spec):
         # Lagrange stationarity gives k = (6, 9), multiplier 1/9, E[T] = 1/3.
+        # Both types' usage is a power of mu with exponent 1/2 on the piece
+        # where the budget binds, so the multiplier comes in closed form.
         a = solve_allocation(two_type_spec)
-        assert a.ks == pytest.approx((6.0, 9.0), rel=1e-7)
-        assert a.objective == pytest.approx(1.0 / 3.0, abs=1e-9)
-        assert a.budget_used == pytest.approx(2.0, rel=1e-9)
-        assert a.multiplier == pytest.approx(1.0 / 9.0, rel=1e-8)
+        assert a.ks == pytest.approx((6.0, 9.0), rel=1e-14)
+        assert a.multiplier == pytest.approx(1.0 / 9.0, rel=1e-14)
+        assert a.objective == pytest.approx(1.0 / 3.0, rel=1e-14)
+        assert a.budget_used <= 2.0 * (1 + 1e-15)
+        assert a.budget_used == pytest.approx(2.0, rel=1e-14)
 
-    def test_tiny_bisect_tol_terminates_feasible(self, two_type_spec, monkeypatch):
-        monkeypatch.setattr(optimizer, "_BISECT_TOL", 1e-300)
-        a = solve_allocation(two_type_spec)
-        assert a.budget_used <= two_type_spec.budget * (1 + 1e-9)
-        assert a.ks == pytest.approx((6.0, 9.0), rel=1e-7)
-
-    def test_bisection_stops_when_midpoint_meets_an_endpoint(self, monkeypatch):
-        # Usage jumps from 2/3 (k=4) to 4/3 (k=16) at mu = 1/8, so it never
-        # comes within _BUDGET_TOL of b = 1 and a 1e-300 bracket is out of
-        # reach; the fill pass then spends the slack: 0.5*k/s(k) = 1 at k = 8.
+    def test_usage_jump_at_a_breakpoint_fills_the_budget(self):
+        # Usage jumps from 2/3 (k=4) to 4/3 (k=16) at mu = 1/8, a vertex of
+        # the table's envelope, so no multiplier meets b = 1; the fill pass
+        # then spends the slack: 0.5*k/s(k) = 1 at k = 8.
         f = Tabular(((1, 1), (4, 3), (16, 6)))
         spec = WorkloadSpec((JobType("t", f, 0.5, Deterministic(1.0)),), budget=1.0)
-        monkeypatch.setattr(optimizer, "_BISECT_TOL", 1e-300)
         a = solve_allocation(spec)
-        assert a.ks[0] == pytest.approx(8.0, rel=1e-9)
-        assert a.multiplier == pytest.approx(0.125, rel=1e-12)
-        assert a.budget_used <= 1.0 + 1e-9
+        assert a.multiplier == pytest.approx(0.125, rel=1e-15)
+        assert a.ks[0] == pytest.approx(8.0, rel=1e-13)
+        assert a.budget_used <= 1.0
 
     def test_speed_above_one_at_width_one_matches_brute_force(self):
         # The loads sum to 1.2 > 0.9, but the least usage is 0.7 < 0.9.
@@ -410,6 +406,55 @@ class TestSolve:
                 usages.append(budget_usage(spec, ks))
             usages = np.array(usages)
             assert np.all(np.diff(usages) <= 1e-9 * usages[:-1] + 1e-12)
+
+
+def dual_bound(spec, alloc, k_max=DEFAULT_K_MAX):
+    """The Lagrangian lower bound at the plan's own multiplier mu:
+    L(mu) = (sum_i rho_i * min_k (1 + mu*k)/s_i(k) - mu * budget_used) / lambda."""
+    mu = alloc.multiplier
+    total = 0.0
+    for t, load in zip(spec.types, spec.loads):
+        with np.errstate(divide="ignore"):
+            k, s = t.speedup.minimizer(k_max)(np.array([mu]))
+        total += load * (1.0 + mu * k[0]) / s[0]
+    return (total - mu * alloc.budget_used) / spec.total_rate
+
+
+class TestCertificate:
+    """Every sweep point is feasible, within rounding of the Lagrangian
+    bound at its multiplier (so optimal for the budget it uses), and equal
+    to its one-budget solve."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 50),
+        with_tabular=st.booleans(),
+        spread=st.lists(st.floats(1e-9, 20.0), min_size=1, max_size=10),
+    )
+    def test_sweep_points_are_certified(self, seed, m, with_tabular, spread):
+        spec = random_spec(np.random.default_rng(seed), m=m, with_tabular=with_tabular)
+        budgets = spec.total_load * (1.0 + np.array(spread))
+        for pt in pareto_frontier(spec, budgets):
+            a = pt.allocation
+            assert a.objective - dual_bound(spec, a) <= 1e-12 * a.objective
+            assert a.budget_used <= pt.budget * (1 + 1e-12)
+            assert solve_allocation(dataclasses.replace(spec, budget=pt.budget)) == a
+
+    def test_mixed_exponents_solve_by_newton(self):
+        # Amdahl's usage falls as mu**-1/2 and k**0.4's as mu**-0.6, so no
+        # closed form: the budget still binds to rounding, at zero gap.
+        spec = WorkloadSpec((
+            JobType("amdahl", Amdahl(0.9), 0.4, Deterministic(1.0)),
+            JobType("power", PowerLaw(0.4), 0.4, Deterministic(1.0)),
+        ), budget=3.0)
+        a = solve_allocation(spec)
+        assert a.budget_used == pytest.approx(3.0, rel=1e-15)
+        assert a.objective - dual_bound(spec, a) <= 1e-15 * a.objective
+        # Stationarity: each width is its family's closed form at mu.
+        mu = a.multiplier
+        assert a.ks[0] == pytest.approx(math.sqrt(9.0 / mu), rel=1e-14)
+        assert a.ks[1] == pytest.approx((0.4 / 0.6) / mu, rel=1e-14)
 
 
 class TestBruteForce:

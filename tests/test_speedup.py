@@ -272,6 +272,55 @@ class TestAxiomProperties:
             assert Amdahl(p)(1e6) <= 1.0 / (1.0 - p) + 1e-9
 
 
+class TestUsageLaw:
+    """Each family's breakpoints and power term describe how the usage
+    k/s(k) of its minimizer's width moves with the multiplier mu."""
+
+    K_MAX = 2.0**20
+
+    def widths(self, f, mu):
+        with np.errstate(divide="ignore"):
+            k, s = f.minimizer(self.K_MAX)(np.asarray(mu, dtype=float))
+        return k, s
+
+    @pytest.mark.parametrize("f", [Amdahl(0.3), Amdahl(0.8), Amdahl(0.999), PowerLaw(0.1),
+                                   PowerLaw(0.5), PowerLaw(0.9)], ids=repr)
+    def test_power_term_matches_the_minimizer(self, f):
+        lo, hi, a, e, c = f.power_term(self.K_MAX)
+        assert f.breakpoints(self.K_MAX) == (lo, hi)
+        mu = np.geomspace(lo, hi, 200)
+        k, s = self.widths(f, mu)
+        np.testing.assert_allclose(k / s, a * mu**-e + c, rtol=1e-13)
+        # Outside [lo, hi] the width is pinned: at the cap, then at 1.
+        k, _ = self.widths(f, np.array([0.0, lo * 0.999, hi * 1.001, np.inf]))
+        assert k.tolist() == [self.K_MAX, self.K_MAX, 1.0, 1.0]
+
+    @pytest.mark.parametrize("f", [Amdahl(0.0), Amdahl(1.0), PowerLaw(1.0)], ids=repr)
+    def test_constant_families_have_no_breakpoints(self, f):
+        assert f.breakpoints(self.K_MAX) == ()
+        assert f.power_term(self.K_MAX) is None
+        k, _ = self.widths(f, np.array([0.0, 0.5, np.inf]))
+        assert len(set(k.tolist())) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_knots=st.integers(1, 8),
+           k_max=st.sampled_from([2.0**20, 64.0, 6.0, 1.0]))
+    def test_tabular_width_changes_exactly_at_its_breakpoints(self, seed, n_knots, k_max):
+        f = concave_tabular(np.random.default_rng(seed), n_knots)
+        assert f.power_term(k_max) is None
+        bps = np.array(f.breakpoints(k_max))
+        assert np.all(bps > 0) and np.all(np.diff(bps) > 0)
+        # One probe inside each piece, before the first and past the last.
+        ends = [bps[0] / 4, bps[-1] * 4] if len(bps) else [1.0, 2.0]
+        edges = np.concatenate([ends[:1], bps, ends[1:]])
+        probes = np.sqrt(edges[:-1] * edges[1:])
+        k, s = self.widths(f, probes)
+        assert np.all(np.diff(k) < 0)  # a new width on every piece
+        # Each breakpoint already takes the width of the piece to its right.
+        k_at, _ = self.widths(f, bps)
+        assert k_at.tolist() == k[1:].tolist()
+
+
 class TestParse:
     def test_amdahl(self):
         assert parse_speedup({"kind": "amdahl", "p": 0.8}) == Amdahl(0.8)

@@ -90,6 +90,21 @@ class TestSpecTypes:
         with pytest.raises(SpecError):
             JobType("a", Amdahl(0.5), 1.0, BoundedPareto(1.0, 2.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "dist",
+        [Weibull(0.005, 1.0), BoundedPareto(30.5, 1e-12, 2e-12), BoundedPareto(1e-300, 1.0, 100.0)],
+        ids=["weibull-gamma-overflows", "bounded-pareto-power-overflows",
+             "bounded-pareto-normaliser-is-zero"],
+    )
+    def test_mean_past_a_double_refused(self, dist):
+        with pytest.raises(SpecError, match="^type 'a': size distribution mean is not positive "
+                                            "and finite$"):
+            JobType("a", Amdahl(0.5), 1.0, dist)
+
+    def test_load_overflow_refused(self):
+        with pytest.raises(SpecError, match="^type 'a': load arrival_rate \\* mean size overflows$"):
+            JobType("a", Amdahl(0.5), 1e10, Deterministic(1e300))
+
     def test_empty_spec_rejected(self):
         with pytest.raises(SpecError):
             WorkloadSpec(types=(), budget=1.0)
