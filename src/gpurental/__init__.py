@@ -7,7 +7,14 @@ sweeps budget/response-time trade-off curves, and checks the analytic
 predictions by discrete-event simulation of job traces.
 """
 
-from .errors import AxiomError, BruteForceError, InstabilityError, SpecError, TraceError
+from .errors import (
+    AxiomError,
+    BruteForceError,
+    InstabilityError,
+    ReplayError,
+    SpecError,
+    TraceError,
+)
 from .optimizer import (
     Allocation,
     ParetoPoint,
@@ -72,6 +79,7 @@ __all__ = [
     "ParetoPoint",
     "Policy",
     "PowerLaw",
+    "ReplayError",
     "SimMetrics",
     "SmallestRemainingFirst",
     "SpecError",

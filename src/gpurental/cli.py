@@ -5,11 +5,15 @@ that fails the axioms in a command that solves), 2 instability (total load
 >= budget, or >= the pool of a ``cluster``/``srf`` policy), 3 I/O or parse
 errors.  All numbers are printed with 12 significant digits so repeated runs
 with the same inputs are byte-identical.
+
+The argument parser is built once per process and reused by every ``main``
+call; parsing does not change it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -17,7 +21,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .errors import AxiomError, InstabilityError, SpecError
+from .errors import AxiomError, InstabilityError, ReplayError, SpecError
 from .optimizer import pareto_frontier, solve_allocation
 from .simulator import (
     FixedWidth,
@@ -29,7 +33,7 @@ from .simulator import (
     _measure,
     _replay,
     _sample_k,
-    compare_policies,
+    simulate,
 )
 from .speedup import DEFAULT_K_MAX, _check_width
 from .speedup import validate as validate_speedup
@@ -225,10 +229,15 @@ def _cmd_compare(args) -> int:
         raise SpecError("--policies must name at least one policy")
     policies = [parse_policy(s, spec, args.k_max) for s in labels]
     _check_pools(spec, labels, policies)
-    results = compare_policies(trace, spec, policies)
+    results = []
+    for label, policy in zip(labels, policies):
+        try:
+            results.append(simulate(trace, spec, policy, collect_per_job=False))
+        except ReplayError as exc:
+            raise ReplayError(f"policy {label!r}: {exc}") from None
     row = ("{},{},{}," + _numbers(2) + "\n").format
     rows = ["policy,job_count,mean_response_time,time_avg_budget,total_gpu_hours\n"]
-    for label, (_, metrics) in zip(labels, results):
+    for label, metrics in zip(labels, results):
         field = f'"{label}"' if "," in label else label
         mrt = metrics.mean_response_time  # None when the trace has no jobs
         mrt = "" if mrt is None else _numbers(1).format(mrt)
@@ -241,6 +250,7 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gpurental",

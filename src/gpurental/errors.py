@@ -9,6 +9,10 @@ class AxiomError(SpecError):
     """A job type's speedup breaks an axiom the solver relies on."""
 
 
+class ReplayError(SpecError):
+    """A replay finished with a job's or the trace's result past the range of a double."""
+
+
 class TraceError(ValueError):
     """A trace file or trace object is malformed.
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AxiomError, BruteForceError
-from .speedup import DEFAULT_K_MAX, SpeedupFunction, scalar_fn, validate
+from .speedup import DEFAULT_K_MAX, SpeedupFunction, validate
 from .speedup import _check_width
 from .workload import WorkloadSpec, _check_budget, _check_stable
 
@@ -117,35 +117,53 @@ def inner_minimize(f: SpeedupFunction, mu: float, *, k_max: float = DEFAULT_K_MA
     return float(k[0])
 
 
-def _fill_budget(spec: WorkloadSpec, b: float, ks: np.ndarray, ks_upper: np.ndarray) -> np.ndarray:
+def _fill_budget(
+    spec: WorkloadSpec, b: float, ks: np.ndarray, use: np.ndarray, ks_upper: np.ndarray
+) -> np.ndarray:
     """Raise widths toward ``ks_upper``, type by type, until the budget ``b`` binds.
 
-    Tabular speedups need this: their minimizers jump from knot to knot, so
-    usage can jump across the budget at a breakpoint of the multiplier,
-    leaving slack that this pass spends at constant marginal cost.
+    ``use`` holds each type's usage at ``ks``.  Tabular speedups need this:
+    their minimizers jump from knot to knot, so usage can jump across the
+    budget at a breakpoint of the multiplier, leaving slack that this pass
+    spends at constant marginal cost.  Each raised width is the largest its
+    type's usage plus the slack allows, ``width_at_usage`` in closed form.
     """
-    ks = ks.copy()
+    ks, use = ks.copy(), use.copy()
+    loads = spec.loads
     for i, t in enumerate(spec.types):
-        slack = b - budget_usage(spec, ks)
+        slack = b - use.sum()
         if slack <= _BUDGET_TOL * b * 0.5:
             break
         if ks_upper[i] > ks[i]:
-            load = spec.loads[i]
-            own = load * ks[i] / t.speedup(ks[i])
-            ks[i] = max(ks[i], _budget_axis_cap(t.speedup, load, own + slack, ks_upper[i]))
+            k = t.speedup.width_at_usage((use[i] + slack) / loads[i], ks_upper[i])
+            if k > ks[i]:
+                ks[i] = k
+                use[i] = loads[i] * k / t.speedup._value(k)
     return ks
 
 
-def _make_allocation(spec: WorkloadSpec, ks: np.ndarray, mu: float, *, k_max: float) -> Allocation:
+def _allocations(
+    spec: WorkloadSpec, ks: np.ndarray, mu: np.ndarray, *, k_max: float
+) -> list[Allocation]:
+    """One allocation per row of the width matrix ``ks`` (one column per
+    type), at the multipliers ``mu``.  Each type's speeds come from one
+    evaluation of its column; the objective and usage are row sums, with
+    the arithmetic of ``objective`` and ``budget_usage``, so they agree to
+    the bit."""
     ks = np.clip(ks, 1.0, k_max)
-    cap = bool(np.any(ks >= k_max * (1.0 - 1e-6)))
-    return Allocation(
-        ks=tuple(float(k) for k in ks),
-        objective=objective(spec, ks),
-        budget_used=budget_usage(spec, ks),
-        multiplier=float(mu),
-        cap_active=cap,
-    )
+    speeds = np.empty_like(ks)
+    for i, t in enumerate(spec.types):
+        speeds[:, i] = t.speedup._value(ks[:, i])
+    loads = spec.loads
+    objectives = (loads / speeds).sum(axis=1) / spec.total_rate
+    used = (loads * ks / speeds).sum(axis=1)
+    caps = (ks >= k_max * (1.0 - 1e-6)).any(axis=1)
+    return [
+        Allocation(tuple(row), obj, u, m, cap)
+        for row, obj, u, m, cap in zip(
+            ks.tolist(), objectives.tolist(), used.tolist(), mu.tolist(), caps.tolist()
+        )
+    ]
 
 
 def _search(spec: WorkloadSpec, budgets: np.ndarray, *, k_max: float) -> list[Allocation]:
@@ -240,14 +258,14 @@ def _search(spec: WorkloadSpec, budgets: np.ndarray, *, k_max: float) -> list[Al
     mu[rows[~jump]] = np.clip(np.exp(x), mu_lo, mu_hi)
 
     with np.errstate(divide="ignore"):
-        ks, _ = widths(mu)
+        ks, use = widths(mu)
     # A jumping width may rise back to its left-side value; a smooth one is
     # continuous and stays.
     smooth = np.isfinite(lo)
     for r, q in zip(rows[jump], p[jump]):
         upper = np.where(smooth, ks_bp[q + 1], ks_bp[q])
-        ks[r] = _fill_budget(spec, float(b[r]), ks[r], upper)
-    return [_make_allocation(spec, ks[r], mu[r], k_max=k_max) for r in range(len(b))]
+        ks[r] = _fill_budget(spec, float(b[r]), ks[r], use[r], upper)
+    return _allocations(spec, ks, mu, k_max=k_max)
 
 
 def solve_allocation(spec: WorkloadSpec, *, k_max: float = DEFAULT_K_MAX) -> Allocation:
@@ -257,27 +275,6 @@ def solve_allocation(spec: WorkloadSpec, *, k_max: float = DEFAULT_K_MAX) -> All
     """
     spec.check_stability()
     return _search(spec, np.array([spec.budget]), k_max=k_max)[0]
-
-
-def _budget_axis_cap(f: SpeedupFunction, load: float, b: float, k_max: float) -> float:
-    """Largest width this type alone could sustain: load * k / s(k) <= b."""
-    s = scalar_fn(f)
-
-    def u(k: float) -> float:
-        return load * k / s(k)
-
-    if u(k_max) <= b:
-        return k_max
-    lo, hi = 0.0, math.log(k_max)  # u is non-decreasing; bisect in log space
-    for _ in range(200):
-        if hi - lo <= 1e-14:
-            break
-        mid = 0.5 * (lo + hi)
-        if u(math.exp(mid)) <= b:
-            lo = mid
-        else:
-            hi = mid
-    return math.exp(lo)
 
 
 _ZOOM_POINTS = 96  # per-axis sampling target for the coarse-to-fine passes
@@ -315,7 +312,7 @@ def brute_force_allocation(
     b = spec.budget
     loads = spec.loads
 
-    caps = [_budget_axis_cap(t.speedup, loads[i], b, k_max) for i, t in enumerate(spec.types)]
+    caps = [t.speedup.width_at_usage(b / loads[i], k_max) for i, t in enumerate(spec.types)]
     sizes = [int(math.floor((c - 1.0) / grid_step)) + 1 for c in caps]
     if max(sizes) > _MAX_AXIS_POINTS:
         raise BruteForceError(
@@ -391,7 +388,7 @@ def brute_force_allocation(
     for d, ax in enumerate(outer):
         ks[ax] = 1.0 + picked[d] * grid_step
     ks[last] = 1.0 + j_last * grid_step
-    return _make_allocation(spec, ks, 0.0, k_max=k_max)
+    return _allocations(spec, ks[None, :], np.zeros(1), k_max=k_max)[0]
 
 
 def pareto_frontier(

@@ -43,7 +43,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import ReplayError, SpecError
 from .speedup import _check_width, scalar_fn
 from .workload import Trace, WorkloadSpec, _check_stable
 
@@ -311,7 +311,7 @@ def _check_finite(rep: _Replay) -> None:
     if bad.any():
         i = int(np.argmax(bad))
         what = "completion time" if not rep.completions[i] < math.inf else "GPU-hours"
-        raise SpecError(f"trace line {i + 2}: job {what} is not finite")
+        raise ReplayError(f"trace line {i + 2}: job {what} is not finite")
 
 
 def _replay(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay:
@@ -338,7 +338,7 @@ def _measure(trace: Trace, rep: _Replay, collect_per_job: bool) -> SimMetrics:
         total = float(rep.gpu_hours.sum())
         mean_response = float(responses.mean())
     if not (total < math.inf and mean_response < math.inf):
-        raise SpecError("the replay's total GPU-hours or mean response time overflows")
+        raise ReplayError("the replay's total GPU-hours or mean response time overflows")
     horizon = float(rep.completions.max())
     per_job = None
     if collect_per_job:
@@ -394,7 +394,9 @@ def simulate(
 
     A pooled policy whose pool is at or below the total load cannot keep up
     and raises InstabilityError before any replay; a type whose speed at a
-    width the policy grants is not finite raises SpecError.
+    width the policy grants is not finite raises SpecError, and a job's
+    completion time or GPU-hours, or their totals, past the range of a
+    double raise ReplayError.
     """
     return _measure(trace, _replay(trace, spec, policy), collect_per_job)
 

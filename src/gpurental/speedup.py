@@ -12,6 +12,7 @@ from any number of threads.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -42,8 +43,8 @@ class SpeedupFunction:
     """Base class; subclasses provide ``_value`` vectorized over k >= 1 and,
     for the solver, their family's closed-form ``minimizer`` with the
     ``breakpoints`` and ``power_term`` that describe its usage as a function
-    of mu, and the widths ``axiom_ks`` on which ``validate`` decides the
-    axioms."""
+    of mu and the inverse of its usage per unit load, ``width_at_usage``;
+    and the widths ``axiom_ks`` on which ``validate`` decides the axioms."""
 
     def _value(self, k: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -77,6 +78,13 @@ class SpeedupFunction:
         width k has k / s(k) = a * mu**-e + c; None when the width is
         piecewise constant in mu."""
         return None
+
+    def width_at_usage(self, v: float, k_max: float) -> float:
+        """The largest width k in [1, k_max] whose usage per unit load,
+        k / s(k), is at most v: the family's closed-form inverse of k / s(k),
+        which the axioms make non-decreasing, exact up to rounding.  1 when
+        even width 1 uses more than v."""
+        raise TypeError(f"no closed-form usage inverse for speedup {type(self).__name__}")
 
     def __call__(self, k):
         """Evaluate s(k). Accepts a float or an ndarray; k must be >= 1."""
@@ -138,6 +146,14 @@ class Amdahl(SpeedupFunction):
         r = p / (1.0 - p)
         return r / (k_max * k_max), r, (1.0 - p) * math.sqrt(r), 0.5, p
 
+    def width_at_usage(self, v: float, k_max: float) -> float:
+        # k/s(k) = (1-p)*k + p, so k = (v - p)/(1 - p); at p = 1 it is 1 at
+        # every width.
+        p = self.parallel_fraction
+        if p == 1.0:
+            return k_max if v >= 1.0 else 1.0
+        return min(max((v - p) / (1.0 - p), 1.0), k_max)
+
 
 @dataclass(frozen=True)
 class PowerLaw(SpeedupFunction):
@@ -187,6 +203,17 @@ class PowerLaw(SpeedupFunction):
         c = a / (1.0 - a)
         return c / k_max, c, c ** (1.0 - a), 1.0 - a, 0.0
 
+    def width_at_usage(self, v: float, k_max: float) -> float:
+        # k/s(k) = k**(1-alpha), so k = v**(1/(1-alpha)); at alpha = 1 it is
+        # 1 at every width.  Comparing with the cap first keeps the power from
+        # overflowing.
+        a = self.exponent
+        if v >= k_max ** (1.0 - a):
+            return k_max
+        if a >= 1.0 or v <= 1.0:
+            return 1.0
+        return min(v ** (1.0 / (1.0 - a)), k_max)
+
 
 @dataclass(frozen=True)
 class Tabular(SpeedupFunction):
@@ -235,7 +262,8 @@ class Tabular(SpeedupFunction):
     def _candidates(self, k_max: float) -> tuple[np.ndarray, np.ndarray]:
         # g is monotone on each linear piece (and on the flat ends), so the
         # minimum sits on a knot, at 1 or at the cap.
-        cand = np.unique(np.clip(np.concatenate(([1.0], self.knots, [k_max])), 1.0, k_max))
+        # A sorted set, not np.unique, which imports numpy.ma on first use.
+        cand = np.array(sorted({1.0, k_max, *np.minimum(self.knots, k_max).tolist()}))
         return cand, self._value(cand)
 
     def minimizer(self, k_max: float):
@@ -272,6 +300,22 @@ class Tabular(SpeedupFunction):
                 return tuple(vertices[1:])
             mu, _, j = min(crossings)
             vertices.append(max(mu, vertices[-1]))
+
+    def width_at_usage(self, v: float, k_max: float) -> float:
+        # The knots' own usages pick the piece.  Below the first knot and
+        # past the last, s is flat, so k = v*s.  Between two knots s = a + c*k,
+        # so k/s(k) = v at k = a*v/(1 - c*v).  On a piece whose usage is flat
+        # at 1/c (a = 0), rounding can put v inside it with c*v = 1: the whole
+        # piece then fits, so it takes its right end.
+        ks, ss = self.knots.tolist(), self._speeds.tolist()
+        j = bisect.bisect_right([k / s for k, s in zip(ks, ss)], v)
+        if j == 0 or j == len(ks):
+            k = v * ss[min(j, len(ks) - 1)]
+        else:
+            k0, s0, k1, s1 = ks[j - 1], ss[j - 1], ks[j], ss[j]
+            c = (s1 - s0) / (k1 - k0)
+            k = min(max((s0 - c * k0) * v / (1.0 - c * v), k0), k1) if c * v < 1.0 else k1
+        return min(max(k, 1.0), k_max)
 
 
 @dataclass(frozen=True)

@@ -152,6 +152,10 @@ class WorkloadSpec:
             raise SpecError("workload needs at least one job type")
         object.__setattr__(self, "types", tuple(self.types))
         _check_budget(self.budget)
+        with np.errstate(over="ignore"):
+            overflows = not self.total_load < math.inf
+        if overflows:
+            raise SpecError("total load overflows")
 
     @property
     def loads(self) -> np.ndarray:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -177,6 +180,39 @@ class TestValidate:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"unrecognized arguments: --k-max {k_max}" in err
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; a parse failure leaves
+    it as it was, so later calls print what a fresh process prints."""
+
+    def fresh(self, argv, cwd):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-m", "gpurental", *argv], cwd=cwd, env=env,
+                              capture_output=True, text=True)
+        return done.returncode, done.stdout, done.stderr
+
+    def test_outputs_match_a_fresh_process(self, tmp_path, two_type_config_path, capsys):
+        out_file = tmp_path / "alloc.json"
+
+        def written():
+            data = out_file.read_bytes() if out_file.exists() else None
+            out_file.unlink(missing_ok=True)
+            return data
+
+        runs = [["solve"], ["solve", "--spec", two_type_config_path, "--out", str(out_file)],
+                ["solve", "--spec", two_type_config_path]]
+        expected = [(*self.fresh(argv, tmp_path), written()) for argv in runs]
+        assert expected[0][0] == 2 and "--spec" in expected[0][2]  # argparse's own exit
+
+        assert cli._build_parser() is cli._build_parser()
+        capsys.readouterr()
+        for argv, want in zip(runs, expected):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+            assert (rc, *capsys.readouterr(), written()) == want, argv
 
 
 class TestSolve:
@@ -838,6 +874,19 @@ class TestOverflowingSpecs:
         assert err == f"error: type 'amdahl': {message}\n"
 
 
+    @pytest.mark.parametrize("command", [["validate"], ["solve"]], ids=["validate", "solve"])
+    def test_total_load_overflow_exits_3(self, tmp_path, two_type_config_path, capsys,
+                                         command):
+        # Each type's load, 1e308, is finite; their sum is not.
+        huge = {"kind": "deterministic", "x": 1e308}
+        spec = edited_config(tmp_path, two_type_config_path,
+                             (("types", 0, "size_dist"), huge), (("types", 0, "arrival_rate"), 1),
+                             (("types", 1, "size_dist"), huge), (("types", 1, "arrival_rate"), 1))
+        rc = main(command + ["--spec", spec])
+        out, err = capsys.readouterr()
+        assert (rc, out, err) == (3, "", "error: total load overflows\n")
+
+
 class TestNonFiniteReplay:
     """A job whose completion time or GPU-hours overflows is refused with
     exit 3, naming its trace line, under fixed and pooled policies alike."""
@@ -889,3 +938,13 @@ class TestNonFiniteReplay:
         spec = write_config(tmp_path, doc)
         err = self.run(tmp_path, capsys, spec, "1.0,0,1e308\n2.0,0,1e308\n", policy)
         assert err == "error: the replay's total GPU-hours or mean response time overflows\n"
+
+    def test_compare_names_the_policy(self, tmp_path, capsys, spec):
+        # uniform:1 runs the 1e308-size job at s(1) = 0.5, so it never completes.
+        trace = tmp_path / "t.csv"
+        trace.write_text("arrival_time,type,size\n1.0,0,1e308\n2.0,0,1.0\n", encoding="utf-8")
+        rc = main(["compare", "--spec", spec, "--trace", str(trace),
+                   "--policies", "uniform:1;fixed:2"])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (3, "")
+        assert err == "error: policy 'uniform:1': trace line 2: job completion time is not finite\n"

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -266,8 +269,7 @@ class TestSolve:
         spec = WorkloadSpec((JobType("t", f, 0.5, Deterministic(1.0)),), budget=1.0)
         a = solve_allocation(spec)
         assert a.multiplier == pytest.approx(0.125, rel=1e-15)
-        assert a.ks[0] == pytest.approx(8.0, rel=1e-13)
-        assert a.budget_used <= 1.0
+        assert (a.ks[0], a.budget_used) == (8.0, 1.0)  # k = a*v/(1 - c*v) = 2*2/(1 - 1/2)
 
     def test_speed_above_one_at_width_one_matches_brute_force(self):
         # The loads sum to 1.2 > 0.9, but the least usage is 0.7 < 0.9.
@@ -455,6 +457,42 @@ class TestCertificate:
         mu = a.multiplier
         assert a.ks[0] == pytest.approx(math.sqrt(9.0 / mu), rel=1e-14)
         assert a.ks[1] == pytest.approx((0.4 / 0.6) / mu, rel=1e-14)
+
+
+class TestAllocationBuilder:
+    """Every allocation comes from one width matrix: speeds by column, the
+    objective and usage by row.  They equal the public functions' values."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 50), with_tabular=st.booleans(),
+           spread=st.lists(st.floats(1e-9, 20.0), min_size=1, max_size=20))
+    def test_rows_equal_objective_and_budget_usage(self, seed, m, with_tabular, spread):
+        spec = random_spec(np.random.default_rng(seed), m=m, with_tabular=with_tabular)
+        budgets = spec.total_load * (1.0 + np.array(spread))
+        for a in optimizer._search(spec, budgets, k_max=DEFAULT_K_MAX):
+            assert a.objective == objective(spec, a.ks)
+            assert a.budget_used == budget_usage(spec, a.ks)
+
+    def test_oracle_uses_the_same_builder(self, two_type_spec):
+        bf = brute_force_allocation(two_type_spec, 1e-2)
+        assert (bf.objective, bf.budget_used) == (
+            objective(two_type_spec, bf.ks), budget_usage(two_type_spec, bf.ks))
+        assert (bf.multiplier, bf.cap_active) == (0.0, False)
+
+    def test_tabular_solve_does_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma on numpy 2.4, about 1.5 MB of peak RSS.
+        code = (
+            "import sys\n"
+            "from gpurental import Deterministic, JobType, Tabular, WorkloadSpec,"
+            " solve_allocation\n"
+            "f = Tabular(((1, 1), (4, 3), (16, 6)))\n"
+            "solve_allocation(WorkloadSpec((JobType('t', f, 0.5, Deterministic(1.0)),), 1.0))\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        assert out == "False\n"
 
 
 class TestBruteForce:

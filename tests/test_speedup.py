@@ -321,6 +321,86 @@ class TestUsageLaw:
         assert k_at.tolist() == k[1:].tolist()
 
 
+@st.composite
+def concave_tables(draw):
+    """Tables that pass the axioms, from (1, s0) with s0 in {0.5, 1, 2}:
+    knots on a 1/8 grid, slopes s0 * i/16 non-increasing (equal slopes make
+    collinear knots, 0 a flat tail).  A first slope of s0 makes s = s0 * k
+    on the first piece, where k/s is flat at 1/s0, so c*v = 1 at v = 1/s0;
+    the powers of two keep that exact."""
+    n = draw(st.integers(1, 6))
+    ks = 1.0 + np.cumsum([0] + draw(st.lists(st.integers(1, 16), min_size=n - 1,
+                                              max_size=n - 1))) / 8.0
+    s0 = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    slopes = sorted(draw(st.lists(st.integers(0, 16), min_size=n - 1, max_size=n - 1)),
+                    reverse=True)
+    ss = s0 + np.concatenate([[0.0], np.cumsum(np.array(slopes) * s0 / 16.0 * np.diff(ks))])
+    return Tabular(tuple(zip(ks.tolist(), ss.tolist())))
+
+
+# Exponents and fractions where k/s(k) rises resolvably (its elasticity is
+# at least 1e-3 on [1, k_max]), plus the constant-usage edges p = 1 and
+# alpha = 1.
+USAGE_FAMILIES = (
+    st.sampled_from([Amdahl(0.0), Amdahl(1.0), PowerLaw(1.0)])
+    | st.floats(0.0, 0.999).map(Amdahl)
+    | st.floats(0.01, 0.999).map(PowerLaw)
+    | concave_tables()
+)
+
+
+class TestUsageInverse:
+    """``width_at_usage`` inverts the usage per unit load h(k) = k/s(k):
+    the width it returns uses at most v, and a width just past it uses
+    more, unless it is the cap."""
+
+    @staticmethod
+    def h(f, k):
+        return k / f(k)
+
+    @settings(max_examples=500, deadline=None)
+    @given(f=USAGE_FAMILIES, data=st.data(),
+           k_max=st.sampled_from([2.0**20, 64.0, 3.5, 1.0]))
+    def test_inverts_the_usage(self, f, data, k_max):
+        knot_usages = [k / s for k, s in f.points] if isinstance(f, Tabular) else [1.0]
+        v = data.draw(st.sampled_from(knot_usages)
+                      | st.floats(0.5, 1e4).map(lambda x: x / f(1.0)), label="v")
+        assert validate(f).ok
+        k = f.width_at_usage(v, k_max)
+        assert 1.0 <= k <= k_max
+        if self.h(f, 1.0) > v:
+            assert k == 1.0
+            return
+        assert self.h(f, k) <= v * (1 + 1e-14)  # the closed forms round by a few ulps
+        if k < k_max:
+            assert self.h(f, k * (1 + 1e-9)) > v
+
+    def test_flat_piece_takes_its_right_end(self):
+        # s = 2k up to k = 3, so k/s is 1/2 there and c*v = 1 at v = 1/2.
+        f = Tabular(((1, 2), (3, 6), (5, 7)))
+        assert f.width_at_usage(0.5, 2.0**20) == 3.0
+        assert f.width_at_usage(0.25, 2.0**20) == 1.0  # width 1 uses 1/2 > 1/4
+        # s = 0.51k: the knots' usages round to 1/0.51 and 1 ulp above it, so
+        # v = 1/0.51 lands inside the piece with c*v == 1.0, where the closed
+        # form would divide by zero.
+        f = Tabular(((1, 0.51), (5, 2.55)))
+        v = 1.0 / 0.51
+        assert (f.knots[0] / f(1.0), 0.51 * v) == (v, 1.0) and 5.0 / f(5.0) > v
+        assert f.width_at_usage(v, 2.0**20) == 5.0
+
+    @pytest.mark.parametrize("f", [Amdahl(1.0), PowerLaw(1.0)], ids=repr)
+    def test_constant_usage_fits_whole_or_not_at_all(self, f):
+        assert f.width_at_usage(1.0, 64.0) == 64.0
+        assert f.width_at_usage(0.5, 64.0) == 1.0
+
+    def test_closed_forms(self):
+        assert Amdahl(0.8).width_at_usage(0.2 * 6 + 0.8, 2.0**20) == pytest.approx(6.0, rel=1e-15)
+        assert PowerLaw(0.5).width_at_usage(3.0, 2.0**20) == pytest.approx(9.0, rel=1e-15)
+        assert Tabular(((1, 1), (4, 3), (16, 6))).width_at_usage(2.0, 2.0**20) == 8.0
+        assert Tabular(((1, 1), (4, 3))).width_at_usage(3.0, 2.0**20) == 9.0  # flat tail
+        assert PowerLaw(0.5).width_at_usage(1e300, 64.0) == 64.0  # no overflow
+
+
 class TestParse:
     def test_amdahl(self):
         assert parse_speedup({"kind": "amdahl", "p": 0.8}) == Amdahl(0.8)
