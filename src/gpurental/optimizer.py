@@ -66,26 +66,23 @@ class ParetoPoint:
     error: str | None = None
 
 
-def _check_ks(spec: WorkloadSpec, ks) -> np.ndarray:
+def _plan(spec: WorkloadSpec, ks) -> Allocation:
+    """The checked plan ``ks``, as the one-row case of ``_allocations``."""
     arr = np.asarray(ks, dtype=float)
     if arr.shape != (len(spec.types),):
         raise ValueError(f"expected {len(spec.types)} widths, got shape {arr.shape}")
     _check_width("widths", arr)
-    return arr
+    return _allocations(spec, arr[None, :], np.zeros(1), k_max=math.inf)[0]
 
 
 def objective(spec: WorkloadSpec, ks) -> float:
     """Predicted mean response time of the fixed-width plan ``ks``."""
-    arr = _check_ks(spec, ks)
-    speeds = np.array([t.speedup(k) for t, k in zip(spec.types, arr)])
-    return float((spec.loads / speeds).sum() / spec.total_rate)
+    return _plan(spec, ks).objective
 
 
 def budget_usage(spec: WorkloadSpec, ks) -> float:
     """Time-average GPU count the plan consumes: sum of load * k / s(k)."""
-    arr = _check_ks(spec, ks)
-    speeds = np.array([t.speedup(k) for t, k in zip(spec.types, arr)])
-    return float((spec.loads * arr / speeds).sum())
+    return _plan(spec, ks).budget_used
 
 
 def merge_segments(k1: float, t1: float, k2: float, t2: float) -> float:
@@ -106,8 +103,9 @@ def inner_minimize(f: SpeedupFunction, mu: float, *, k_max: float = DEFAULT_K_MA
 
     The family's closed form, ``f.minimizer``, clipped to [1, k_max]:
     sqrt(p / (mu*(1-p))) for Amdahl(p), alpha / (mu*(1-alpha)) for
-    k**alpha, and for a tabular speedup the smallest of {1, knots, k_max}
-    whose g is within 1e-12 of the minimum.
+    k**alpha.  For a tabular speedup, g over {1, knots, k_max} is a set of
+    lines in mu; the width is that of their lower envelope at mu, the
+    narrower one at a vertex, and 1 at mu = inf.
     """
     _check_width("k_max", k_max)
     if not mu >= 0:
@@ -147,9 +145,8 @@ def _allocations(
 ) -> list[Allocation]:
     """One allocation per row of the width matrix ``ks`` (one column per
     type), at the multipliers ``mu``.  Each type's speeds come from one
-    evaluation of its column; the objective and usage are row sums, with
-    the arithmetic of ``objective`` and ``budget_usage``, so they agree to
-    the bit."""
+    evaluation of its column; the objective and usage are row sums.
+    ``objective`` and ``budget_usage`` are its one-row case."""
     ks = np.clip(ks, 1.0, k_max)
     speeds = np.empty_like(ks)
     for i, t in enumerate(spec.types):
@@ -184,9 +181,11 @@ def _search(spec: WorkloadSpec, budgets: np.ndarray, *, k_max: float) -> list[Al
     makes no progress.  If usage instead jumps across the budget at the
     piece's right end (a tabular width changes there), mu is that
     breakpoint and the fill pass raises the jumping widths back toward
-    their left-side values until the budget binds.  Each budget does the
-    arithmetic it would do alone, so a one-budget call gives the same bits
-    as a sweep.
+    their left-side values until the budget binds.  The widths come from
+    the piece: a slack or jumping budget takes its breakpoint's; on a
+    solved piece a smooth type takes its minimizer at mu and any other
+    keeps its width there.  Each budget does the arithmetic it would do
+    alone, so a one-budget call gives the same bits as a sweep.
 
     A bad ``k_max`` raises SpecError first.  The minimizers assume the
     speedup axioms, so a type whose speedup fails ``validate`` raises
@@ -203,15 +202,12 @@ def _search(spec: WorkloadSpec, budgets: np.ndarray, *, k_max: float) -> list[Al
     minimizers = [f.minimizer(k_max) for f in fs]
     loads = spec.loads
 
-    def widths(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ks, speeds = np.empty((len(mu), len(fs))), np.empty((len(mu), len(fs)))
-        for i, minimizer in enumerate(minimizers):
-            ks[:, i], speeds[:, i] = minimizer(mu)
-        return ks, loads * ks / speeds  # each type's usage, as budget_usage has it
-
     bps = np.array(sorted({0.0, math.inf}.union(*(f.breakpoints(k_max) for f in fs))))
+    ks_bp, speeds_bp = np.empty((len(bps), len(fs))), np.empty((len(bps), len(fs)))
     with np.errstate(divide="ignore"):
-        ks_bp, use_bp = widths(bps)
+        for i, minimizer in enumerate(minimizers):
+            ks_bp[:, i], speeds_bp[:, i] = minimizer(bps)
+    use_bp = loads * ks_bp / speeds_bp  # each type's usage, as budget_usage has it
     # The first breakpoint whose usage fits the budget; 0 when it is slack.
     j = np.searchsorted(-np.minimum.accumulate(use_bp.sum(axis=1)), -b)
 
@@ -234,7 +230,8 @@ def _search(spec: WorkloadSpec, budgets: np.ndarray, *, k_max: float) -> list[Al
 
     # The other pieces have an active term: a constant piece's usage is its
     # left end's, which exceeds the budget, so it ends in a jump.
-    A, C, target, mu_lo, mu_hi = A[~jump], C[~jump], target[~jump], mu_lo[~jump], mu_hi[~jump]
+    solved = ~jump
+    A, C, target, mu_lo, mu_hi = A[solved], C[solved], target[solved], mu_lo[solved], mu_hi[solved]
     on = A > 0.0
     e_lo = np.where(on, e, math.inf).min(axis=1)
     closed = e_lo == np.where(on, e, -math.inf).max(axis=1)
@@ -255,16 +252,19 @@ def _search(spec: WorkloadSpec, budgets: np.ndarray, *, k_max: float) -> list[Al
         moved = x_next > x[todo]
         x[todo[moved]] = x_next[moved]
         todo = todo[moved]
-    mu[rows[~jump]] = np.clip(np.exp(x), mu_lo, mu_hi)
-
-    with np.errstate(divide="ignore"):
-        ks, use = widths(mu)
+    mu_on = np.clip(np.exp(x), mu_lo, mu_hi)
+    mu[rows[solved]] = mu_on
+    ks = ks_bp[j]  # at the breakpoint, where a slack or jumping budget's mu is
+    on_piece = ks_bp[p[solved]]
+    smooth = np.isfinite(lo)
+    for i in np.flatnonzero(smooth):
+        on_piece[:, i] = minimizers[i](mu_on)[0]
+    ks[rows[solved]] = on_piece
     # A jumping width may rise back to its left-side value; a smooth one is
     # continuous and stays.
-    smooth = np.isfinite(lo)
     for r, q in zip(rows[jump], p[jump]):
         upper = np.where(smooth, ks_bp[q + 1], ks_bp[q])
-        ks[r] = _fill_budget(spec, float(b[r]), ks[r], use[r], upper)
+        ks[r] = _fill_budget(spec, float(b[r]), ks[r], use_bp[q + 1], upper)
     return _allocations(spec, ks, mu, k_max=k_max)
 
 

@@ -259,36 +259,20 @@ class Tabular(SpeedupFunction):
         last = float(self.knots[-1])
         return tuple(sorted({1.0, *self.knots.tolist(), 2.0 * last}))
 
-    def _candidates(self, k_max: float) -> tuple[np.ndarray, np.ndarray]:
-        # g is monotone on each linear piece (and on the flat ends), so the
-        # minimum sits on a knot, at 1 or at the cap.
+    def _envelope(self, k_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # g is monotone on each linear piece, so the minimum sits on a knot,
+        # at 1 or at the cap: one line in mu, g = 1/s + mu*k/s, per width.
+        # From the lowest at mu = 0 (the narrowest of equals), each vertex of
+        # their lower envelope is the earliest crossing with a flatter line,
+        # and the envelope goes on along the flattest one crossing there.
+        # Returns the vertices, the last at mu = inf (every g is inf; width 1
+        # is taken), and the width and speed on each stretch.
         # A sorted set, not np.unique, which imports numpy.ma on first use.
         cand = np.array(sorted({1.0, k_max, *np.minimum(self.knots, k_max).tolist()}))
-        return cand, self._value(cand)
-
-    def minimizer(self, k_max: float):
-        cand, s = self._candidates(k_max)
-        inv_s = 1.0 / s
-
-        def widths(mu):
-            g = (1.0 + np.multiply.outer(mu, cand)) * inv_s
-            # The smallest width within 1e-12 of the minimum: no wasted GPUs
-            # on a flat tail.
-            best = g <= g.min(axis=1, keepdims=True) * (1.0 + 1e-12)
-            j = np.argmax(best, axis=1)
-            return cand[j], s[j]
-
-        return widths
-
-    def breakpoints(self, k_max: float):
-        # Each candidate width is a line in mu, g = 1/s + mu * k/s; the
-        # minimizer follows their lower envelope.  From the line lowest at
-        # mu = 0, each vertex is the earliest crossing with a flatter line,
-        # and the envelope goes on along the flattest line crossing there.
-        cand, s = self._candidates(k_max)
+        s = self._value(cand)
         lines = list(zip((1.0 / s).tolist(), (cand / s).tolist()))  # (intercept, slope)
         j = min(range(len(lines)), key=lambda i: lines[i][0])
-        vertices = [0.0]
+        vertices, stretches = [0.0], [j]
         while True:
             icept, slope = lines[j]
             crossings = [
@@ -297,9 +281,25 @@ class Tabular(SpeedupFunction):
                 if flatter < slope
             ]
             if not crossings:
-                return tuple(vertices[1:])
+                stretches.append(0)
+                return np.array(vertices[1:] + [math.inf]), cand[stretches], s[stretches]
             mu, _, j = min(crossings)
             vertices.append(max(mu, vertices[-1]))
+            stretches.append(j)
+
+    def minimizer(self, k_max: float):
+        """The width on the stretch of the envelope that holds mu; at a
+        vertex, the stretch to its right, whose width is the narrower."""
+        vertices, ks, speeds = self._envelope(k_max)
+
+        def widths(mu):
+            i = np.searchsorted(vertices, mu, side="right")
+            return ks[i], speeds[i]
+
+        return widths
+
+    def breakpoints(self, k_max: float):
+        return tuple(self._envelope(k_max)[0][:-1].tolist())
 
     def width_at_usage(self, v: float, k_max: float) -> float:
         # The knots' own usages pick the piece.  Below the first knot and

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from gpurental import (
 )
 from gpurental import cli, simulator
 from gpurental.cli import _csv_rows, main
+
+FOUR_TYPE_TABULAR = Path(__file__).resolve().parents[1] / "perfbench" / "four_type_tabular.json"
 
 UNSTABLE_CONFIG = {
     "types": [
@@ -235,6 +238,16 @@ class TestSolve:
     def test_unstable_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, UNSTABLE_CONFIG)
         assert main(["solve", "--spec", path]) == 2
+
+    def test_budget_at_a_tabular_vertex_is_spent(self, tmp_path, capsys):
+        # This budget is what [4, 3, 3, 1] uses.  Its multiplier is 1, where
+        # tabular-wide's width drops from 4 to 2; the plan keeps 4.
+        doc = json.loads(FOUR_TYPE_TABULAR.read_text(encoding="utf-8"))
+        doc["budget"] = 1.7150962003914323
+        assert main(["solve", "--spec", write_config(tmp_path, doc)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["ks"] == [4.0, 3.0, 3.0, 1.0]
+        assert out["budget_used"] == 1.71509620039
 
     def test_k_max_flag(self, tmp_path, capsys):
         doc = json.loads(json.dumps(SINGLE_POWER_CONFIG))

@@ -271,6 +271,18 @@ class TestSolve:
         assert a.multiplier == pytest.approx(0.125, rel=1e-15)
         assert (a.ks[0], a.budget_used) == (8.0, 1.0)  # k = a*v/(1 - c*v) = 2*2/(1 - 1/2)
 
+    def test_budget_at_a_tabular_vertex_matches_brute_force(self):
+        # The multiplier lands on the vertex near mu = 1 where the table's
+        # width drops from 4 to 2; the plan must keep the width it was
+        # solved with.
+        wide = Tabular(((1, 1), (2, 1.8), (4, 3.0), (8, 4.2), (16, 5.0)))
+        spec = WorkloadSpec((
+            JobType("amdahl", Amdahl(0.9), 0.4, Deterministic(1.0)),
+            JobType("wide", wide, 0.5, Deterministic(1.0)),
+        ), budget=1.1466666666666665)
+        a = solve_allocation(spec)
+        assert a.objective <= brute_force_allocation(spec, 1e-3).objective
+
     def test_speed_above_one_at_width_one_matches_brute_force(self):
         # The loads sum to 1.2 > 0.9, but the least usage is 0.7 < 0.9.
         spec = unnormalized_spec(budget=0.9)
@@ -457,6 +469,40 @@ class TestCertificate:
         mu = a.multiplier
         assert a.ks[0] == pytest.approx(math.sqrt(9.0 / mu), rel=1e-14)
         assert a.ks[1] == pytest.approx((0.4 / 0.6) / mu, rel=1e-14)
+
+
+class TestComplementarySlackness:
+    """A plan that prices the budget (multiplier > 0) spends all of it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 20))
+    def test_budget_at_a_tabular_vertex_is_spent(self, seed, m):
+        # Usage jumps down at each vertex of a table's envelope.  Its left
+        # limit there, a budget met on the piece that ends at the vertex, has
+        # smooth types at the vertex and the others at their width inside
+        # the piece.
+        rng = np.random.default_rng(seed)
+        spec = random_spec(rng, m=m, with_tabular=True)
+        table = dataclasses.replace(spec.types[0], speedup=random_concave_tabular(rng))
+        spec = dataclasses.replace(spec, types=(table, *spec.types[1:]))
+        k_max = DEFAULT_K_MAX
+        fs = [t.speedup for t in spec.types]
+        smooth = [f.power_term(k_max) is not None for f in fs]
+        vertices = {v for f, sm in zip(fs, smooth) if not sm for v in f.breakpoints(k_max)}
+        bps = [0.0, *sorted({v for f in fs for v in f.breakpoints(k_max)})]
+        budgets = []
+        for prev, v in zip(bps, bps[1:]):
+            if v in vertices:
+                mus = [v if sm else 0.5 * (prev + v) for sm in smooth]
+                ks = [f.minimizer(k_max)(np.array([mu]))[0][0] for f, mu in zip(fs, mus)]
+                budgets.append(budget_usage(spec, ks))
+        for pt in pareto_frontier(spec, budgets):
+            a = pt.allocation
+            if a is None:  # unstable
+                continue
+            assert a.budget_used <= pt.budget * (1 + 1e-12)
+            if a.multiplier > 0:
+                assert a.budget_used >= pt.budget * (1 - 1e-9)
 
 
 class TestAllocationBuilder:

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gpurental import Amdahl, PowerLaw, SpecError, Tabular, parse_speedup, validate
@@ -278,9 +278,9 @@ class TestUsageLaw:
 
     K_MAX = 2.0**20
 
-    def widths(self, f, mu):
+    def widths(self, f, mu, k_max=K_MAX):
         with np.errstate(divide="ignore"):
-            k, s = f.minimizer(self.K_MAX)(np.asarray(mu, dtype=float))
+            k, s = f.minimizer(k_max)(np.asarray(mu, dtype=float))
         return k, s
 
     @pytest.mark.parametrize("f", [Amdahl(0.3), Amdahl(0.8), Amdahl(0.999), PowerLaw(0.1),
@@ -314,11 +314,16 @@ class TestUsageLaw:
         ends = [bps[0] / 4, bps[-1] * 4] if len(bps) else [1.0, 2.0]
         edges = np.concatenate([ends[:1], bps, ends[1:]])
         probes = np.sqrt(edges[:-1] * edges[1:])
-        k, s = self.widths(f, probes)
+        k, s = self.widths(f, probes, k_max)
         assert np.all(np.diff(k) < 0)  # a new width on every piece
         # Each breakpoint already takes the width of the piece to its right.
-        k_at, _ = self.widths(f, bps)
+        k_at, _ = self.widths(f, bps, k_max)
         assert k_at.tolist() == k[1:].tolist()
+        # Just left of it the width is the left piece's, though g of the two
+        # widths differs there by far less than 1e-12.
+        assume(np.all(bps[1:] * (1 - 1e-13) > bps[:-1]))
+        k_left, _ = self.widths(f, bps * (1 - 1e-13), k_max)
+        assert k_left.tolist() == k[:-1].tolist()
 
 
 @st.composite
