@@ -37,7 +37,14 @@ from .simulator import (
 )
 from .speedup import DEFAULT_K_MAX, _check_width
 from .speedup import validate as validate_speedup
-from .workload import WorkloadSpec, generate_trace, load_spec, read_trace, write_trace
+from .workload import (
+    _BLOCK_ROWS,
+    WorkloadSpec,
+    generate_trace,
+    load_spec,
+    read_trace,
+    write_trace,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -59,9 +66,13 @@ def _csv_rows(table) -> Iterator[str]:
     """One newline-terminated CSV line per row of a 2-D numeric table.
 
     The row template is built once and mapped over the table's columns as
-    Python floats, so no per-value formatting call runs."""
+    Python floats, so no per-value formatting call runs.  Rows become
+    Python floats _BLOCK_ROWS at a time, so memory does not grow with the
+    table."""
     table = np.asarray(table, dtype=float)
-    return map((_numbers(table.shape[1]) + "\n").format, *table.T.tolist())
+    row = (_numbers(table.shape[1]) + "\n").format
+    for start in range(0, len(table), _BLOCK_ROWS):
+        yield from map(row, *table[start:start + _BLOCK_ROWS].T.tolist())
 
 
 def _write_csv(path: str, header: str, table) -> None:

@@ -28,8 +28,10 @@ The loop thus runs only on busy periods of two or more jobs, and its results
 are bit for bit those of replaying every job through it.
 
 K(t), the number of GPUs rented at time t, depends only on the jobs present,
-so it is built from arrivals and completions, and only when sampled.  It is
-right-continuous: at the instant a job completes, it is gone.
+so it is counted from arrivals and completions, and only when sampled.  The
+jobs present at t are those arrived by t less those completed by t, an
+integer count, so K(t) is right-continuous (at the instant a job completes,
+it is gone) and exactly 0 when no job is present.
 
 One replay is strictly sequential (event-ordered); distinct replays share
 no state and may run concurrently.
@@ -122,9 +124,10 @@ class _Replay:
     completions: np.ndarray
     gpu_hours: np.ndarray
     work_done: np.ndarray
-    # K(t) sums job_k over the jobs present.  A pooled policy sets job_k to 1
-    # and rents k_by_count[min(m, len(k_by_count) - 1)] GPUs with m present.
-    job_k: np.ndarray
+    # With n_i type-i jobs present, a fixed-width policy rents
+    # sum_i widths[i] * n_i GPUs, and a pooled policy, with m = sum_i n_i,
+    # rents k_by_count[min(m, len(k_by_count) - 1)].  One of the two is set.
+    widths: np.ndarray | None = None
     k_by_count: np.ndarray | None = None
 
 
@@ -169,7 +172,7 @@ def _replay_fixed(trace: Trace, spec: WorkloadSpec, widths: np.ndarray) -> _Repl
     with np.errstate(over="ignore"):  # _check_finite refuses what overflows
         durations = trace.sizes / speeds_per_type[trace.type_indices]
         return _Replay(
-            trace.arrival_times + durations, k_job * durations, trace.sizes.copy(), k_job
+            trace.arrival_times + durations, k_job * durations, trace.sizes.copy(), widths=widths
         )
 
 
@@ -292,7 +295,7 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
         k_by_count = [0.0, pool]
     else:
         k_by_count = [math.fsum(rank_alloc[:j]) for j in range(len(rank_alloc) + 1)]
-    return _Replay(completions, gpu_hours, work_done, np.ones(n), np.array(k_by_count))
+    return _Replay(completions, gpu_hours, work_done, k_by_count=np.array(k_by_count))
 
 
 def _check_pool(spec: WorkloadSpec, policy: Policy) -> None:
@@ -354,17 +357,43 @@ def _measure(trace: Trace, rep: _Replay, collect_per_job: bool) -> SimMetrics:
     )
 
 
-def _k_steps(trace: Trace, rep: _Replay) -> tuple[np.ndarray, np.ndarray]:
-    """K(t) as (times, ks): K(t) == ks[i] on [times[i], times[i+1]), times[0] == 0."""
-    times = np.concatenate([[0.0], trace.arrival_times, rep.completions])
-    times, inv = np.unique(times, return_inverse=True)
-    ks = np.cumsum(np.bincount(inv, weights=np.concatenate([[0.0], rep.job_k, -rep.job_k])))
+def _k_at(trace: Trace, rep: _Replay, ts: np.ndarray) -> np.ndarray:
+    """K(t) at each of the ascending times ts, from integer counts of the
+    jobs present: those arrived by t, less those completed by t.
+
+    A fixed-width policy sums width * count over its distinct widths, so a
+    time with no job present gets exactly 0.  A pooled policy looks its
+    grant total up by the count of all jobs present."""
+    # Job j is counted at ts[i] for arrived[j] <= i < completed[j]; the
+    # last bin holds what happens after ts[-1].
+    arrived = np.searchsorted(ts, trace.arrival_times)
+    completed = np.searchsorted(ts, rep.completions)
+
+    def present(jobs=slice(None)) -> np.ndarray:
+        net = np.bincount(arrived[jobs], minlength=len(ts) + 1)
+        net -= np.bincount(completed[jobs], minlength=len(ts) + 1)
+        return np.cumsum(net[:-1])
+
     if rep.k_by_count is not None:
-        ks = rep.k_by_count.take(ks.astype(np.intp), mode="clip")
-    return times, ks
+        return rep.k_by_count.take(present(), mode="clip")
+    ks = np.zeros(len(ts))
+    for w in sorted(set(rep.widths.tolist())):
+        ks += w * present((rep.widths == w)[trace.type_indices])
+    return ks
+
+
+def _k_steps(trace: Trace, rep: _Replay) -> tuple[np.ndarray, np.ndarray]:
+    """K(t) as (times, ks): K(t) == ks[i] on [times[i], times[i+1]), times[0] == 0.
+
+    times are 0 and the distinct arrival and completion instants; ks is
+    counted there by ``_k_at``, the evaluator that samples K(t)."""
+    times = np.unique(np.concatenate([[0.0], trace.arrival_times, rep.completions]))
+    return times, _k_at(trace, rep, times)
 
 
 def _sample_k(trace: Trace, rep: _Replay, sample_step: float) -> np.ndarray:
+    """(t, K(t)) rows at t = 0, sample_step, ... up to the last completion,
+    counted at the sample times themselves, without the event-level steps."""
     if not 0.0 < sample_step < math.inf:
         raise ValueError(f"sample_step must be positive and finite, got {sample_step}")
     horizon = float(rep.completions.max()) if len(rep.completions) else 0.0
@@ -376,8 +405,7 @@ def _sample_k(trace: Trace, rep: _Replay, sample_step: float) -> np.ndarray:
             f"more than {MAX_TIMESERIES_SAMPLES}"
         )
     ts = np.arange(count) * sample_step
-    times, ks = _k_steps(trace, rep)
-    return np.column_stack([ts, ks[np.searchsorted(times, ts, side="right") - 1]])
+    return np.column_stack([ts, _k_at(trace, rep, ts)])
 
 
 def simulate(
@@ -420,8 +448,9 @@ def budget_timeseries(
     """Sample the exact K(t) step function at multiples of sample_step.
 
     Returns an array of (t, K(t)) rows covering [0, last completion],
-    right-continuous at event instants.  A step that is not positive and
-    finite, or that needs more than MAX_TIMESERIES_SAMPLES samples, is
-    refused before they are allocated.
+    right-continuous at event instants, and exactly 0 where no job is
+    present.  A step that is not positive and finite, or that needs more
+    than MAX_TIMESERIES_SAMPLES samples, is refused before they are
+    allocated.
     """
     return _sample_k(trace, _replay(trace, spec, policy), sample_step)

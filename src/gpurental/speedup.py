@@ -222,12 +222,13 @@ class Tabular(SpeedupFunction):
     Between points the value is linearly interpolated; beyond the last point
     (and below the first) it is held constant, so a saturating tail stays
     monotone and sub-linear.  ``knots`` holds the points' k values as a
-    read-only array, built once.
+    read-only array, built once; so is the lower envelope for each k_max.
     """
 
     points: tuple[tuple[float, float], ...]
     knots: np.ndarray = field(init=False, repr=False, compare=False)
     _speeds: np.ndarray = field(init=False, repr=False, compare=False)
+    _envelopes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = tuple((float(k), float(s)) for k, s in self.points)
@@ -247,6 +248,7 @@ class Tabular(SpeedupFunction):
             arr = np.array(column)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_envelopes", {})
 
     def _value(self, k):
         return np.interp(k, self.knots, self._speeds)
@@ -260,6 +262,14 @@ class Tabular(SpeedupFunction):
         return tuple(sorted({1.0, *self.knots.tolist(), 2.0 * last}))
 
     def _envelope(self, k_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # Walked once per k_max: a search asks for its breakpoints and then
+        # for its minimizer.
+        env = self._envelopes.get(k_max)
+        if env is None:
+            env = self._envelopes[k_max] = self._walk_envelope(k_max)
+        return env
+
+    def _walk_envelope(self, k_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # g is monotone on each linear piece, so the minimum sits on a knot,
         # at 1 or at the cap: one line in mu, g = 1/s + mu*k/s, per width.
         # From the lowest at mu = 0 (the narrowest of equals), each vertex of
@@ -282,7 +292,10 @@ class Tabular(SpeedupFunction):
             ]
             if not crossings:
                 stretches.append(0)
-                return np.array(vertices[1:] + [math.inf]), cand[stretches], s[stretches]
+                env = np.array(vertices[1:] + [math.inf]), cand[stretches], s[stretches]
+                for arr in env:
+                    arr.flags.writeable = False
+                return env
             mu, _, j = min(crossings)
             vertices.append(max(mu, vertices[-1]))
             stretches.append(j)

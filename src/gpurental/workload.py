@@ -354,15 +354,25 @@ def empirical_loads(trace: Trace, spec: WorkloadSpec) -> list[LoadEstimate]:
 
 
 TRACE_HEADER = "arrival_time,type,size"
+# Rows a CSV writer turns into Python numbers at a time, here and in the CLI.
+_BLOCK_ROWS = 8192
 
 
 def write_trace(trace: Trace, path) -> None:
-    """Write a trace as CSV; floats use repr so reading it back is exact."""
+    """Write a trace as CSV; floats use repr so reading it back is exact.
+
+    Rows are turned into Python numbers _BLOCK_ROWS at a time, so the
+    writer's memory does not grow with the trace."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(TRACE_HEADER + "\n")
-        columns = (trace.arrival_times.tolist(), trace.type_indices.tolist(), trace.sizes.tolist())
-        for t, ty, x in zip(*columns):
-            fh.write(f"{t!r},{ty},{x!r}\n")
+        for start in range(0, len(trace), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            for t, ty, x in zip(
+                trace.arrival_times[block].tolist(),
+                trace.type_indices[block].tolist(),
+                trace.sizes[block].tolist(),
+            ):
+                fh.write(f"{t!r},{ty},{x!r}\n")
 
 
 # One trace row as numpy's C CSV reader parses it, on numpy >= 2 only.

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +102,36 @@ def test_csv_rows_match_per_value_format(table):
         ",".join(format(float(x), ".12g") for x in row) + "\n" for row in table
     )
     assert "".join(_csv_rows(table)) == reference
+
+
+SMALL_BLOCK = 7  # rows per block in the block-boundary tests
+
+
+@pytest.mark.parametrize("rows", [0, 1, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1,
+                                  3 * SMALL_BLOCK + 7])
+def test_write_csv_blocks_match_per_row_format(tmp_path, monkeypatch, rows):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", SMALL_BLOCK)
+    values = np.resize(np.array(EDGE_FLOATS + [0.1, -2.5, 1 / 3]), rows * 3)
+    table = values.reshape(rows, 3)
+    path = tmp_path / "t.csv"
+    cli._write_csv(path, "a,b,c", table)
+    reference = "a,b,c\n" + "".join(
+        ",".join(format(float(x), ".12g") for x in row) + "\n" for row in table
+    )
+    assert path.read_bytes() == reference.encode("utf-8")
+
+
+def test_write_csv_memory_does_not_grow_with_rows(tmp_path):
+    # One block of Python floats is alive at a time: ~1 MB for 8192 rows of
+    # four columns, where the whole table's would be ~13 MB.
+    table = np.random.default_rng(3).random((100_000, 4)) * 1e3
+    tracemalloc.start()
+    try:
+        cli._write_csv(tmp_path / "big.csv", "a,b,c,d", table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 class TestValidate:

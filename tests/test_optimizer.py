@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,9 +29,11 @@ from gpurental import (
     pareto_frontier,
     solve_allocation,
 )
-from gpurental import optimizer
+from gpurental import load_spec, optimizer
 from gpurental.speedup import DEFAULT_K_MAX
 from randspecs import random_concave_tabular, random_spec, random_speedup
+
+FOUR_TYPE_TABULAR = Path(__file__).resolve().parents[1] / "perfbench" / "four_type_tabular.json"
 
 
 def cost_rate_inverse(jt, target, k_lo, k_hi):
@@ -242,6 +245,24 @@ class TestAxiomRefusal:
 
 
 class TestSolve:
+    def test_one_envelope_walk_per_table(self, monkeypatch):
+        # A search asks each table for its breakpoints and its minimizer;
+        # both read one walk of its lower envelope.
+        walk, walked = Tabular._walk_envelope, []
+
+        def counted(self, k_max):
+            walked.append(self)
+            return walk(self, k_max)
+
+        monkeypatch.setattr(Tabular, "_walk_envelope", counted)
+        spec = load_spec(FOUR_TYPE_TABULAR)
+        tables = [jt.speedup for jt in spec.types if isinstance(jt.speedup, Tabular)]
+        first = solve_allocation(spec)
+        assert len(tables) == 2
+        assert sorted(map(id, walked)) == sorted(map(id, tables))
+        assert solve_allocation(spec) == first
+        assert len(walked) == 2
+
     def test_closed_form_single_type(self, single_power_spec):
         a = solve_allocation(single_power_spec)
         assert a.ks[0] == pytest.approx(4.0, abs=1e-6)

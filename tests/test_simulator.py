@@ -490,20 +490,20 @@ class TestCompare:
 class TestBudgetTimeseries:
     def test_k_built_only_when_sampled(self, two_type_spec, monkeypatch):
         tr = generate_trace(two_type_spec, 200, seed=5)
-        k_steps, calls = simulator._k_steps, []
+        k_at, calls = simulator._k_at, []
 
         def refuse(*args):
             raise AssertionError("K(t) built but not sampled")
 
         def counted(*args):
             calls.append(args)
-            return k_steps(*args)
+            return k_at(*args)
 
-        monkeypatch.setattr(simulator, "_k_steps", refuse)
+        monkeypatch.setattr(simulator, "_k_at", refuse)
         for pol in ALL_POLICIES:
             simulate(tr, two_type_spec, pol)
         compare_policies(tr, two_type_spec, ALL_POLICIES)
-        monkeypatch.setattr(simulator, "_k_steps", counted)
+        monkeypatch.setattr(simulator, "_k_at", counted)
         for n, pol in enumerate(ALL_POLICIES, start=1):
             budget_timeseries(tr, two_type_spec, pol, 0.5)
             assert len(calls) == n
@@ -554,3 +554,50 @@ class TestBudgetTimeseries:
         ts = budget_timeseries(tr, two_type_spec, FixedWidth((1.0, 4.0)), 1.0)
         assert ts[-1, 0] == pytest.approx(1.0)
         assert ts[-1, 1] == 0.0
+
+    # The optimal widths of the two-type spec.  A running float sum of +k and
+    # -k over their events left residues such as -3.6e-15 where no job is
+    # present.
+    DRIFTING = FixedWidth((6.0, 8.999999999999996))
+
+    @staticmethod
+    def counted_k(tr, widths, completions, ts):
+        """K at each time of ts as the sum, over distinct widths w, of w times
+        the jobs of width w present, counted from the per-job (arrival,
+        completion) pairs; and whether any job is present."""
+        t = ts[:, None]
+        present = (tr.arrival_times <= t) & (t < completions)
+        job_w = np.asarray(widths)[tr.type_indices]
+        expect = np.zeros(len(ts))
+        for w in sorted(set(widths)):
+            expect += w * (present & (job_w == w)).sum(axis=1)
+        return expect, present.any(axis=1)
+
+    def test_fixed_width_idle_samples_are_exactly_zero(self, two_type_spec):
+        tr = generate_trace(two_type_spec, 3000, seed=4)
+        ts = budget_timeseries(tr, two_type_spec, self.DRIFTING, 0.5)
+        completions = simulate(tr, two_type_spec, self.DRIFTING).per_job[:, 1]
+        expect, busy = self.counted_k(tr, self.DRIFTING.ks, completions, ts[:, 0])
+        assert (~busy).sum() > 100
+        assert np.all(ts[~busy, 1] == 0.0)
+        assert np.array_equal(ts[:, 1], expect)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        tr=spread_out_traces() | tie_heavy_traces(),
+        widths=st.tuples(*[st.sampled_from([1.0, 2.5, 3.0, 8.999999999999996])] * 2),
+        step=st.sampled_from([0.1, 0.25, 1.0]),
+    )
+    def test_fixed_width_k_is_width_times_count(self, two_type_spec, tr, widths, step):
+        pol = FixedWidth(widths)
+        ts = budget_timeseries(tr, two_type_spec, pol, step)
+        completions = simulate(tr, two_type_spec, pol).per_job[:, 1]
+        expect, busy = self.counted_k(tr, widths, completions, ts[:, 0])
+        assert np.array_equal(ts[:, 1], expect)
+        assert np.all(ts[~busy, 1] == 0.0)
+
+    def test_k_never_negative(self, two_type_spec):
+        tr = generate_trace(two_type_spec, 3000, seed=6)
+        for pol in [*ALL_POLICIES, self.DRIFTING]:
+            ts = budget_timeseries(tr, two_type_spec, pol, 0.25)
+            assert ts[:, 1].min() >= 0.0, pol

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -303,6 +304,32 @@ class TestTraceFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_trace(tmp_path / "nope.csv")
+
+    @pytest.mark.parametrize("rows", [0, 1, 6, 7, 8, 28])  # blocks of 7 rows
+    def test_blocks_match_per_row_repr(self, tmp_path, monkeypatch, two_type_spec, rows):
+        monkeypatch.setattr(workload, "_BLOCK_ROWS", 7)
+        tr = generate_trace(two_type_spec, rows, seed=2)
+        p = tmp_path / "t.csv"
+        write_trace(tr, p)
+        reference = "arrival_time,type,size\n" + "".join(
+            f"{t!r},{ty},{x!r}\n"
+            for t, ty, x in zip(tr.arrival_times.tolist(), tr.type_indices.tolist(),
+                                tr.sizes.tolist())
+        )
+        assert p.read_bytes() == reference.encode("utf-8")
+        assert read_trace(p) == tr
+
+    def test_memory_does_not_grow_with_rows(self, tmp_path, two_type_spec):
+        # One block of Python numbers is alive at a time: ~0.6 MB for 8192
+        # rows, where the whole trace's would be ~7 MB.
+        tr = generate_trace(two_type_spec, 100_000, seed=9)
+        tracemalloc.start()
+        try:
+            write_trace(tr, tmp_path / "big.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 # Values that stress the text round trip: ties, zero, subnormals, the
