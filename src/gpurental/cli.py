@@ -57,22 +57,28 @@ def _fmt(x: float) -> str:
 
 
 def _numbers(ncols: int) -> str:
-    """``str.format`` template of ncols comma-separated numbers, each written
-    as ``_fmt`` writes it."""
-    return ",".join(["{:.12g}"] * ncols)
+    """``%`` template of ncols comma-separated numbers, each written as
+    ``_fmt`` writes it: ``%.12g`` and ``format(x, ".12g")`` share one
+    float-to-decimal conversion."""
+    return ",".join(["%.12g"] * ncols)
 
 
 def _csv_rows(table) -> Iterator[str]:
-    """One newline-terminated CSV line per row of a 2-D numeric table.
+    """The CSV lines of a 2-D numeric table, one newline-terminated string
+    per block of rows.
 
-    The row template is built once and mapped over the table's columns as
-    Python floats, so no per-value formatting call runs.  Rows become
-    Python floats _BLOCK_ROWS at a time, so memory does not grow with the
-    table."""
+    Each block is one ``%`` of the row template, repeated once per row, over
+    the block's values as one tuple of Python floats: no call runs per row
+    or per value.  A block holds _BLOCK_ROWS // ncols rows, about
+    _BLOCK_ROWS values; its floats, their tuple, the template and the text
+    are all that is alive, so memory grows with neither the table's length
+    nor its width."""
     table = np.asarray(table, dtype=float)
-    row = (_numbers(table.shape[1]) + "\n").format
-    for start in range(0, len(table), _BLOCK_ROWS):
-        yield from map(row, *table[start:start + _BLOCK_ROWS].T.tolist())
+    row = _numbers(table.shape[1]) + "\n"
+    step = _BLOCK_ROWS // table.shape[1]
+    for start in range(0, len(table), step):
+        block = table[start:start + step]
+        yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
 def _write_csv(path: str, header: str, table) -> None:
@@ -215,16 +221,16 @@ def _cmd_pareto(args) -> int:
     budgets = np.linspace(args.b_min, args.b_max, args.points)
     points = pareto_frontier(spec, budgets, k_max=args.k_max)
     m = len(spec.types)
-    solved_row = (_numbers(2 + m) + "\n").format
-    error_row = (_numbers(1) + ",error: {}" + "," * m + "\n").format
+    solved_row = _numbers(2 + m) + "\n"
+    error_row = _numbers(1) + ",error: %s" + "," * m + "\n"
     rows = ["budget,mean_response_time," + ",".join(f"k_{i + 1}" for i in range(m)) + "\n"]
     successes = 0
     for pt in points:
         if pt.allocation is not None:
             successes += 1
-            rows.append(solved_row(pt.budget, pt.allocation.objective, *pt.allocation.ks))
+            rows.append(solved_row % (pt.budget, pt.allocation.objective, *pt.allocation.ks))
         else:
-            rows.append(error_row(pt.budget, pt.error.replace(",", ";")))
+            rows.append(error_row % (pt.budget, pt.error.replace(",", ";")))
     _emit("".join(rows), args.out)
     if args.out:
         print(f"wrote {args.out} ({successes}/{len(points)} budgets solved)")
@@ -246,14 +252,14 @@ def _cmd_compare(args) -> int:
             results.append(simulate(trace, spec, policy, collect_per_job=False))
         except ReplayError as exc:
             raise ReplayError(f"policy {label!r}: {exc}") from None
-    row = ("{},{},{}," + _numbers(2) + "\n").format
+    row = "%s,%s,%s," + _numbers(2) + "\n"
     rows = ["policy,job_count,mean_response_time,time_avg_budget,total_gpu_hours\n"]
     for label, metrics in zip(labels, results):
         field = f'"{label}"' if "," in label else label
         mrt = metrics.mean_response_time  # None when the trace has no jobs
-        mrt = "" if mrt is None else _numbers(1).format(mrt)
+        mrt = "" if mrt is None else _numbers(1) % mrt
         rows.append(
-            row(field, metrics.job_count, mrt, metrics.time_avg_budget, metrics.total_gpu_hours)
+            row % (field, metrics.job_count, mrt, metrics.time_avg_budget, metrics.total_gpu_hours)
         )
     _emit("".join(rows), args.out)
     if args.out:

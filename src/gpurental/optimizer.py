@@ -136,7 +136,7 @@ def _fill_budget(
             k = t.speedup.width_at_usage((use[i] + slack) / loads[i], ks_upper[i])
             if k > ks[i]:
                 ks[i] = k
-                use[i] = loads[i] * k / t.speedup._value(k)
+                use[i] = loads[i] * (k / t.speedup._value(k))
     return ks
 
 
@@ -153,7 +153,7 @@ def _allocations(
         speeds[:, i] = t.speedup._value(ks[:, i])
     loads = spec.loads
     objectives = (loads / speeds).sum(axis=1) / spec.total_rate
-    used = (loads * ks / speeds).sum(axis=1)
+    used = (loads * (ks / speeds)).sum(axis=1)
     caps = (ks >= k_max * (1.0 - 1e-6)).any(axis=1)
     return [
         Allocation(tuple(row), obj, u, m, cap)
@@ -207,7 +207,9 @@ def _search(spec: WorkloadSpec, budgets: np.ndarray, *, k_max: float) -> list[Al
     with np.errstate(divide="ignore"):
         for i, minimizer in enumerate(minimizers):
             ks_bp[:, i], speeds_bp[:, i] = minimizer(bps)
-    use_bp = loads * ks_bp / speeds_bp  # each type's usage, as budget_usage has it
+    # Each type's usage, as budget_usage has it: k / s(k) first, so a huge
+    # load times a wide k_max does not overflow where their ratio is modest.
+    use_bp = loads * (ks_bp / speeds_bp)
     # The first breakpoint whose usage fits the budget; 0 when it is slack.
     j = np.searchsorted(-np.minimum.accumulate(use_bp.sum(axis=1)), -b)
 

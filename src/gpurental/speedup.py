@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -258,8 +259,9 @@ class Tabular(SpeedupFunction):
         # a width past the last knot so that the kinks into the flat ends are
         # interior.  Monotonicity and s(k)/k are monotone on each piece, and
         # the slopes fall iff every interior breakpoint passes the chord test.
+        # Past ~9e307, 2 * last overflows; the largest double stays finite.
         last = float(self.knots[-1])
-        return tuple(sorted({1.0, *self.knots.tolist(), 2.0 * last}))
+        return tuple(sorted({1.0, *self.knots.tolist(), min(2.0 * last, sys.float_info.max)}))
 
     def _envelope(self, k_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # Walked once per k_max: a search asks for its breakpoints and then

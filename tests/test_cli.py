@@ -83,8 +83,11 @@ def read_csv(path, header):
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
                1.7976931348623157e308, -1.7976931348623157e308, 999999999999.0, 1e12,
                1e12 + 1, 123456789012345.0, 2.0 ** 53, 1e22]
-CSV_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
-              | st.sampled_from(EDGE_FLOATS)
+NON_FINITE = [math.nan, -math.nan, math.inf, -math.inf]
+# Every double: "%.12g" must write what format(x, ".12g") writes, NaN and
+# the infinities included.
+CSV_FLOATS = (st.floats()
+              | st.sampled_from(EDGE_FLOATS + NON_FINITE)
               | st.integers(10 ** 12, 10 ** 17).map(float))
 
 
@@ -110,8 +113,9 @@ SMALL_BLOCK = 7  # rows per block in the block-boundary tests
 @pytest.mark.parametrize("rows", [0, 1, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1,
                                   3 * SMALL_BLOCK + 7])
 def test_write_csv_blocks_match_per_row_format(tmp_path, monkeypatch, rows):
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", SMALL_BLOCK)
-    values = np.resize(np.array(EDGE_FLOATS + [0.1, -2.5, 1 / 3]), rows * 3)
+    # A block holds _BLOCK_ROWS values: SMALL_BLOCK rows of three columns.
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 3 * SMALL_BLOCK)
+    values = np.resize(np.array(EDGE_FLOATS + NON_FINITE + [0.1, -2.5, 1 / 3]), rows * 3)
     table = values.reshape(rows, 3)
     path = tmp_path / "t.csv"
     cli._write_csv(path, "a,b,c", table)
@@ -122,8 +126,9 @@ def test_write_csv_blocks_match_per_row_format(tmp_path, monkeypatch, rows):
 
 
 def test_write_csv_memory_does_not_grow_with_rows(tmp_path):
-    # One block of Python floats is alive at a time: ~1 MB for 8192 rows of
-    # four columns, where the whole table's would be ~13 MB.
+    # One block of ~8192 values is alive at a time: its Python floats, their
+    # tuple, the block's template and its text, ~0.5 MB in all, where the
+    # whole table's floats would be ~13 MB.
     table = np.random.default_rng(3).random((100_000, 4)) * 1e3
     tracemalloc.start()
     try:
@@ -204,6 +209,16 @@ class TestValidate:
         p = tmp_path / "bad.json"
         p.write_text("{not json", encoding="utf-8")
         assert main(["validate", "--spec", str(p)]) == 3
+
+    @pytest.mark.parametrize("command", [["validate"], ["solve"]], ids=["validate", "solve"])
+    def test_last_knot_near_the_largest_double_warns_nothing(self, tmp_path, capsys, command):
+        # Twice the last knot overflows; the width past it must stay finite,
+        # or the concavity check divides inf by inf.  The suite raises any
+        # RuntimeWarning, so a warning fails here.
+        doc = edited(SINGLE_POWER_CONFIG, ("types", 0, "speedup"),
+                     {"kind": "tabular", "points": [[1, 1], [1e308, 2]]})
+        assert main(command + ["--spec", write_config(tmp_path, doc)]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("k_max", ["0.5", "inf", "nan", "16"])
     def test_k_max_is_not_an_option(self, two_type_config_path, capsys, k_max):
@@ -929,6 +944,41 @@ class TestOverflowingSpecs:
         rc = main(command + ["--spec", spec])
         out, err = capsys.readouterr()
         assert (rc, out, err) == (3, "", "error: total load overflows\n")
+
+
+class TestHugeLoadOnAWideType:
+    """A load near the top of the double range on a type whose k / s(k) is
+    1 solves: its usage is load * (k / s(k)), which the cap k_max = 2**20
+    cannot push past the range."""
+
+    SPEC = {
+        "types": [
+            {
+                "name": "linear",
+                "speedup": {"kind": "power", "alpha": 1},
+                "arrival_rate": 1,
+                "size_dist": {"kind": "deterministic", "x": 1e303},
+            }
+        ],
+        "budget": 1e304,
+    }
+
+    def test_solve_exits_0_within_budget(self, tmp_path, capsys):
+        assert main(["solve", "--spec", write_config(tmp_path, self.SPEC)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["budget_used"] == 1e303
+        assert doc["budget_used"] <= 1e304
+        assert doc["ks"] == [2.0 ** 20] and doc["cap_active"] is True
+
+    def test_pareto_exits_0_within_budget(self, tmp_path, capsys):
+        out = tmp_path / "front.csv"
+        rc = main(["pareto", "--spec", write_config(tmp_path, self.SPEC),
+                   "--b-min", "2e303", "--b-max", "1e304", "--points", "5", "--out", str(out)])
+        assert rc == 0
+        rows = read_csv(out, "budget,mean_response_time,k_1")
+        assert len(rows) == 5 and (rows[:, 2] == 2.0 ** 20).all()
+        # A linear type uses its load, 1e303, at every width.
+        assert (1e303 <= rows[:, 0]).all()
 
 
 class TestNonFiniteReplay:

@@ -1,4 +1,5 @@
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -155,6 +156,18 @@ class TestValidate:
         assert Amdahl(0.5).axiom_ks() == PowerLaw(0.5).axiom_ks() == (1.0, 2.0, 4.0)
         assert Tabular(((1, 1), (4, 2.5), (16, 4))).axiom_ks() == (1.0, 4.0, 16.0, 32.0)
         assert Tabular(((3, 1),)).axiom_ks() == (1.0, 3.0, 6.0)
+
+    def test_width_past_a_last_knot_near_the_largest_double_is_finite(self):
+        # 2 * 1e308 overflows; the largest double stands in for it, and the
+        # kinks stay decided without an inf - inf in the chord test.
+        big = sys.float_info.max
+        assert Tabular(((1, 1), (1e308, 2))).axiom_ks() == (1.0, 1e308, big)
+        assert validate(Tabular(((1, 1), (1e308, 2)))).ok
+        report = validate(Tabular(((1, 1), (1e300, 2), (1e308, 1.5))))
+        assert report.monotone.detail == "s(1e+300) = 2 > s(1e+308) = 1.5"
+        assert report.concave.detail == (
+            "s(1e+308) = 1.5 < chord of s(1e+300), s(1.79769e+308) = 1.72187"
+        )
 
     def test_decreasing_tabular_fails_monotonicity(self):
         report = validate(Tabular(((1, 1), (2, 0.8))))
