@@ -7,14 +7,17 @@ The pooled baselines (equal split and SRF) share one event loop.  Each event
 is an arrival or a completion.  Between events every present job depletes its
 remaining work at a constant speed, so the next completion is solved exactly
 (no time stepping): the loop advances time to the earlier of the next arrival
-and the smallest remaining/speed, then re-grants the pool.  A completion
-tied with an arrival goes first; of tied completions, the job that arrived
-first goes first.  Each present job is one record, kept in arrival order;
-its work and GPU-hours go to the outputs once, when it completes.  A grant
-depends only on m, the number of jobs present (equal split: C/m each), or on
-a job's rank by remaining work (SRF: min(k_cap, what is left), in rank
-order), so grants and their speed per job type are computed once per m or
-rank and then looked up.
+and the smallest remaining/speed.  At each event one pass over the present
+jobs advances them to it, re-grants the pool and finds that smallest
+remaining/speed for the next event; under SRF the advance takes only the
+jobs granted at the last event, since a waiting job's fields do not change.
+A completion tied with an arrival goes first; of tied completions, the job
+that arrived first goes first.  Each present job is one record, kept in
+arrival order; its work and GPU-hours go to the outputs once, when it
+completes.  A grant depends only on m, the number of jobs present (equal
+split: C/m each), or on a job's rank by remaining work (SRF: min(k_cap, what
+is left), in rank order), so grants and their speed per job type are
+computed once per m or rank and then looked up.
 
 Most jobs at moderate load never share the pool.  A job that arrives to an
 empty pool runs alone on the first grant: the pool under equal split,
@@ -214,10 +217,12 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
     arr_t = trace.arrival_times.tolist()
     arr_ty = trace.type_indices.tolist()
     arr_x = trace.sizes.tolist()
-    jobs: list[list] = []  # [rem, work, gpu_hours, alloc, speed, idx], in arrival order
+    jobs: list[list] = []  # [rem, work, gpu_hours, alloc, speed, idx, type], in arrival order
+    granted: list[list] = []  # SRF: the jobs granted at the last event
     t = 0.0
     i_next = 0
     p, n_outlasts = 0, len(outlasts)  # outlasts[p] is the next busy period's start
+    dt, done = math.inf, None  # time to the next completion and its job, if any
 
     while True:
         if not jobs:
@@ -228,43 +233,36 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
                 break
             i_next = int(outlasts[p])
         dt_arr = arr_t[i_next] - t if i_next < n else math.inf
-        dt = math.inf
-        done = None
-        for job in jobs:  # ties: the earliest arrival completes first
-            speed = job[4]
-            if speed > 0.0:
-                rem = job[0]
-                tc = (rem if rem > 0.0 else 0.0) / speed
-                if tc < dt:
-                    dt, done = tc, job
-        if done is None or dt > dt_arr:
-            done = None
-            dt = dt_arr
-
-        if dt > 0.0:
-            for job in jobs:
-                w = job[4] * dt
-                job[0] -= w
-                job[1] += w
-                job[2] += job[3] * dt
-        if done is not None:
-            t += dt
-            jobs.remove(done)
-            i = done[5]
-            completions[i] = t
-            work_done[i] = done[1]
-            gpu_hours[i] = done[2]
-        else:
+        arriving = done is None or dt > dt_arr  # a completion tied with an arrival goes first
+        if arriving:
             if i_next == n:  # no job present completes in finite time
                 for job in jobs:
                     completions[job[5]] = math.inf
                 break
+            # An arrival at or before t (t can round past it) advances by
+            # 0.0, which changes no bit: every speed and grant is finite.
+            dt = dt_arr if dt_arr > 0.0 else 0.0
             t = arr_t[i_next]
-            jobs.append([arr_x[i_next], 0.0, 0.0, 0.0, 0.0, i_next])
+            jobs.append([arr_x[i_next], 0.0, 0.0, 0.0, 0.0, i_next, arr_ty[i_next]])
             i_next += 1
+        else:
+            # The pass below no longer sees the job, so its last interval is
+            # added here (under SRF, ``granted`` still advances its record).
+            t += dt
+            jobs.remove(done)
+            i = done[5]
+            completions[i] = t
+            w = done[4] * dt
+            work_done[i] = done[1] + w
+            gpu_hours[i] = done[2] + done[3] * dt
 
+        # One pass per event advances the jobs by dt, re-grants the pool and
+        # finds the next completion, the least max(rem, 0) / speed.  A new
+        # job has speed and grant 0.0, so advancing it changes no bit.
+        adv, dt, done = dt, math.inf, None
         m = len(jobs)
         if m == 0:
+            granted = []
             continue
         if equal_split:
             row = share_of.get(m)
@@ -272,24 +270,49 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
                 share = pool / m
                 row = share_of[m] = (share, _speed_row(spec, speed_of, share))
             share, speeds = row
-            for job in jobs:
+            for job in jobs:  # in arrival order: a strict < keeps the earliest of ties
+                rem, work, hours, alloc, speed, _, ty = job
+                w = speed * adv
+                job[0] = rem = rem - w
+                job[1] = work + w
+                job[2] = hours + alloc * adv
                 job[3] = share
-                job[4] = speeds[arr_ty[job[5]]]
+                job[4] = speed = speeds[ty]
+                if speed > 0.0:
+                    tc = (rem if rem > 0.0 else 0.0) / speed
+                    if tc < dt:
+                        dt, done = tc, job
         else:
+            # Only the jobs granted at the last event advance: a waiting
+            # job's would add 0.0 to each field.
+            for job in granted:
+                rem, work, hours, alloc, speed, _, _ = job
+                w = speed * adv
+                job[0] = rem - w
+                job[1] = work + w
+                job[2] = hours + alloc * adv
             # A stable sort of the arrival-ordered list ranks by (remaining,
             # arrival).  It is a copy: reordering ``jobs`` would change which
-            # of two jobs with equal completion times completes first.
+            # of two jobs with equal remaining work ranks first.
             ranked = sorted(jobs, key=_remaining) if m > 1 else jobs
             while len(rank_alloc) < m and left > 0.0:
                 a = min(k_cap, left)
                 left -= a
                 rank_alloc.append(a)
                 rank_speed.append(_speed_row(spec, speed_of, a))
-            for job, a, speeds in zip(ranked, rank_alloc, rank_speed):
+            granted = ranked[: len(rank_alloc)]
+            for job, a, speeds in zip(granted, rank_alloc, rank_speed):
                 job[3] = a
-                job[4] = speeds[arr_ty[job[5]]]
-            for job in ranked[len(rank_alloc):]:
-                job[3] = job[4] = 0.0
+                job[4] = speed = speeds[job[6]]
+                if speed > 0.0:
+                    rem = job[0]
+                    tc = (rem if rem > 0.0 else 0.0) / speed
+                    # In rank order, of ties the earlier arrival (the
+                    # smaller trace index) completes first.
+                    if tc < dt:
+                        dt, done = tc, job
+                    elif tc == dt and done is not None and job[5] < done[5]:
+                        done = job
 
     if equal_split:
         k_by_count = [0.0, pool]

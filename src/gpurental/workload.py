@@ -293,9 +293,16 @@ def generate_trace(
 
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(m)]
     rates = np.array([t.arrival_rate for t in spec.types])
-    # Draw enough arrivals per type to cover the job_count-th merged arrival,
-    # extending any stream that falls short (rare; bound is ~6 sigma).
-    expect = job_count * rates / rates.sum()
+    with np.errstate(over="ignore"):
+        total = rates.sum()
+        if not total < math.inf:
+            raise SpecError("total arrival rate overflows")
+        # Draw enough arrivals per type to cover the job_count-th merged
+        # arrival, extending any stream that falls short (rare; bound is ~6
+        # sigma).  Where job_count * rate overflows, take the share first.
+        expect = job_count * rates / total
+        if not np.all(expect < math.inf):
+            expect = job_count * (rates / total)
     counts = np.ceil(expect + 6.0 * np.sqrt(expect) + 64).astype(int)
     times: list[list[np.ndarray]] = [[] for _ in range(m)]  # chunks per type
     sizes: list[list[np.ndarray]] = [[] for _ in range(m)]
@@ -312,20 +319,33 @@ def generate_trace(
         times[i].append(t)
         sizes[i].append(spec.types[i].size_dist.sample(rngs[i], counts[i]))
 
-    short = range(m)
-    while short:
-        for i in short:
-            draw(i)
-        merged = np.concatenate([t for chunks in times for t in chunks])
-        cut = np.partition(merged, job_count - 1)[job_count - 1]
-        short = [i for i in range(m) if last[i] < cut]
+    # A draw may overflow (a gap 1 / rate, an arrival time, a size); that is
+    # refused below only if the row is kept.
+    with np.errstate(over="ignore"):
+        short = range(m)
+        while short:
+            for i in short:
+                draw(i)
+            merged = np.concatenate([t for chunks in times for t in chunks])
+            cut = np.partition(merged, job_count - 1)[job_count - 1]
+            short = [i for i in range(m) if last[i] < cut]
 
     all_times = np.concatenate([t for chunks in times for t in chunks])
     all_types = np.repeat(np.arange(m, dtype=np.int64), [sum(map(len, c)) for c in times])
     all_sizes = np.concatenate([x for chunks in sizes for x in chunks])
     # Stable sort on time keeps tied events in type order, deterministically.
     order = np.argsort(all_times, kind="stable")[:job_count]
-    return Trace(all_times[order], all_types[order], all_sizes[order])
+    t, ty, x = all_times[order], all_types[order], all_sizes[order]
+    bad = ~((t < math.inf) & (x < math.inf))
+    if bad.any():
+        i = int(np.argmax(bad))
+        jt = spec.types[ty[i]]
+        if not t[i] < math.inf:
+            raise SpecError(
+                f"type {jt.name!r}: arrival time overflows at arrival rate {jt.arrival_rate:.6g}"
+            )
+        raise SpecError(f"type {jt.name!r}: a drawn size overflows")
+    return Trace(t, ty, x)
 
 
 def empirical_loads(trace: Trace, spec: WorkloadSpec) -> list[LoadEstimate]:

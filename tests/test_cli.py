@@ -453,6 +453,68 @@ class TestGenTrace:
         assert not out.exists()
 
 
+class TestGenTraceOverflows:
+    """A spec whose arrival rates or drawn values overflow a double is
+    refused by gen-trace with exit 3 and one `error:` line, without a
+    warning (the suite turns warnings into errors) and without writing."""
+
+    @staticmethod
+    def spec(tmp_path, *types):
+        doc = {"types": [{"name": name, "speedup": {"kind": "power", "alpha": 0.5},
+                          "arrival_rate": rate, "size_dist": size_dist}
+                         for name, rate, size_dist in types],
+               "budget": 2}
+        return write_config(tmp_path, doc)
+
+    def run(self, tmp_path, capsys, spec, jobs=100):
+        out = tmp_path / "t.csv"
+        rc = main(["gen-trace", "--spec", spec, "--jobs", str(jobs), "--seed", "1",
+                   "--out", str(out)])
+        stdout, err = capsys.readouterr()
+        return rc, stdout, err, out
+
+    def test_summed_arrival_rate_overflows(self, tmp_path, capsys):
+        # Each rate is finite; their sum is not.
+        tiny = {"kind": "deterministic", "x": 1e-300}
+        spec = self.spec(tmp_path, ("a", 1e308, tiny), ("b", 1e308, tiny))
+        rc, out, err, path = self.run(tmp_path, capsys, spec)
+        assert (rc, out, err) == (3, "", "error: total arrival rate overflows\n")
+        assert not path.exists()
+
+    def test_subnormal_arrival_rate(self, tmp_path, capsys):
+        # 1 / 1e-310 is past the largest double, so every gap is infinite.
+        spec = self.spec(tmp_path, ("a", 1e-310, {"kind": "deterministic", "x": 1}))
+        rc, out, err, path = self.run(tmp_path, capsys, spec)
+        assert (rc, out) == (3, "")
+        assert err == "error: type 'a': arrival time overflows at arrival rate 1e-310\n"
+        assert not path.exists()
+
+    def test_weibull_size_overflows(self, tmp_path, capsys):
+        # Its mean, 1e308, is finite, but scale * a draw above ~1.8 is not.
+        spec = self.spec(tmp_path, ("a", 1, {"kind": "weibull", "shape": 1, "scale": 1e308}))
+        rc, out, err, path = self.run(tmp_path, capsys, spec)
+        assert (rc, out, err) == (3, "", "error: type 'a': a drawn size overflows\n")
+        assert not path.exists()
+
+    def test_overflowing_stream_that_is_never_kept(self, tmp_path, capsys):
+        # Type a's gaps are infinite, so none of its arrivals is among the
+        # first 100: every row written is type b's.
+        one = {"kind": "deterministic", "x": 1}
+        spec = self.spec(tmp_path, ("a", 1e-310, one), ("b", 1, one))
+        rc, out, err, path = self.run(tmp_path, capsys, spec)
+        assert (rc, err) == (0, "")
+        rows = read_csv(path, "arrival_time,type,size")
+        assert len(rows) == 100 and set(rows[:, 1]) == {1.0}
+
+    def test_job_count_times_rate_overflows(self, tmp_path, capsys):
+        # 1000 * 1e306 overflows though the rate, and each type's share of
+        # the 1000 jobs, is finite.
+        spec = self.spec(tmp_path, ("a", 1e306, {"kind": "deterministic", "x": 1e-310}))
+        rc, out, err, path = self.run(tmp_path, capsys, spec, jobs=1000)
+        assert (rc, err) == (0, "")
+        assert len(read_csv(path, "arrival_time,type,size")) == 1000
+
+
 class TestSimulate:
     @pytest.fixture()
     def trace_path(self, tmp_path, two_type_config_path):

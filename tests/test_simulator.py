@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpurental import (
+    Amdahl,
     Deterministic,
     Exponential,
     FixedWidth,
@@ -13,6 +14,7 @@ from gpurental import (
     SmallestRemainingFirst,
     SpecError,
     StaticClusterEqualSplit,
+    Tabular,
     Trace,
     WorkloadSpec,
     budget_timeseries,
@@ -330,6 +332,96 @@ class TestReplayMatchesReference:
             replay_arrays(tr, _replay_cluster(tr, two_type_spec, pol)),
             reference_replay_cluster(tr, two_type_spec, pol),
         )
+
+
+# Three types whose speeds differ at every width, one of them tabular with
+# s(1) = 0.5: a job given another type's speed column shows in its output.
+THREE_TYPE_SPEC = WorkloadSpec(
+    types=(
+        JobType("amdahl", Amdahl(0.8), arrival_rate=0.3, size_dist=Exponential(1.0)),
+        JobType("sqrt", PowerLaw(0.5), arrival_rate=0.3, size_dist=Exponential(1.0)),
+        JobType("tab", Tabular(((1, 0.5), (2, 0.9), (4, 1.5))), arrival_rate=0.3,
+                size_dist=Exponential(1.0)),
+    ),
+    budget=3.0,
+)
+
+
+@st.composite
+def three_type_traces(draw):
+    """1-12 jobs of THREE_TYPE_SPEC, with tied arrivals and sizes common."""
+    n = draw(st.integers(1, 12))
+    gaps = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 3.0),
+                         min_size=n, max_size=n))
+    types = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    sizes = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.01, 5.0),
+                          min_size=n, max_size=n))
+    return Trace(np.cumsum(gaps), np.array(types), np.array(sizes))
+
+
+class TestOnePassLoop:
+    """One pass per event advances the jobs present, re-grants the pool and
+    finds the next completion; under SRF only granted jobs advance.  Checked
+    against the reference loop, bit for bit, where it can replay."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tr=three_type_traces(), pool=pool_sizes(1, 4),
+           cap=st.sampled_from([1.0, 1.5, 2.0]) | st.floats(1.0, 2.0))
+    def test_three_types_small_pools(self, tr, pool, cap):
+        # With up to 12 jobs on at most 4 GPUs, equal-split shares drop
+        # below one GPU (a * s(1)), as can the last SRF grant, the pool's
+        # leftover; later ranks wait.
+        for pol in (StaticClusterEqualSplit(pool), SmallestRemainingFirst(pool, cap)):
+            assert_same_replay(
+                replay_arrays(tr, _replay_cluster(tr, THREE_TYPE_SPEC, pol)),
+                reference_replay_cluster(tr, THREE_TYPE_SPEC, pol),
+            )
+
+    @pytest.mark.parametrize(
+        "pol", [StaticClusterEqualSplit(2.0), SmallestRemainingFirst(2.0, 1.0)], ids=str
+    )
+    def test_jobs_that_never_complete(self, pol):
+        # Each job holds 1 GPU at s(1) = 0.5, so 1e308 / 0.5 overflows: no
+        # completion is finite, under SRF a tie of two infinite times.
+        spec = WorkloadSpec(
+            (JobType("tab", Tabular(((1, 0.5), (2, 0.9))), 0.1, Deterministic(1.0)),),
+            budget=2.0,
+        )
+        tr = Trace(np.array([1.0, 2.0]), np.array([0, 0]), np.array([1e308, 1e308]))
+        rep = _replay_cluster(tr, spec, pol)
+        assert rep.completions.tolist() == [np.inf, np.inf]
+
+    @pytest.mark.parametrize(
+        "pol", [StaticClusterEqualSplit(2.0), SmallestRemainingFirst(2.0, 1.0)], ids=str
+    )
+    def test_completion_rounded_past_the_next_arrival(self, two_type_spec, pol):
+        # Two sqrt jobs arrive at a and run at s(1) = 1.  The first completes
+        # after exactly arr - a, tied with the next arrival, so it goes first,
+        # but a + (arr - a) rounds to one ulp past arr.  That arrival is then
+        # at or before the clock and advances nothing.  (The reference's K(t)
+        # steps then go back in time, so only the per-job arrays compare.)
+        a, arr = 0.9014274576114836, 3.0589983033553536
+        assert a + (arr - a) > arr
+        tr = Trace(np.array([a, a, arr]), np.array([1, 1, 1]), np.array([arr - a, 5.0, 1.0]))
+        rep = _replay_cluster(tr, two_type_spec, pol)
+        ref = reference_replay_cluster(tr, two_type_spec, pol)
+        assert rep.completions[0] > arr
+        for field in ("completions", "gpu_hours", "work_done"):
+            assert np.array_equal(getattr(rep, field), ref[field]), field
+
+    def test_srf_arrival_sends_a_running_job_to_wait(self, two_type_spec):
+        # srf:4,4 grants only the first rank.  The size-4 sqrt job runs at
+        # s(4) = 2 until the size-0.5 job arrives at t = 1 and outranks its
+        # remaining 2.  The newcomer completes at 1.25; the first job waits
+        # meanwhile, then finishes its 2 at speed 2, at 2.25.
+        tr = Trace(np.array([0.0, 1.0]), np.array([1, 1]), np.array([4.0, 0.5]))
+        pol = SmallestRemainingFirst(4.0, 4.0)
+        rep = _replay_cluster(tr, two_type_spec, pol)
+        assert_same_replay(replay_arrays(tr, rep),
+                           reference_replay_cluster(tr, two_type_spec, pol))
+        assert rep.completions.tolist() == [2.25, 1.25]
+        assert rep.gpu_hours.tolist() == [8.0, 1.0]
+        assert rep.work_done.tolist() == [4.0, 0.5]
 
 
 class TestBusyPeriods:
