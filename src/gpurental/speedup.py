@@ -34,6 +34,10 @@ _SMOOTH_AXIOM_KS = (1.0, 2.0, 4.0)
 def _check_width(what: str, value) -> None:
     """The one rule for a GPU width, pool size or cap (a scalar or an
     array of them): finite and >= 1."""
+    if isinstance(value, float):
+        if not 1.0 <= value < math.inf:
+            raise SpecError(f"{what} must be finite and >= 1, got {float(value)}")
+        return
     arr = np.asarray(value, dtype=float)
     bad = ~((arr >= 1.0) & (arr < math.inf))
     if bad.any():
@@ -361,64 +365,44 @@ class ValidationReport:
         return [self.monotone, self.sublinear, self.concave, self.normalized]
 
 
-def _concavity_check(ks: np.ndarray, s: np.ndarray) -> AxiomCheck:
-    """Concavity on consecutive triples: the value at each interior width
-    must not fall below the chord through its neighbours."""
-    lo, mid, hi = ks[:-2], ks[1:-1], ks[2:]
-    theta = (hi - mid) / (hi - lo)
-    chord = theta * s[:-2] + (1.0 - theta) * s[2:]
-    deficit = chord - s[1:-1]
-    scale = np.maximum(np.abs(s[:-2]), np.abs(s[2:]))
-    bad = np.flatnonzero(deficit > REL_TOL * scale)
-    if bad.size == 0:
-        return AxiomCheck("concave", True)
-    i = bad[0]
-    return AxiomCheck(
-        "concave",
-        False,
-        f"s({mid[i]:.6g}) = {s[1:-1][i]:.6g} < chord of "
-        f"s({lo[i]:.6g}), s({hi[i]:.6g}) = {chord[i]:.6g}",
-    )
-
-
 def validate(f: SpeedupFunction) -> ValidationReport:
     """Decide the speedup axioms for all k >= 1 on the family's ``axiom_ks``:
     monotonicity and sub-linearity on consecutive pairs, concavity on
-    consecutive triples.  Violations below REL_TOL, relative to the compared
+    consecutive triples (each interior width on or above the chord of its
+    neighbours).  Violations below REL_TOL, relative to the compared
     quantities (speeds, or for sub-linearity the average speeds s(k)/k), are
-    ignored.
+    ignored.  A speed that is not finite fails sub-linearity at the first
+    pair that reaches it.
     """
-    ks = np.array(f.axiom_ks())
-    s = f(ks)
-    a, b = ks[:-1], ks[1:]
-    sa, sb = s[:-1], s[1:]
-
-    def first_bad(lhs: np.ndarray, rhs: np.ndarray, fmt) -> AxiomCheck:
-        # lhs should not fall below rhs, up to REL_TOL of their own size.
-        bad = np.flatnonzero(rhs - lhs > REL_TOL * np.maximum(np.abs(lhs), np.abs(rhs)))
-        if bad.size == 0:
-            return AxiomCheck(fmt.__name__, True)
-        i = bad[0]
-        return AxiomCheck(fmt.__name__, False, fmt(a[i], sa[i], b[i], sb[i]))
-
-    def monotone(ka, va, kb, vb):
-        return f"s({ka:.6g}) = {va:.6g} > s({kb:.6g}) = {vb:.6g}"
-
-    def sublinear(ka, va, kb, vb):
-        return (
-            f"s({ka:.6g})/{ka:.6g} = {va / ka:.6g} < "
-            f"s({kb:.6g})/{kb:.6g} = {vb / kb:.6g}"
-        )
-
-    mono = first_bad(sb, sa, monotone)
-    sub = first_bad(sa / a, sb / b, sublinear)
-    conc = _concavity_check(ks, s)
-
-    s1 = float(s[0])  # the widths start at 1
+    ks = f.axiom_ks()
+    with np.errstate(over="ignore"):  # k**alpha past the range of a double
+        s = f._value(np.array(ks)).tolist()
+    mono = sub = conc = None
+    for i in range(1, len(ks)):
+        a, b, sa, sb = ks[i - 1], ks[i], s[i - 1], s[i]
+        if mono is None and sa - sb > REL_TOL * max(abs(sb), abs(sa)):
+            mono = f"s({a:.6g}) = {sa:.6g} > s({b:.6g}) = {sb:.6g}"
+        ra, rb = sa / a, sb / b
+        if sub is None and (
+            rb - ra > REL_TOL * max(abs(ra), abs(rb))
+            or not (math.isfinite(sa) and math.isfinite(sb))
+        ):
+            sub = f"s({a:.6g})/{a:.6g} = {ra:.6g} < s({b:.6g})/{b:.6g} = {rb:.6g}"
+        if conc is None and i >= 2:
+            lo, s_lo = ks[i - 2], s[i - 2]
+            theta = (b - a) / (b - lo)
+            chord = theta * s_lo + (1.0 - theta) * sb
+            if chord - sa > REL_TOL * max(abs(s_lo), abs(sb)):
+                conc = f"s({a:.6g}) = {sa:.6g} < chord of s({lo:.6g}), s({b:.6g}) = {chord:.6g}"
+    checks = [
+        AxiomCheck(name, detail is None, detail or "")
+        for name, detail in (("monotone", mono), ("sublinear", sub), ("concave", conc))
+    ]
+    s1 = s[0]  # the widths start at 1
     norm = AxiomCheck("normalized", abs(s1 - 1.0) <= REL_TOL)
     if not norm.passed:
         norm = AxiomCheck("normalized", False, f"s(1) = {s1:.6g}, expected 1")
-    return ValidationReport(mono, sub, conc, norm)
+    return ValidationReport(*checks, norm)
 
 
 def scalar_fn(f: SpeedupFunction):
@@ -446,7 +430,7 @@ def parse_speedup(obj, where: str = "speedup") -> SpeedupFunction:
             return Tabular(tuple((float(k), float(s)) for k, s in pts))
     except KeyError as exc:
         raise SpecError(f"{where}: missing field {exc.args[0]!r} for kind {kind!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, SpecError):
             raise
         raise SpecError(f"{where}: {exc}") from None

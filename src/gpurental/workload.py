@@ -137,7 +137,7 @@ class JobType:
     def least_usage(self) -> float:
         """GPUs the type uses at width 1, load / s(1); the axioms make
         k / s(k) non-decreasing, so no width uses fewer."""
-        return self.load / self.speedup(1.0)
+        return self.load / float(self.speedup._value(1.0))
 
 
 @dataclass(frozen=True)
@@ -287,6 +287,8 @@ def generate_trace(
         raise SpecError(f"unknown arrival process {arrivals!r}")
     if job_count < 0:
         raise SpecError("job_count must be >= 0")
+    if job_count >= 2**63:  # also keeps job_count * rates below from overflowing
+        raise SpecError(f"job count {job_count} is past int64")
     m = len(spec.types)
     if job_count == 0:
         return Trace(np.array([]), np.array([], dtype=np.int64), np.array([]))
@@ -303,7 +305,12 @@ def generate_trace(
         expect = job_count * rates / total
         if not np.all(expect < math.inf):
             expect = job_count * (rates / total)
-    counts = np.ceil(expect + 6.0 * np.sqrt(expect) + 64).astype(int)
+    counts = np.ceil(expect + 6.0 * np.sqrt(expect) + 64)
+    if not counts.max() < 2.0**63:  # the cast to int64 would wrap
+        raise SpecError(
+            f"job count {job_count} needs {counts.max():.6g} draws of a type, past int64"
+        )
+    counts = counts.astype(int)
     times: list[list[np.ndarray]] = [[] for _ in range(m)]  # chunks per type
     sizes: list[list[np.ndarray]] = [[] for _ in range(m)]
     last = [0.0] * m  # each stream's latest arrival
@@ -487,9 +494,18 @@ def _parse_size_dist(obj, where: str) -> SizeDistribution:
             return Weibull(float(obj["shape"]), float(obj["scale"]))
     except KeyError as exc:
         raise SpecError(f"{where}: missing field {exc.args[0]!r} for kind {kind!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"{where}: {exc}") from None
     raise SpecError(f"{where}.kind: unknown size distribution {kind!r}")
+
+
+def _number(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise SpecError(f"{where}: expected a number") from None
+    except OverflowError as exc:  # an integer past the range of a double
+        raise SpecError(f"{where}: {exc}") from None
 
 
 def spec_from_dict(doc) -> WorkloadSpec:
@@ -508,10 +524,7 @@ def spec_from_dict(doc) -> WorkloadSpec:
         for field in ("name", "speedup", "arrival_rate", "size_dist"):
             if field not in entry:
                 raise SpecError(f"{where}: missing field {field!r}")
-        try:
-            rate = float(entry["arrival_rate"])
-        except (TypeError, ValueError):
-            raise SpecError(f"{where}.arrival_rate: expected a number") from None
+        rate = _number(entry["arrival_rate"], f"{where}.arrival_rate")
         types.append(
             JobType(
                 name=str(entry["name"]),
@@ -520,11 +533,7 @@ def spec_from_dict(doc) -> WorkloadSpec:
                 size_dist=_parse_size_dist(entry["size_dist"], where=f"{where}.size_dist"),
             )
         )
-    try:
-        budget = float(doc["budget"])
-    except (TypeError, ValueError):
-        raise SpecError("budget: expected a number") from None
-    return WorkloadSpec(types=tuple(types), budget=budget)
+    return WorkloadSpec(types=tuple(types), budget=_number(doc["budget"], "budget"))
 
 
 def load_spec(path) -> WorkloadSpec:

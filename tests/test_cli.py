@@ -196,9 +196,19 @@ class TestValidate:
              "type 'sqrt': weibull needs positive shape and scale"),
             (("types", 0, "speedup"), {"kind": "tabular", "points": "1,1"},
              "types[0].speedup.points: expected a list of [k, s] pairs"),
+            # float() of an integer past the range of a double raises
+            # OverflowError, not ValueError.
+            (("types", 0, "arrival_rate"), 10**400,
+             "types[0].arrival_rate: int too large to convert to float"),
+            (("budget",), 10**400, "budget: int too large to convert to float"),
+            (("types", 0, "speedup"), {"kind": "tabular", "points": [[1, 1], [10**400, 2]]},
+             "types[0].speedup: int too large to convert to float"),
+            (("types", 0, "size_dist", "mean"), 10**400,
+             "types[0].size_dist: int too large to convert to float"),
         ],
         ids=["root", "no-types", "type-entry", "arrival-rate", "budget", "size-kind",
-             "size-field", "exponential-mean", "weibull-shape", "tabular-points"],
+             "size-field", "exponential-mean", "weibull-shape", "tabular-points",
+             "huge-arrival-rate", "huge-budget", "huge-table-point", "huge-size-param"],
     )
     def test_malformed_spec_exits_3(self, tmp_path, capsys, where, value, message):
         path = write_config(tmp_path, edited(SINGLE_POWER_CONFIG, where, value))
@@ -219,6 +229,26 @@ class TestValidate:
                      {"kind": "tabular", "points": [[1, 1], [1e308, 2]]})
         assert main(command + ["--spec", write_config(tmp_path, doc)]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_power_whose_speed_overflows_fails_sublinearity(self, tmp_path, capsys, command):
+        # 2**1100 is past the largest double, so s(2) = inf, and
+        # inf - 1 > REL_TOL * inf is false: the infinite speed itself must
+        # fail.  The suite raises any RuntimeWarning, so a warning fails here.
+        doc = edited(SINGLE_POWER_CONFIG, ("types", 0, "speedup", "alpha"), 1100)
+        assert main([command, "--spec", write_config(tmp_path, doc)]) == 1
+        detail = "s(1)/1 = 1 < s(2)/2 = inf"
+        assert capsys.readouterr() == (
+            (
+                "type 'sqrt': monotone=pass sublinear=FAIL concave=pass normalized=pass\n"
+                f"  sublinear: {detail}\n"
+                "stability: total load 0.5 < budget 1\n"
+                "FAILED: speedup axioms violated\n",
+                "",
+            )
+            if command == "validate"
+            else ("", f"error: type 'sqrt': speedup is not sublinear: {detail}\n")
+        )
 
     @pytest.mark.parametrize("k_max", ["0.5", "inf", "nan", "16"])
     def test_k_max_is_not_an_option(self, two_type_config_path, capsys, k_max):
@@ -505,6 +535,24 @@ class TestGenTraceOverflows:
         assert (rc, err) == (0, "")
         rows = read_csv(path, "arrival_time,type,size")
         assert len(rows) == 100 and set(rows[:, 1]) == {1.0}
+
+    @pytest.mark.parametrize(
+        "jobs, spec_doc, message",
+        [
+            (10**20, None, "is past int64"),
+            (10**400, None, "is past int64"),
+            # Below int64, but one type's draw count, the count plus six
+            # standard deviations and 64, is not.
+            (2**63 - 808, SINGLE_POWER_CONFIG, "needs 9.22337e+18 draws of a type, past int64"),
+        ],
+        ids=["1e20", "1e400", "draw-count"],
+    )
+    def test_job_count_past_int64(self, tmp_path, capsys, two_type_config_path, jobs,
+                                  spec_doc, message):
+        spec = two_type_config_path if spec_doc is None else write_config(tmp_path, spec_doc)
+        rc, out, err, path = self.run(tmp_path, capsys, spec, jobs=jobs)
+        assert (rc, out, err) == (3, "", f"error: job count {jobs} {message}\n")
+        assert not path.exists()
 
     def test_job_count_times_rate_overflows(self, tmp_path, capsys):
         # 1000 * 1e306 overflows though the rate, and each type's share of

@@ -30,7 +30,7 @@ from gpurental import (
     solve_allocation,
 )
 from gpurental import load_spec, optimizer
-from gpurental.speedup import DEFAULT_K_MAX
+from gpurental.speedup import DEFAULT_K_MAX, _check_width
 from randspecs import random_concave_tabular, random_spec, random_speedup
 
 FOUR_TYPE_TABULAR = Path(__file__).resolve().parents[1] / "perfbench" / "four_type_tabular.json"
@@ -130,6 +130,8 @@ class TestInnerMinimize:
             lambda: pareto_frontier(two_type_spec, [0.5, 2.0], k_max=k_max),
             lambda: pareto_frontier(two_type_spec, [], k_max=k_max),
             lambda: brute_force_allocation(two_type_spec, 0.1, k_max=k_max),
+            # A float is tested without numpy, an array with it: the same message.
+            lambda: _check_width("k_max", np.array([k_max])),
         )
         for call in calls:
             with pytest.raises(ValueError, match=f"^k_max must be finite and >= 1, got {k_max}$"):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gpurental import Amdahl, PowerLaw, SpecError, Tabular, parse_speedup, validate
 from gpurental.speedup import REL_TOL, scalar_fn
+from reference_validate import validate as reference_validate
 
 
 def concave_tabular(rng, n_knots=6):
@@ -251,6 +252,40 @@ def test_validate_is_exact(f):
     for check in (report.monotone, report.sublinear, report.concave):
         if check.passed and (report.ok or isinstance(f, Tabular)):
             assert np.all(relative_violations(f, check.name, pairs[check.name]) <= tol[check.name])
+
+
+@st.composite
+def wide_tables(draw):
+    """Tables of 1-8 knots anywhere in [1, 1e308], with speeds anywhere in
+    (0, 1e308]: monotone or not, concave or not, far from any grid."""
+    ks = sorted(draw(st.sets(st.floats(1.0, 1e308), min_size=1, max_size=8)))
+    speeds = draw(st.lists(st.floats(0.0, 1e308, exclude_min=True),
+                           min_size=len(ks), max_size=len(ks)))
+    return Tabular(tuple(zip(ks, speeds)))
+
+
+@settings(max_examples=600, deadline=None)
+@given(f=(
+    (st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0])).map(Amdahl)
+    | (st.floats(0.0, 1024.0, exclude_min=True) | st.sampled_from([1.0, 1.0 + 1e-12, 1024.0])
+       ).map(PowerLaw)
+    | eighth_grid_tables()
+    | wide_tables()
+))
+def test_validate_matches_the_numpy_reference(f):
+    """The float decision returns the report of the numpy one it replaced,
+    verdicts and details, wherever every speed at the axiom widths is
+    finite.  A speed that is not finite (k**alpha past alpha = 512) fails
+    sub-linearity: at alpha = 1024, s(2) = inf, and the reference let
+    inf - 1 > REL_TOL * inf pass."""
+    with np.errstate(all="ignore"):
+        speeds = f._value(np.array(f.axiom_ks()))
+        expected = reference_validate(f)
+    report = validate(f)
+    if np.all(np.isfinite(speeds)):
+        assert report == expected
+    else:
+        assert not report.ok and not report.sublinear.passed
 
 
 class TestAxiomProperties:
