@@ -101,17 +101,18 @@ def merge_segments(k1: float, t1: float, k2: float, t2: float) -> float:
 def inner_minimize(f: SpeedupFunction, mu: float, *, k_max: float = DEFAULT_K_MAX) -> float:
     """Minimize the penalized cost g(k) = (1 + mu*k) / s(k) over [1, k_max].
 
-    The family's closed form, ``f.minimizer``, clipped to [1, k_max]:
-    sqrt(p / (mu*(1-p))) for Amdahl(p), alpha / (mu*(1-alpha)) for
-    k**alpha.  For a tabular speedup, g over {1, knots, k_max} is a set of
+    The width of the family's closed form, ``f.minimizer(k_max).widths``,
+    at the one multiplier mu: sqrt(p / (mu*(1-p))) for Amdahl(p) and
+    alpha / (mu*(1-alpha)) for k**alpha, clipped to [1, k_max], so k_max
+    at mu = 0.  For a tabular speedup, g over {1, knots, k_max} is a set of
     lines in mu; the width is that of their lower envelope at mu, the
     narrower one at a vertex, and 1 at mu = inf.
     """
     _check_width("k_max", k_max)
     if not mu >= 0:
         raise ValueError(f"multiplier must be >= 0, got {mu}")
-    with np.errstate(divide="ignore"):
-        k, _ = f.minimizer(k_max)(np.array([float(mu)]))
+    with np.errstate(divide="ignore", over="ignore"):
+        k, _ = f.minimizer(k_max).widths(np.array([float(mu)]))
     return float(k[0])
 
 
@@ -202,11 +203,13 @@ def _search(spec: WorkloadSpec, budgets: np.ndarray, *, k_max: float) -> list[Al
     minimizers = [f.minimizer(k_max) for f in fs]
     loads = spec.loads
 
-    bps = np.array(sorted({0.0, math.inf}.union(*(f.breakpoints(k_max) for f in fs))))
+    bps = np.array(sorted({0.0, math.inf}.union(*(m.breakpoints for m in minimizers))))
     ks_bp, speeds_bp = np.empty((len(bps), len(fs))), np.empty((len(bps), len(fs)))
-    with np.errstate(divide="ignore"):
-        for i, minimizer in enumerate(minimizers):
-            ks_bp[:, i], speeds_bp[:, i] = minimizer(bps)
+    # mu = 0 divides by zero and a subnormal breakpoint can overflow the
+    # unclipped width; either way the clip makes the width the cap.
+    with np.errstate(divide="ignore", over="ignore"):
+        for i, m in enumerate(minimizers):
+            ks_bp[:, i], speeds_bp[:, i] = m.widths(bps)
     # Each type's usage, as budget_usage has it: k / s(k) first, so a huge
     # load times a wide k_max does not overflow where their ratio is modest.
     use_bp = loads * (ks_bp / speeds_bp)
@@ -217,7 +220,7 @@ def _search(spec: WorkloadSpec, budgets: np.ndarray, *, k_max: float) -> list[Al
     # is active uses load * (a * mu**-e + c); any other type's usage is
     # constant, its value at the piece's left end.
     none = (math.inf, -math.inf, 0.0, 0.0, 0.0)
-    lo, hi, a, e, c = np.array([f.power_term(k_max) or none for f in fs]).T
+    lo, hi, a, e, c = np.array([m.power_term or none for m in minimizers]).T
     left, right = bps[:-1], bps[1:]
     active = (lo <= left[:, None]) & (right[:, None] <= hi)
     coef = np.where(active, loads * a, 0.0)
@@ -259,8 +262,9 @@ def _search(spec: WorkloadSpec, budgets: np.ndarray, *, k_max: float) -> list[Al
     ks = ks_bp[j]  # at the breakpoint, where a slack or jumping budget's mu is
     on_piece = ks_bp[p[solved]]
     smooth = np.isfinite(lo)
-    for i in np.flatnonzero(smooth):
-        on_piece[:, i] = minimizers[i](mu_on)[0]
+    with np.errstate(divide="ignore", over="ignore"):
+        for i in np.flatnonzero(smooth):
+            on_piece[:, i] = minimizers[i].widths(mu_on)[0]
     ks[rows[solved]] = on_piece
     # A jumping width may rise back to its left-side value; a smooth one is
     # continuous and stays.

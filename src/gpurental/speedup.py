@@ -16,6 +16,7 @@ import bisect
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,12 +45,29 @@ def _check_width(what: str, value) -> None:
         raise SpecError(f"{what} must be finite and >= 1, got {float(arr[bad].flat[0])}")
 
 
+class Minimizer(NamedTuple):
+    """A family's exact minimizer of g(k) = (1 + mu*k) / s(k) over [1, k_max].
+
+    ``widths`` maps an array of mu >= 0 to the minimizing widths and their
+    speeds; mu = inf gives width 1, or the cap where s is linear.
+    ``breakpoints`` are the increasing mu > 0 at which the width changes
+    form: between two consecutive ones it is constant or follows
+    ``power_term``.  ``power_term`` is (lo, hi, a, e, c) such that on
+    lo <= mu <= hi the width k has k / s(k) = a * mu**-e + c, its ends being
+    the breakpoints; None when the width is piecewise constant in mu.
+    """
+
+    widths: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    breakpoints: tuple[float, ...] = ()
+    power_term: tuple[float, float, float, float, float] | None = None
+
+
 class SpeedupFunction:
     """Base class; subclasses provide ``_value`` vectorized over k >= 1 and,
-    for the solver, their family's closed-form ``minimizer`` with the
-    ``breakpoints`` and ``power_term`` that describe its usage as a function
-    of mu and the inverse of its usage per unit load, ``width_at_usage``;
-    and the widths ``axiom_ks`` on which ``validate`` decides the axioms."""
+    for the solver, their family's closed-form ``minimizer``, which also
+    describes its usage as a function of mu, and the inverse of its usage
+    per unit load, ``width_at_usage``; and the widths ``axiom_ks`` on which
+    ``validate`` decides the axioms."""
 
     def _value(self, k: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -61,28 +79,16 @@ class SpeedupFunction:
         or above the chord of its neighbours."""
         raise TypeError(f"no axiom decision points for speedup {type(self).__name__}")
 
-    def minimizer(self, k_max: float):
-        """Exact minimizer of g(k) = (1 + mu*k) / s(k) over [1, k_max], as a
-        function from an array of mu >= 0 to the widths and their speeds.
+    def minimizer(self, k_max: float) -> Minimizer:
+        """The exact minimizer of g(k) = (1 + mu*k) / s(k) over [1, k_max],
+        with the breakpoints and power term of its usage in mu.
 
-        The family's constants are computed once, here.  mu = 0 divides by
-        zero on purpose (the width goes to the cap); callers silence that
-        warning.  mu = inf gives width 1, or the cap where s is linear.
+        The family's constants and its constant ends are decided once, here.
+        mu = 0 divides by zero, and a small enough mu overflows a width that
+        is past any cap, on purpose (the width goes to the cap); callers
+        silence both warnings.
         """
         raise TypeError(f"no closed-form minimizer for speedup {type(self).__name__}")
-
-    def breakpoints(self, k_max: float) -> tuple[float, ...]:
-        """The multipliers mu > 0 at which ``minimizer``'s width changes
-        form: between two consecutive ones the width is constant or follows
-        ``power_term``.  By default, the ends of ``power_term``."""
-        term = self.power_term(k_max)
-        return () if term is None else term[:2]
-
-    def power_term(self, k_max: float) -> tuple[float, float, float, float, float] | None:
-        """(lo, hi, a, e, c) such that on lo <= mu <= hi the minimizing
-        width k has k / s(k) = a * mu**-e + c; None when the width is
-        piecewise constant in mu."""
-        return None
 
     def width_at_usage(self, v: float, k_max: float) -> float:
         """The largest width k in [1, k_max] whose usage per unit load,
@@ -102,10 +108,10 @@ class SpeedupFunction:
         return out
 
 
-def _fixed_width(f: SpeedupFunction, k: float):
+def _fixed_width(f: SpeedupFunction, k: float) -> Minimizer:
     """A ``minimizer`` whose width k does not depend on mu."""
     s = f._value(np.float64(k))
-    return lambda mu: (np.full_like(mu, k), np.full_like(mu, s))
+    return Minimizer(lambda mu: (np.full_like(mu, k), np.full_like(mu, s)))
 
 
 @dataclass(frozen=True)
@@ -127,29 +133,28 @@ class Amdahl(SpeedupFunction):
         # Every p in [0, 1] satisfies the axioms; these widths confirm it.
         return _SMOOTH_AXIOM_KS
 
-    def minimizer(self, k_max: float):
+    def minimizer(self, k_max: float) -> Minimizer:
         # g'(k) = 0 where mu*(1-p)*k^2 = p.  The ends are constant in mu:
         # s = 1 (p = 0) runs no faster wider, and s = k (p = 1) makes g
-        # decreasing, so the cap.
+        # decreasing, so the cap.  Between the cap (mu = r/k_max^2) and
+        # width 1 (mu = r), k/s(k) = (1-p)*k + p with k = sqrt(r/mu).
         p = self.parallel_fraction
         if p == 0.0 or p == 1.0:
             return _fixed_width(self, 1.0 if p == 0.0 else k_max)
         r = p / (1.0 - p)
+        # r/mu overflows at a small mu whose width sqrt(r/mu) is finite and
+        # may lie under a cap past 2**512.  Scaling r by a power of 4 to
+        # about 2**-52 cannot overflow, and gives the same bits wherever
+        # r/mu does not.
+        h = (math.frexp(r)[1] + 52) // 2
+        r_scaled, scale = math.ldexp(r, -2 * h), math.ldexp(1.0, h)
 
         def widths(mu):
-            k = np.minimum(np.maximum(np.sqrt(r / mu), 1.0), k_max)
+            k = np.minimum(np.maximum(np.sqrt(r_scaled / mu) * scale, 1.0), k_max)
             return k, self._value(k)
 
-        return widths
-
-    def power_term(self, k_max: float):
-        # Between the cap (mu = r/k_max^2) and width 1 (mu = r),
-        # k/s(k) = (1-p)*k + p with k = sqrt(r/mu).
-        p = self.parallel_fraction
-        if p == 0.0 or p == 1.0:
-            return None
-        r = p / (1.0 - p)
-        return r / (k_max * k_max), r, (1.0 - p) * math.sqrt(r), 0.5, p
+        term = r / (k_max * k_max), r, (1.0 - p) * math.sqrt(r), 0.5, p
+        return Minimizer(widths, term[:2], term)
 
     def width_at_usage(self, v: float, k_max: float) -> float:
         # k/s(k) = (1-p)*k + p, so k = (v - p)/(1 - p); at p = 1 it is 1 at
@@ -184,10 +189,12 @@ class PowerLaw(SpeedupFunction):
         # alpha > 1: the three widths decide all three axioms.
         return _SMOOTH_AXIOM_KS
 
-    def minimizer(self, k_max: float):
+    def minimizer(self, k_max: float) -> Minimizer:
         # g'(k) = 0 where mu*(1-alpha)*k = alpha; alpha >= 1 keeps g
         # decreasing, so the cap.  The solver refuses alpha > 1, so that side
-        # is reached only by calling the minimizer directly.
+        # is reached only by calling the minimizer directly.  Between the cap
+        # (mu = c/k_max) and width 1 (mu = c), k/s(k) = k**(1-alpha) with
+        # k = c/mu.
         a = self.exponent
         if a >= 1.0:
             return _fixed_width(self, k_max)
@@ -197,16 +204,8 @@ class PowerLaw(SpeedupFunction):
             k = np.minimum(np.maximum(c / mu, 1.0), k_max)
             return k, self._value(k)
 
-        return widths
-
-    def power_term(self, k_max: float):
-        # Between the cap (mu = c/k_max) and width 1 (mu = c),
-        # k/s(k) = k**(1-alpha) with k = c/mu.
-        a = self.exponent
-        if a >= 1.0:
-            return None
-        c = a / (1.0 - a)
-        return c / k_max, c, c ** (1.0 - a), 1.0 - a, 0.0
+        term = c / k_max, c, c ** (1.0 - a), 1.0 - a, 0.0
+        return Minimizer(widths, term[:2], term)
 
     def width_at_usage(self, v: float, k_max: float) -> float:
         # k/s(k) = k**(1-alpha), so k = v**(1/(1-alpha)); at alpha = 1 it is
@@ -227,13 +226,12 @@ class Tabular(SpeedupFunction):
     Between points the value is linearly interpolated; beyond the last point
     (and below the first) it is held constant, so a saturating tail stays
     monotone and sub-linear.  ``knots`` holds the points' k values as a
-    read-only array, built once; so is the lower envelope for each k_max.
+    read-only array, built once.
     """
 
     points: tuple[tuple[float, float], ...]
     knots: np.ndarray = field(init=False, repr=False, compare=False)
     _speeds: np.ndarray = field(init=False, repr=False, compare=False)
-    _envelopes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = tuple((float(k), float(s)) for k, s in self.points)
@@ -253,7 +251,6 @@ class Tabular(SpeedupFunction):
             arr = np.array(column)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_envelopes", {})
 
     def _value(self, k):
         return np.interp(k, self.knots, self._speeds)
@@ -266,14 +263,6 @@ class Tabular(SpeedupFunction):
         # Past ~9e307, 2 * last overflows; the largest double stays finite.
         last = float(self.knots[-1])
         return tuple(sorted({1.0, *self.knots.tolist(), min(2.0 * last, sys.float_info.max)}))
-
-    def _envelope(self, k_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # Walked once per k_max: a search asks for its breakpoints and then
-        # for its minimizer.
-        env = self._envelopes.get(k_max)
-        if env is None:
-            env = self._envelopes[k_max] = self._walk_envelope(k_max)
-        return env
 
     def _walk_envelope(self, k_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # g is monotone on each linear piece, so the minimum sits on a knot,
@@ -298,27 +287,22 @@ class Tabular(SpeedupFunction):
             ]
             if not crossings:
                 stretches.append(0)
-                env = np.array(vertices[1:] + [math.inf]), cand[stretches], s[stretches]
-                for arr in env:
-                    arr.flags.writeable = False
-                return env
+                return np.array(vertices[1:] + [math.inf]), cand[stretches], s[stretches]
             mu, _, j = min(crossings)
             vertices.append(max(mu, vertices[-1]))
             stretches.append(j)
 
-    def minimizer(self, k_max: float):
+    def minimizer(self, k_max: float) -> Minimizer:
         """The width on the stretch of the envelope that holds mu; at a
-        vertex, the stretch to its right, whose width is the narrower."""
-        vertices, ks, speeds = self._envelope(k_max)
+        vertex, the stretch to its right, whose width is the narrower.  The
+        breakpoints are the finite vertices."""
+        vertices, ks, speeds = self._walk_envelope(k_max)
 
         def widths(mu):
             i = np.searchsorted(vertices, mu, side="right")
             return ks[i], speeds[i]
 
-        return widths
-
-    def breakpoints(self, k_max: float):
-        return tuple(self._envelope(k_max)[0][:-1].tolist())
+        return Minimizer(widths, tuple(vertices[:-1].tolist()))
 
     def width_at_usage(self, v: float, k_max: float) -> float:
         # The knots' own usages pick the piece.  Below the first knot and

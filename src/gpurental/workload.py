@@ -310,6 +310,12 @@ def generate_trace(
         raise SpecError(
             f"job count {job_count} needs {counts.max():.6g} draws of a type, past int64"
         )
+    # Every type's arrival times are merged into one array of doubles, and
+    # numpy refuses one of more than 2**63 - 1 bytes.
+    if not counts.sum() < 2.0**60:
+        raise SpecError(
+            f"job count {job_count} needs {counts.sum():.6g} draws, past the largest array"
+        )
     counts = counts.astype(int)
     times: list[list[np.ndarray]] = [[] for _ in range(m)]  # chunks per type
     sizes: list[list[np.ndarray]] = [[] for _ in range(m)]
@@ -539,8 +545,11 @@ def spec_from_dict(doc) -> WorkloadSpec:
 def load_spec(path) -> WorkloadSpec:
     """Read a workload config JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"{path}: invalid JSON: {exc}") from None
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"{path}: invalid JSON: {exc}") from None
+    except ValueError:  # Python's own cap on the digits of an integer literal
+        raise SpecError(f"{path}: a number literal is too long") from None
     return spec_from_dict(doc)

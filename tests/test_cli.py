@@ -49,6 +49,10 @@ SINGLE_POWER_CONFIG = {
 }
 
 
+# Stands for an integer literal of 5,001 digits in a written config.
+LONG_LITERAL = "<5,001 digits>"
+
+
 def edited(doc, where: tuple, value):
     """A deep copy of doc with the item at the key path ``where`` set to
     value; the empty path replaces the whole document."""
@@ -205,15 +209,22 @@ class TestValidate:
              "types[0].speedup: int too large to convert to float"),
             (("types", 0, "size_dist", "mean"), 10**400,
              "types[0].size_dist: int too large to convert to float"),
+            # Python's json refuses an integer literal of more than 4,300
+            # digits before any field is read.
+            (("budget",), LONG_LITERAL, "{path}: a number literal is too long"),
         ],
         ids=["root", "no-types", "type-entry", "arrival-rate", "budget", "size-kind",
              "size-field", "exponential-mean", "weibull-shape", "tabular-points",
-             "huge-arrival-rate", "huge-budget", "huge-table-point", "huge-size-param"],
+             "huge-arrival-rate", "huge-budget", "huge-table-point", "huge-size-param",
+             "long-literal"],
     )
     def test_malformed_spec_exits_3(self, tmp_path, capsys, where, value, message):
         path = write_config(tmp_path, edited(SINGLE_POWER_CONFIG, where, value))
+        if value == LONG_LITERAL:  # json.dumps cannot write it either
+            text = Path(path).read_text(encoding="utf-8")
+            Path(path).write_text(text.replace(f'"{LONG_LITERAL}"', "9" * 5001), encoding="utf-8")
         assert main(["validate", "--spec", path]) == 3
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
 
     def test_bad_json_exits_3(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
@@ -324,6 +335,15 @@ class TestSolve:
         out = json.loads(capsys.readouterr().out)
         assert out["ks"] == [4.0, 3.0, 3.0, 1.0]
         assert out["budget_used"] == 1.71509620039
+
+    def test_cap_near_the_largest_double_warns_nothing(self, two_type_config_path, capsys):
+        # k**0.5's breakpoint c/k_max is subnormal there, and Amdahl's width
+        # at it must not overflow.  The suite raises any RuntimeWarning, so
+        # a warning fails here.
+        assert main(["solve", "--spec", two_type_config_path, "--k-max", "1.7e308"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["ks"] == [6.0, 9.0]
 
     def test_k_max_flag(self, tmp_path, capsys):
         doc = json.loads(json.dumps(SINGLE_POWER_CONFIG))
@@ -544,8 +564,11 @@ class TestGenTraceOverflows:
             # Below int64, but one type's draw count, the count plus six
             # standard deviations and 64, is not.
             (2**63 - 808, SINGLE_POWER_CONFIG, "needs 9.22337e+18 draws of a type, past int64"),
+            # Each type's draw count is below int64, but their merged
+            # arrival times would not fit in one numpy array.
+            (2**63 - 1, None, "needs 9.22337e+18 draws, past the largest array"),
         ],
-        ids=["1e20", "1e400", "draw-count"],
+        ids=["1e20", "1e400", "draw-count", "array-size"],
     )
     def test_job_count_past_int64(self, tmp_path, capsys, two_type_config_path, jobs,
                                   spec_doc, message):

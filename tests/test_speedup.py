@@ -321,32 +321,51 @@ class TestAxiomProperties:
 
 
 class TestUsageLaw:
-    """Each family's breakpoints and power term describe how the usage
-    k/s(k) of its minimizer's width moves with the multiplier mu."""
+    """Each family's minimizer names the breakpoints and power term that
+    describe how the usage k/s(k) of its width moves with the multiplier mu."""
 
     K_MAX = 2.0**20
 
     def widths(self, f, mu, k_max=K_MAX):
-        with np.errstate(divide="ignore"):
-            k, s = f.minimizer(k_max)(np.asarray(mu, dtype=float))
-        return k, s
+        with np.errstate(divide="ignore", over="ignore"):
+            return f.minimizer(k_max).widths(np.asarray(mu, dtype=float))
+
+    def check_power_term(self, f, k_max):
+        m = f.minimizer(k_max)
+        lo, hi, a, e, c = m.power_term
+        assert m.power_term[:2] == m.breakpoints
+        # A subnormal mu holds too few bits to pin the width to 1e-13, so the
+        # law is checked from the smallest normal double on.
+        tiny = np.finfo(float).tiny
+        if hi < tiny:
+            return
+        mu = np.geomspace(max(lo, tiny), hi, 200)
+        k, s = self.widths(f, mu, k_max)
+        np.testing.assert_allclose(k / s, a * mu**-e + c, rtol=1e-13)
+        # Outside [lo, hi] the width is pinned: at the cap, then at 1.
+        below = [lo * 0.999] if lo >= tiny else []
+        k, _ = self.widths(f, np.array([0.0, *below, hi * 1.001, np.inf]), k_max)
+        assert k.tolist() == [k_max] * (1 + len(below)) + [1.0, 1.0]
 
     @pytest.mark.parametrize("f", [Amdahl(0.3), Amdahl(0.8), Amdahl(0.999), PowerLaw(0.1),
                                    PowerLaw(0.5), PowerLaw(0.9)], ids=repr)
     def test_power_term_matches_the_minimizer(self, f):
-        lo, hi, a, e, c = f.power_term(self.K_MAX)
-        assert f.breakpoints(self.K_MAX) == (lo, hi)
-        mu = np.geomspace(lo, hi, 200)
-        k, s = self.widths(f, mu)
-        np.testing.assert_allclose(k / s, a * mu**-e + c, rtol=1e-13)
-        # Outside [lo, hi] the width is pinned: at the cap, then at 1.
-        k, _ = self.widths(f, np.array([0.0, lo * 0.999, hi * 1.001, np.inf]))
-        assert k.tolist() == [self.K_MAX, self.K_MAX, 1.0, 1.0]
+        self.check_power_term(f, self.K_MAX)
+
+    @settings(max_examples=300, deadline=None)
+    @given(family=st.sampled_from([Amdahl, PowerLaw]),
+           x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           k_max=st.sampled_from([1.0, 6.0, 2.0**20, 1e300]))
+    def test_power_term_matches_the_minimizer_for_any_exponent(self, family, x, k_max):
+        # Past a cap of 2**512 the width sqrt(r/mu) of Amdahl's law is
+        # finite where r/mu overflows; it must not snap to the cap there.
+        self.check_power_term(family(x), k_max)
 
     @pytest.mark.parametrize("f", [Amdahl(0.0), Amdahl(1.0), PowerLaw(1.0)], ids=repr)
     def test_constant_families_have_no_breakpoints(self, f):
-        assert f.breakpoints(self.K_MAX) == ()
-        assert f.power_term(self.K_MAX) is None
+        m = f.minimizer(self.K_MAX)
+        assert m.breakpoints == ()
+        assert m.power_term is None
         k, _ = self.widths(f, np.array([0.0, 0.5, np.inf]))
         assert len(set(k.tolist())) == 1
 
@@ -355,8 +374,9 @@ class TestUsageLaw:
            k_max=st.sampled_from([2.0**20, 64.0, 6.0, 1.0]))
     def test_tabular_width_changes_exactly_at_its_breakpoints(self, seed, n_knots, k_max):
         f = concave_tabular(np.random.default_rng(seed), n_knots)
-        assert f.power_term(k_max) is None
-        bps = np.array(f.breakpoints(k_max))
+        m = f.minimizer(k_max)
+        assert m.power_term is None
+        bps = np.array(m.breakpoints)
         assert np.all(bps > 0) and np.all(np.diff(bps) > 0)
         # One probe inside each piece, before the first and past the last.
         ends = [bps[0] / 4, bps[-1] * 4] if len(bps) else [1.0, 2.0]
