@@ -10,14 +10,15 @@ family, and the usage of those minimizers is piecewise in mu: constant, or
 a sum of powers of mu, between breakpoints each family names.  So mu is
 found exactly, with no bisection: the piece on which usage crosses the
 budget is located among the breakpoints, and the equation on it is solved
-in closed form or by a few monotone Newton steps.  ``pareto_frontier``
-runs this search once per sweep, vectorised over its budgets, and
-``solve_allocation`` runs it for one budget.  ``brute_force_allocation`` is
-the independent grid oracle used to cross-check the solver.
+in closed form or by a few monotone Newton steps.  ``pareto_frontier`` and
+``solve_allocation`` run this one search, over many budgets or one, and
+``brute_force_allocation`` is the independent grid oracle that checks it.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -164,29 +165,34 @@ def _allocations(
     ]
 
 
-def _search(spec: WorkloadSpec, budgets: np.ndarray, *, k_max: float) -> list[Allocation]:
+def _numpy_sum(row) -> float:
+    """``row`` summed in numpy's order for a row of doubles, with its bits: left to
+    right under 8 terms, else in 8 lanes added pairwise, past 128 in halves."""
+    n = len(row)
+    if n < 8:
+        return sum(row)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _numpy_sum(row[:half]) + _numpy_sum(row[half:])
+    r = [sum(row[k : n - n % 8 : 8]) for k in range(8)]
+    return sum(row[n - n % 8 :], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+
+
+def _search(spec: WorkloadSpec, budgets, *, k_max: float) -> list[Allocation]:
     """Optimal allocation of ``spec`` at each of ``budgets`` (all stable).
 
     Usage U(mu) of the per-type minimizers is non-increasing in mu and
     piecewise: between consecutive breakpoints (every type's, plus 0 and
     inf) each type's usage is constant or load * (a * mu**-e + c), its
-    family's ``power_term``.  U is evaluated at every breakpoint in one
-    call per type.  A budget that U(0) meets is slack.  Otherwise the first
-    breakpoint whose usage fits ends the piece on which U crosses the
-    budget, and on that piece C + sum_j A_j * mu**-e_j = b is solved: in
-    closed form, mu = (sum A / (b - C))**(1/e), when the active exponents
-    agree, else by Newton's method in log mu.  That function is convex and
-    decreasing in log mu, so Newton started left of the root rises
-    monotonically to it; the start is the larger of the piece's left end
-    and the root of each term alone, and the iteration stops when a step
-    makes no progress.  If usage instead jumps across the budget at the
-    piece's right end (a tabular width changes there), mu is that
-    breakpoint and the fill pass raises the jumping widths back toward
-    their left-side values until the budget binds.  The widths come from
-    the piece: a slack or jumping budget takes its breakpoint's; on a
-    solved piece a smooth type takes its minimizer at mu and any other
-    keeps its width there.  Each budget does the arithmetic it would do
-    alone, so a one-budget call gives the same bits as a sweep.
+    family's ``power_term``.  U is tabled at every breakpoint in one numpy
+    call per type.  Each budget is then decided on Python floats: slack if
+    U(0) meets it, else on the piece that ends at the first breakpoint
+    whose usage fits.  On it C + sum_j A_j * mu**-e_j = b is solved, in
+    closed form when the active exponents agree, else by Newton's method
+    in log mu; or, where usage jumps across b at the piece's right end (a
+    tabular width changes there), mu is that breakpoint and the fill pass
+    spends the slack.  Powers, logs and exps are numpy's and sums take
+    numpy's order, so one budget gets the same bits alone as in a sweep.
 
     A bad ``k_max`` raises SpecError first.  The minimizers assume the
     speedup axioms, so a type whose speedup fails ``validate`` raises
@@ -198,79 +204,73 @@ def _search(spec: WorkloadSpec, budgets: np.ndarray, *, k_max: float) -> list[Al
         if not report.ok:
             check = next(c for c in report.checks() if not c.passed)
             raise AxiomError(f"type {t.name!r}: speedup is not {check.name}: {check.detail}")
-    b = np.asarray(budgets, dtype=float)
-    fs = [t.speedup for t in spec.types]
-    minimizers = [f.minimizer(k_max) for f in fs]
+    minimizers = [t.speedup.minimizer(k_max) for t in spec.types]
+    power_terms = [m.power_term for m in minimizers]
     loads = spec.loads
+    bps = sorted({0.0, math.inf}.union(*(m.breakpoints for m in minimizers)))
+    ks_bp, speeds_bp = np.empty((len(bps), len(loads))), np.empty((len(bps), len(loads)))
 
-    bps = np.array(sorted({0.0, math.inf}.union(*(m.breakpoints for m in minimizers))))
-    ks_bp, speeds_bp = np.empty((len(bps), len(fs))), np.empty((len(bps), len(fs)))
-    # mu = 0 divides by zero and a subnormal breakpoint can overflow the
-    # unclipped width; either way the clip makes the width the cap.
+    @functools.cache
+    def piece(p: int) -> tuple:
+        # Piece p is [bps[p], bps[p + 1]].  A type whose power term is active
+        # on it uses load * (a * mu**-e + c); any other, its left end's usage.
+        lo, hi = bps[p], bps[p + 1]
+        const, A, E = zip(*(
+            (load * t[4], load * t[2], t[3]) if t and t[0] <= lo and hi <= t[1] else (u, 0.0, 0.0)
+            for load, u, t in zip(loads.tolist(), use_bp[p].tolist(), power_terms)
+        ))
+        C, exps = _numpy_sum(const), {e for a, e in zip(A, E) if a}
+        powers = [a * float(np.power(hi, -e)) if a else 0.0 for a, e in zip(A, E)]
+        # Without a term, usage is the left end's, past the budget: a jump.
+        at_hi = C + _numpy_sum(powers) if exps else math.inf
+        closed = exps.pop() if len(exps) == 1 else None
+        return C, A, E, at_hi, closed, _numpy_sum(A), float(np.log(lo)), float(np.log(hi))
+
+    # mu = 0 divides by zero and a subnormal breakpoint overflows the unclipped
+    # width, which the clip makes the cap; types at such a cap can use more
+    # than the largest double, alone or together, which no budget meets.
     with np.errstate(divide="ignore", over="ignore"):
+        at = np.array(bps)
         for i, m in enumerate(minimizers):
-            ks_bp[:, i], speeds_bp[:, i] = m.widths(bps)
-    # Each type's usage, as budget_usage has it: k / s(k) first, so a huge
-    # load times a wide k_max does not overflow where their ratio is modest.
-    use_bp = loads * (ks_bp / speeds_bp)
-    # The first breakpoint whose usage fits the budget; 0 when it is slack.
-    j = np.searchsorted(-np.minimum.accumulate(use_bp.sum(axis=1)), -b)
-
-    # Piece p runs from bps[p] to bps[p + 1].  On it a type whose power term
-    # is active uses load * (a * mu**-e + c); any other type's usage is
-    # constant, its value at the piece's left end.
-    none = (math.inf, -math.inf, 0.0, 0.0, 0.0)
-    lo, hi, a, e, c = np.array([m.power_term or none for m in minimizers]).T
-    left, right = bps[:-1], bps[1:]
-    active = (lo <= left[:, None]) & (right[:, None] <= hi)
-    coef = np.where(active, loads * a, 0.0)
-    const = np.where(active, loads * c, use_bp[:-1]).sum(axis=1)
-
-    rows = np.flatnonzero(j > 0)
-    p = j[rows] - 1
-    A, C, target, mu_lo, mu_hi = coef[p], const[p], b[rows], left[p], right[p]
-    jump = C + (A * mu_hi[:, None] ** -e).sum(axis=1) > target
-    mu = np.zeros(len(b))
-    mu[rows] = mu_hi
-
-    # The other pieces have an active term: a constant piece's usage is its
-    # left end's, which exceeds the budget, so it ends in a jump.
-    solved = ~jump
-    A, C, target, mu_lo, mu_hi = A[solved], C[solved], target[solved], mu_lo[solved], mu_hi[solved]
-    on = A > 0.0
-    e_lo = np.where(on, e, math.inf).min(axis=1)
-    closed = e_lo == np.where(on, e, -math.inf).max(axis=1)
-    todo = np.flatnonzero(~closed)
-    with np.errstate(divide="ignore"):
-        x = np.log(A.sum(axis=1) / (target - C)) / e_lo  # log mu, in closed form
-        # Newton starts at the larger of the left end and the roots of the
-        # terms alone; at each such root the other terms add usage, so it
-        # lies left of the piece's root.
-        alone = np.log(A[todo] / (target[todo] - C[todo])[:, None]) / np.where(on[todo], e, 1.0)
-        x[todo] = np.maximum(np.log(mu_lo[todo]), alone.max(axis=1))
-    x_hi = np.log(mu_hi)
-    e_on = np.where(on, e, 0.0)
-    while todo.size:
-        terms = A[todo] * np.exp(-e_on[todo] * x[todo, None])
-        step = (C[todo] + terms.sum(axis=1) - target[todo]) / (e * terms).sum(axis=1)
-        x_next = np.minimum(x[todo] + step, x_hi[todo])
-        moved = x_next > x[todo]
-        x[todo[moved]] = x_next[moved]
-        todo = todo[moved]
-    mu_on = np.clip(np.exp(x), mu_lo, mu_hi)
-    mu[rows[solved]] = mu_on
-    ks = ks_bp[j]  # at the breakpoint, where a slack or jumping budget's mu is
-    on_piece = ks_bp[p[solved]]
-    smooth = np.isfinite(lo)
-    with np.errstate(divide="ignore", over="ignore"):
-        for i in np.flatnonzero(smooth):
-            on_piece[:, i] = minimizers[i].widths(mu_on)[0]
-    ks[rows[solved]] = on_piece
-    # A jumping width may rise back to its left-side value; a smooth one is
-    # continuous and stays.
-    for r, q in zip(rows[jump], p[jump]):
-        upper = np.where(smooth, ks_bp[q + 1], ks_bp[q])
-        ks[r] = _fill_budget(spec, float(b[r]), ks[r], use_bp[q + 1], upper)
+            ks_bp[:, i], speeds_bp[:, i] = m.widths(at)
+        # Each type's usage, as budget_usage has it: k / s(k) first, so a huge
+        # load times a wide k_max does not overflow where their ratio is modest.
+        use_bp = loads * (ks_bp / speeds_bp)
+        fits = (-np.minimum.accumulate(use_bp.sum(axis=1))).tolist()
+    rows, mus, jumps = [0] * len(budgets), [0.0] * len(budgets), []
+    with np.errstate(divide="ignore"):  # log 0 = -inf: mu = 0, or a root past the smallest double
+        for r, b in enumerate(budgets):
+            j = bisect.bisect_left(fits, -b)  # the first breakpoint whose usage fits
+            if j == 0:  # slack: mu = 0
+                continue
+            C, A, E, at_hi, closed, sum_a, x_lo, x_hi = piece(j - 1)
+            if at_hi > b:  # usage jumps across b at bps[j]
+                rows[r], mus[r] = j, bps[j]
+                jumps.append((r, j))
+                continue
+            if b == C or closed is not None:  # at b == C the terms round away
+                x = float(np.log(sum_a / (b - C))) / closed if b > C else math.inf
+            else:
+                # Usage is convex and decreasing in x = log mu, so Newton from the larger of
+                # the left end and the terms' own roots (all left of the root) rises to it.
+                x = max(x_lo, *(float(np.log(a / (b - C))) / e for a, e in zip(A, E) if a))
+                while True:
+                    ts = [a * float(np.exp(-e * x)) if a else 0.0 for a, e in zip(A, E)]
+                    step = (C + _numpy_sum(ts) - b) / _numpy_sum([e * t for e, t in zip(E, ts)])
+                    x_next = min(x + step, x_hi)
+                    if not x_next > x:
+                        break
+                    x = x_next
+            rows[r], mus[r] = j - 1, min(max(float(np.exp(x)), bps[j - 1]), bps[j])
+    # A smooth type's width is its minimizer's at mu; any other's, its row's.
+    ks, mu = ks_bp[rows], np.array(mus)
+    with np.errstate(divide="ignore", over="ignore"):  # at mu = 0, as in the table
+        for i in [i for i, t in enumerate(power_terms) if t]:
+            ks[:, i] = minimizers[i].widths(mu)[0]
+    # A jumping width may rise back to its left-side value; a smooth one stays.
+    for r, j in jumps:
+        upper = np.where([t is not None for t in power_terms], ks_bp[j], ks_bp[j - 1])
+        ks[r] = _fill_budget(spec, budgets[r], ks[r], use_bp[j], upper)
     return _allocations(spec, ks, mu, k_max=k_max)
 
 
@@ -280,7 +280,7 @@ def solve_allocation(spec: WorkloadSpec, *, k_max: float = DEFAULT_K_MAX) -> All
     InstabilityError when total load >= budget.
     """
     spec.check_stability()
-    return _search(spec, np.array([spec.budget]), k_max=k_max)[0]
+    return _search(spec, [spec.budget], k_max=k_max)[0]
 
 
 _ZOOM_POINTS = 96  # per-axis sampling target for the coarse-to-fine passes
@@ -416,7 +416,7 @@ def pareto_frontier(
         except ValueError as exc:
             errors.append(str(exc))
     feasible = [b for b, err in zip(budgets, errors) if err is None]
-    solved = iter(_search(spec, np.array(feasible), k_max=k_max))
+    solved = iter(_search(spec, feasible, k_max=k_max))
     return [
         ParetoPoint(b, error=err) if err is not None else ParetoPoint(b, next(solved))
         for b, err in zip(budgets, errors)

@@ -153,7 +153,10 @@ class Amdahl(SpeedupFunction):
             k = np.minimum(np.maximum(np.sqrt(r_scaled / mu) * scale, 1.0), k_max)
             return k, self._value(k)
 
-        term = r / (k_max * k_max), r, (1.0 - p) * math.sqrt(r), 0.5, p
+        # Past a cap of ~1.3e154, k_max * k_max overflows where r / k_max / k_max
+        # may still be a normal double; elsewhere one division keeps its bits.
+        cap = r / (k_max * k_max) if k_max * k_max < math.inf else r / k_max / k_max
+        term = cap, r, (1.0 - p) * math.sqrt(r), 0.5, p
         return Minimizer(widths, term[:2], term)
 
     def width_at_usage(self, v: float, k_max: float) -> float:

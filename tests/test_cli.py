@@ -345,6 +345,20 @@ class TestSolve:
         assert err == ""
         assert json.loads(out)["ks"] == [6.0, 9.0]
 
+    def test_usage_past_the_largest_double_at_mu_0_warns_nothing(self, tmp_path, capsys):
+        # Three types at a cap of 1.7e308 use more than the largest double
+        # together at mu = 0.  No budget meets that inf; summing to it must
+        # not warn.
+        amdahl = {"name": "a", "speedup": {"kind": "amdahl", "p": 0.5}, "arrival_rate": 1.0,
+                  "size_dist": {"kind": "deterministic", "x": 1.0}}
+        doc = {"types": [dict(amdahl, name=n) for n in "abc"], "budget": 4.0}
+        path = write_config(tmp_path, doc)
+        assert main(["solve", "--spec", path, "--k-max", "1.7e308"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["ks"] == [1.66666666667] * 3
+        assert json.loads(out)["multiplier"] == 0.36
+
     def test_k_max_flag(self, tmp_path, capsys):
         doc = json.loads(json.dumps(SINGLE_POWER_CONFIG))
         doc["budget"] = 50.0

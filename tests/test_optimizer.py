@@ -32,6 +32,7 @@ from gpurental import (
 from gpurental import load_spec, optimizer
 from gpurental.speedup import DEFAULT_K_MAX, _check_width
 from randspecs import random_concave_tabular, random_spec, random_speedup
+from reference_search import _search as reference_search
 
 FOUR_TYPE_TABULAR = Path(__file__).resolve().parents[1] / "perfbench" / "four_type_tabular.json"
 
@@ -526,6 +527,37 @@ class TestComplementarySlackness:
             assert a.budget_used <= pt.budget * (1 + 1e-12)
             if a.multiplier > 0:
                 assert a.budget_used >= pt.budget * (1 - 1e-9)
+
+
+class TestReferenceSearch:
+    """The search decides each budget on Python floats; the vectorised
+    search it replaced is kept in ``reference_search`` as the oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 50), with_tabular=st.booleans(),
+           spread=st.lists(st.floats(1e-9, 20.0), min_size=1, max_size=10))
+    def test_search_matches_the_vectorised_search(self, seed, m, with_tabular, spread):
+        # Budgets in the open and at each breakpoint's usage, where the
+        # piece and the jump test are decided, and one ulp either side.
+        spec = random_spec(np.random.default_rng(seed), m=m, with_tabular=with_tabular)
+        ms = [t.speedup.minimizer(DEFAULT_K_MAX) for t in spec.types]
+        budgets = (spec.total_load * (1.0 + np.array(spread))).tolist()
+        for mu in sorted({v for mz in ms for v in mz.breakpoints}):
+            used = budget_usage(spec, [mz.widths(np.array([mu]))[0][0] for mz in ms])
+            budgets += [math.nextafter(used, 0.0), used, math.nextafter(used, math.inf)]
+        budgets = [b for b in budgets if b > spec.total_load]
+        got = optimizer._search(spec, budgets, k_max=DEFAULT_K_MAX)
+        want = reference_search(spec, np.array(budgets), k_max=DEFAULT_K_MAX)
+        for b, a, r in zip(budgets, got, want):
+            assert a.budget_used <= b * (1 + 1e-12)
+            assert a == r
+
+    def test_sums_take_numpys_order(self):
+        # Left to right under 8 terms, pairwise in 8 lanes to 128, halves past.
+        rng = np.random.default_rng(5)
+        for n in range(1, 300):
+            row = rng.lognormal(0.0, 8.0, size=(1, n))
+            assert optimizer._numpy_sum(row[0].tolist()) == row.sum(axis=1)[0]
 
 
 class TestAllocationBuilder:

@@ -361,6 +361,15 @@ class TestUsageLaw:
         # finite where r/mu overflows; it must not snap to the cap there.
         self.check_power_term(family(x), k_max)
 
+    def test_amdahl_cap_breakpoint_where_the_squared_cap_overflows(self):
+        # k_max * k_max is inf past ~1.34e154, yet r / k_max**2 is still a
+        # normal double for p near 1: the breakpoint must not fall to 0.
+        f, k_max = Amdahl(0.999999), 1.4e154
+        m = f.minimizer(k_max)
+        assert m.breakpoints[0] == 5.102035714139002e-303
+        assert m.power_term[0] == 5.102035714139002e-303
+        self.check_power_term(f, k_max)
+
     @pytest.mark.parametrize("f", [Amdahl(0.0), Amdahl(1.0), PowerLaw(1.0)], ids=repr)
     def test_constant_families_have_no_breakpoints(self, f):
         m = f.minimizer(self.K_MAX)
