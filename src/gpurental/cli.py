@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 validation failure (from ``validate``, or a speedup
 that fails the axioms in a command that solves), 2 instability (total load
->= budget, or >= the pool of a ``cluster``/``srf`` policy), 3 I/O or parse
-errors.  All numbers are printed with 12 significant digits so repeated runs
-with the same inputs are byte-identical.
+>= budget, or >= the pool of a ``cluster``/``srf`` policy, or an ``srf``
+pool at or below its usage at its largest grant), 3 I/O or parse errors.
+All numbers are printed with 12 significant digits so repeated runs with
+the same inputs are byte-identical.
 
 The argument parser is built once per process and reused by every ``main``
 call; parsing does not change it.

@@ -191,8 +191,10 @@ def _search(spec: WorkloadSpec, budgets, *, k_max: float) -> list[Allocation]:
     closed form when the active exponents agree, else by Newton's method
     in log mu; or, where usage jumps across b at the piece's right end (a
     tabular width changes there), mu is that breakpoint and the fill pass
-    spends the slack.  Powers, logs and exps are numpy's and sums take
-    numpy's order, so one budget gets the same bits alone as in a sweep.
+    spends the slack.  A budget that no breakpoint's usage fits, because
+    the last one (mu = inf) rounds past it, takes that last row.  Powers,
+    logs and exps are numpy's and sums take numpy's order, so one budget
+    gets the same bits alone as in a sweep.
 
     A bad ``k_max`` raises SpecError first.  The minimizers assume the
     speedup axioms, so a type whose speedup fails ``validate`` raises
@@ -242,6 +244,13 @@ def _search(spec: WorkloadSpec, budgets, *, k_max: float) -> list[Allocation]:
         for r, b in enumerate(budgets):
             j = bisect.bisect_left(fits, -b)  # the first breakpoint whose usage fits
             if j == 0:  # slack: mu = 0
+                continue
+            if j == len(bps):
+                # No row fits, though the budget is stable: the last row's
+                # usage is over b only by rounding.  Take its widths, with the
+                # last finite breakpoint (0 if none) as the multiplier: every
+                # smooth width is already 1 there, as in the last row.
+                rows[r], mus[r] = j - 1, bps[-2]
                 continue
             C, A, E, at_hi, closed, sum_a, x_lo, x_hi = piece(j - 1)
             if at_hi > b:  # usage jumps across b at bps[j]

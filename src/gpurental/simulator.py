@@ -1,5 +1,10 @@
 """Discrete-event replay of a trace under a GPU rental policy.
 
+Every replay, fixed-width or pooled, takes a type's speed at a width from
+one evaluator, ``_speeds``: its speedup's ``_value``, which the solver also
+uses, extended linearly below one GPU.  So a job that holds the same width
+under two policies runs at the same speed, to the last bit.
+
 Fixed-width policies never queue, so their replay is closed-form: each job
 finishes at arrival + size / s(k).
 
@@ -48,8 +53,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import ReplayError, SpecError
-from .speedup import _check_width, scalar_fn
+from .errors import InstabilityError, ReplayError, SpecError
+from .speedup import _check_width
 from .workload import Trace, WorkloadSpec, _check_stable
 
 MAX_TIMESERIES_SAMPLES = 10**7  # ~160 MB of (t, K) rows
@@ -134,43 +139,23 @@ class _Replay:
     k_by_count: np.ndarray | None = None
 
 
-def _extended_speed(f, at_one: float):
-    """Speed at allocation a, extended linearly below one GPU (a * s(1));
-    the cluster baselines can hand a job less than one GPU."""
-
-    def speed(a: float) -> float:
-        if a >= 1.0:
-            return f(a)
-        if a <= 0.0:
-            return 0.0
-        return a * at_one
-
-    return speed
-
-
-def _check_speeds(spec: WorkloadSpec, widths, speeds) -> None:
-    """Refuse a type whose speed at the width it is granted is not finite."""
-    for jt, k, s in zip(spec.types, widths, speeds):
-        if not s < math.inf:
-            raise SpecError(f"type {jt.name!r}: speed at width {k:.6g} is not finite")
-
-
-def _speed_row(spec: WorkloadSpec, speed_of, a: float) -> list[float]:
-    """Each type's speed on a grant of a GPUs, refused if not finite."""
-    row = []
-    for f in speed_of:
-        try:
-            row.append(f(a))
-        except OverflowError:  # a float power past the largest double
-            row.append(math.inf)
-    _check_speeds(spec, [a] * len(row), row)
-    return row
+def _speeds(spec: WorkloadSpec, widths) -> list[float]:
+    """Each type's speed at its width, from one call to its speedup's
+    ``_value``, the evaluator of the solver.  A pool can grant less than one
+    GPU, so below one the speed extends linearly, s(1) * a.  A speed that is
+    not finite is refused."""
+    speeds = []
+    with np.errstate(over="ignore"):
+        for t, a in zip(spec.types, widths):
+            s = float(t.speedup._value(np.array([max(a, 1.0)]))[0]) * min(a, 1.0)
+            if not s < math.inf:
+                raise SpecError(f"type {t.name!r}: speed at width {a:.6g} is not finite")
+            speeds.append(s)
+    return speeds
 
 
 def _replay_fixed(trace: Trace, spec: WorkloadSpec, widths: np.ndarray) -> _Replay:
-    with np.errstate(over="ignore"):
-        speeds_per_type = np.array([t.speedup(k) for t, k in zip(spec.types, widths)])
-    _check_speeds(spec, widths, speeds_per_type)
+    speeds_per_type = np.array(_speeds(spec, widths.tolist()))
     k_job = widths[trace.type_indices]
     with np.errstate(over="ignore"):  # _check_finite refuses what overflows
         durations = trace.sizes / speeds_per_type[trace.type_indices]
@@ -184,9 +169,7 @@ _remaining = itemgetter(0)
 
 def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay:
     n = len(trace)
-    speed_of = [
-        _extended_speed(scalar_fn(t.speedup), scalar_fn(t.speedup)(1.0)) for t in spec.types
-    ]
+    n_types = len(spec.types)
     equal_split = isinstance(policy, StaticClusterEqualSplit)
     pool = policy.cluster_size
     k_cap = policy.k_cap if isinstance(policy, SmallestRemainingFirst) else math.inf
@@ -196,7 +179,7 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
     # per type, extended while the pool lasts (later ranks wait).  Both start
     # from the first grant, which a job alone in the pool holds.
     first = pool if equal_split else min(k_cap, pool)
-    solo_speeds = _speed_row(spec, speed_of, first)
+    solo_speeds = _speeds(spec, [first] * n_types)
     share_of: dict[int, tuple[float, list[float]]] = {1: (first, solo_speeds)}
     rank_alloc: list[float] = [first]
     rank_speed: list[list[float]] = [solo_speeds]
@@ -268,7 +251,7 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
             row = share_of.get(m)
             if row is None:
                 share = pool / m
-                row = share_of[m] = (share, _speed_row(spec, speed_of, share))
+                row = share_of[m] = (share, _speeds(spec, [share] * n_types))
             share, speeds = row
             for job in jobs:  # in arrival order: a strict < keeps the earliest of ties
                 rem, work, hours, alloc, speed, _, ty = job
@@ -299,7 +282,7 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
                 a = min(k_cap, left)
                 left -= a
                 rank_alloc.append(a)
-                rank_speed.append(_speed_row(spec, speed_of, a))
+                rank_speed.append(_speeds(spec, [a] * n_types))
             granted = ranked[: len(rank_alloc)]
             for job, a, speeds in zip(granted, rank_alloc, rank_speed):
                 job[3] = a
@@ -325,9 +308,22 @@ def _check_pool(spec: WorkloadSpec, policy: Policy) -> None:
     """A pooled policy keeps up only if the total load is below its pool.
     With m jobs present each holds at most C/m GPUs, and once that is below
     one a job runs at (C/m) * s(1): the pool then serves no faster than C
-    GPUs of width-1 jobs, which need the total load's GPUs to keep up."""
-    if not isinstance(policy, FixedWidth):
-        _check_stable(spec.total_load, policy.cluster_size)
+    GPUs of width-1 jobs, which need the total load's GPUs to keep up.
+
+    SRF must also keep up at its largest grant, a = min(k_cap, C): the
+    axioms make s(g)/g non-increasing, so no grant does less work per GPU
+    than s(a)/a, and sum_i load_i * a / s_i(a) < C suffices.  The test is
+    conservative: a smaller leftover grant does more per GPU."""
+    if isinstance(policy, FixedWidth):
+        return
+    pool = policy.cluster_size
+    _check_stable(spec.total_load, pool)
+    if isinstance(policy, SmallestRemainingFirst):
+        a = min(policy.k_cap, pool)
+        speeds = _speeds(spec, [a] * len(spec.types))
+        usage = sum(load * (a / s) for load, s in zip(spec.loads.tolist(), speeds))
+        if usage >= pool:
+            raise InstabilityError(f"usage {usage:.6g} at grant {a:.6g} >= pool {pool:.6g}")
 
 
 def _check_finite(rep: _Replay) -> None:
@@ -444,8 +440,9 @@ def simulate(
     time, over which K(t) is identically zero afterwards.
 
     A pooled policy whose pool is at or below the total load cannot keep up
-    and raises InstabilityError before any replay; a type whose speed at a
-    width the policy grants is not finite raises SpecError, and a job's
+    and raises InstabilityError before any replay, as does an SRF pool at or
+    below its usage at the largest grant (see ``_check_pool``); a type whose
+    speed at a width the policy grants is not finite raises SpecError, and a job's
     completion time or GPU-hours, or their totals, past the range of a
     double raise ReplayError.
     """

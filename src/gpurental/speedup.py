@@ -278,7 +278,9 @@ class Tabular(SpeedupFunction):
         # A sorted set, not np.unique, which imports numpy.ma on first use.
         cand = np.array(sorted({1.0, k_max, *np.minimum(self.knots, k_max).tolist()}))
         s = self._value(cand)
-        lines = list(zip((1.0 / s).tolist(), (cand / s).tolist()))  # (intercept, slope)
+        # (intercept, slope) on Python floats, whose division gives inf past the
+        # largest double without a warning: an infinite slope never wins.
+        lines = [(1.0 / v, k / v) for k, v in zip(cand.tolist(), s.tolist())]
         j = min(range(len(lines)), key=lambda i: lines[i][0])
         vertices, stretches = [0.0], [j]
         while True:
@@ -393,9 +395,10 @@ def validate(f: SpeedupFunction) -> ValidationReport:
 
 
 def scalar_fn(f: SpeedupFunction):
-    """Scalar evaluator for the event loops and bisections: the family's own
-    ``_value`` on a float k >= 1, without ``__call__``'s array conversion
-    and domain check."""
+    """Scalar evaluator: the family's own ``_value`` on a float k >= 1,
+    without ``__call__``'s array conversion and domain check.  No package
+    code calls it any more (every replay and the solver evaluate ``_value``
+    on arrays); it stays for the benchmark's tracer, which binds it by name."""
     value = f._value
     return lambda k: float(value(k))
 

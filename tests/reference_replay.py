@@ -1,7 +1,9 @@
 """The pooled-baseline replay as it stood before the per-job-record loop in
-``gpurental.simulator``, kept verbatim as the oracle for tests only: parallel
+``gpurental.simulator``, kept as the oracle for tests only: parallel
 per-job lists, a full reallocation and a ``math.fsum`` of K(t) at every
-event.  It returns its arrays by name, K(t) as ``seg_times`` and ``seg_k``
+event.  It evaluates speeds through the public ``SpeedupFunction.__call__``,
+not the package's replay evaluator, so that it does not share what it
+checks.  It returns its arrays by name, K(t) as ``seg_times`` and ``seg_k``
 (K(t) == seg_k[i] on [seg_times[i], seg_times[i+1])).  The current loop,
 with K(t) built from its arrivals and completions, must reproduce them bit
 for bit.
@@ -13,14 +15,16 @@ import math
 
 import numpy as np
 
-from gpurental.simulator import (
-    Policy,
-    SmallestRemainingFirst,
-    StaticClusterEqualSplit,
-    _extended_speed,
-)
-from gpurental.speedup import scalar_fn
+from gpurental.simulator import Policy, SmallestRemainingFirst, StaticClusterEqualSplit
 from gpurental.workload import Trace, WorkloadSpec
+
+
+def _speed_of(f):
+    """Speed at allocation a through the public ``__call__``, extended
+    linearly below one GPU (a * s(1)): the oracle's own evaluator, not the
+    package's."""
+    at_one = f(1.0)
+    return lambda a: f(a) if a >= 1.0 else a * at_one
 
 
 def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> dict[str, np.ndarray]:
@@ -28,9 +32,7 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> dict[st
     arr_t = trace.arrival_times
     arr_ty = trace.type_indices
     arr_x = trace.sizes
-    speed_of = [
-        _extended_speed(scalar_fn(t.speedup), scalar_fn(t.speedup)(1.0)) for t in spec.types
-    ]
+    speed_of = [_speed_of(t.speedup) for t in spec.types]
     equal_split = isinstance(policy, StaticClusterEqualSplit)
     pool = policy.cluster_size
     k_cap = policy.k_cap if isinstance(policy, SmallestRemainingFirst) else math.inf

@@ -23,6 +23,7 @@ from gpurental import cli, simulator
 from gpurental.cli import _csv_rows, main
 
 FOUR_TYPE_TABULAR = Path(__file__).resolve().parents[1] / "perfbench" / "four_type_tabular.json"
+TWO_TYPE = Path(__file__).resolve().parents[1] / "configs" / "two_type.json"
 
 UNSTABLE_CONFIG = {
     "types": [
@@ -358,6 +359,36 @@ class TestSolve:
         assert err == ""
         assert json.loads(out)["ks"] == [1.66666666667] * 3
         assert json.loads(out)["multiplier"] == 0.36
+
+    @pytest.mark.parametrize("load", [1.7, 3.1, 7.7])
+    def test_budget_one_ulp_above_the_load(self, tmp_path, capsys, load):
+        # At this cap a p = 1 type's usage, load * (k / s(k)), rounds past
+        # its load, and past a budget one ulp above it (1.7000000000000002
+        # for 1.7), at every breakpoint.  The plan is served from the last
+        # one, mu = inf.
+        doc = {"types": [{"name": "linear", "speedup": {"kind": "amdahl", "p": 1.0},
+                          "arrival_rate": load, "size_dist": {"kind": "deterministic", "x": 1}}],
+               "budget": math.nextafter(load, math.inf)}
+        rc = main(["solve", "--spec", write_config(tmp_path, doc), "--k-max", "1e300"])
+        out, err = capsys.readouterr()
+        assert (rc, err) == (0, "")
+        assert not any(bad in out.lower() for bad in ("nan", "inf"))
+        plan = json.loads(out)
+        assert plan["ks"] == [1e300] and plan["multiplier"] == 0.0
+        assert plan["budget_used"] <= doc["budget"] * (1 + 1e-12)
+
+    def test_table_whose_usage_overflows_at_the_cap_warns_nothing(self, tmp_path, capsys):
+        # k / s(k) is 1e300 / 1e-300 at the cap: an infinite slope in the
+        # tabular envelope, a line that never wins.  The suite raises any
+        # RuntimeWarning, so a warning fails here.
+        tiny = {"kind": "tabular", "points": [[1, 1e-300]]}
+        doc = {"types": [{"name": "tiny", "speedup": tiny, "arrival_rate": 1e-300,
+                          "size_dist": {"kind": "deterministic", "x": 1}}],
+               "budget": 2.0}
+        rc = main(["solve", "--spec", write_config(tmp_path, doc), "--k-max", "1e300"])
+        out, err = capsys.readouterr()
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["ks"] == [1.0]
 
     def test_k_max_flag(self, tmp_path, capsys):
         doc = json.loads(json.dumps(SINGLE_POWER_CONFIG))
@@ -982,6 +1013,24 @@ class TestPooledRefusals:
                    "--policies", "cluster:1.7;srf:8,4"])
         assert rc == 0
         assert len(capsys.readouterr().out.splitlines()) == 3
+
+    def test_srf_pool_that_cannot_keep_up_exits_2(self, tmp_path, capsys, monkeypatch):
+        # Total load 1.9 is below the pool of 2, but one job on 2 GPUs serves
+        # at most s(2): the two types use 2.4835 GPUs at grant 2.  srf:2,1,
+        # whose grants of 1 use 1.9, still replays.
+        spec = edited_config(tmp_path, TWO_TYPE, (("types", 0, "arrival_rate"), 0.95),
+                             (("types", 1, "arrival_rate"), 0.95))
+        trace = tmp_path / "t.csv"
+        main(["gen-trace", "--spec", spec, "--jobs", "200", "--seed", "1", "--out", str(trace)])
+        capsys.readouterr()
+        argv = ["simulate", "--spec", spec, "--trace", str(trace), "--policy"]
+        assert main(argv + ["srf:2,1"]) == 0
+        assert json.loads(capsys.readouterr().out)["job_count"] == 200
+        refuse_replays(monkeypatch)
+        rc = main(argv + ["srf:2,2"])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err == "error: policy 'srf:2,2': usage 2.4835 at grant 2 >= pool 2\n"
 
     @pytest.mark.parametrize("policy", ["cluster:4", "srf:8,4", "fixed:4,4", "uniform:4"])
     def test_infinite_speed_exits_3(self, tmp_path, two_type_config_path, capsys, policy):

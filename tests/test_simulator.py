@@ -504,6 +504,35 @@ class TestBusyPeriods:
         self.assert_matches_reference(tr, two_type_spec, pol)
 
 
+class TestAloneInAPool:
+    """A job alone in a pool holds the first grant for its whole run, so it
+    replays bit for bit as under a fixed width of that grant: pooled and
+    fixed-width replay take their speeds from one evaluator."""
+
+    @staticmethod
+    def assert_pooled_matches_fixed(alpha, pool, sizes):
+        spec = WorkloadSpec((JobType("pow", PowerLaw(alpha), 0.1, Exponential(1.0)),), budget=2.0)
+        # s(k) >= 1, so each job completes within its size, before the next
+        # arrival: every job runs alone.
+        arrivals = np.cumsum(np.concatenate([[0.0], sizes[:-1] + 1.0]))
+        tr = Trace(arrivals, np.zeros(len(sizes), dtype=int), sizes)
+        fixed = _replay(tr, spec, FixedWidth((pool,)))
+        for pol in (StaticClusterEqualSplit(pool), SmallestRemainingFirst(pool, pool)):
+            rep = _replay(tr, spec, pol)
+            for field in ("completions", "gpu_hours"):
+                assert np.array_equal(getattr(rep, field), getattr(fixed, field)), (pol, field)
+
+    def test_sqrt_on_a_pool_of_56_5(self):
+        sizes = np.random.default_rng(21).exponential(1.0, 200)
+        self.assert_pooled_matches_fixed(0.5, 56.51989828254439, sizes)
+
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=st.floats(0.05, 1.0), pool=st.floats(1.0, 1e6),
+           sizes=st.lists(st.floats(0.01, 100.0), min_size=1, max_size=20))
+    def test_drawn_pools_and_exponents(self, alpha, pool, sizes):
+        self.assert_pooled_matches_fixed(alpha, pool, np.array(sizes))
+
+
 def doubled_rates(spec, factor=2.0):
     """spec with every arrival rate multiplied by factor."""
     return WorkloadSpec(
@@ -534,6 +563,25 @@ class TestPooledRefusals:
         with pytest.raises(InstabilityError, match="^total load 1 >= budget 1$"):
             simulate(tr, spec, StaticClusterEqualSplit(1.0))
         assert simulate(tr, spec, StaticClusterEqualSplit(1.0 + 1e-9)).job_count == 50
+
+    def test_srf_pool_below_its_usage_at_the_largest_grant_refused(self, two_type_spec,
+                                                                   monkeypatch):
+        # Load 1.9 passes a pool of 2, but at grant 2 the types use
+        # 0.95 * 2 / s(2) each, 2.4835 in all.  Grants of 1 use 1.9.
+        spec = WorkloadSpec(
+            tuple(JobType(t.name, t.speedup, 0.95, t.size_dist) for t in two_type_spec.types),
+            budget=2.0,
+        )
+        tr = generate_trace(spec, 200, seed=7)
+        assert simulate(tr, spec, SmallestRemainingFirst(2.0, 1.0)).job_count == 200
+        assert simulate(tr, spec, StaticClusterEqualSplit(2.0)).job_count == 200
+        def refuse(*args):
+            raise AssertionError("replayed an unstable pool")
+
+        monkeypatch.setattr(simulator, "_replay_cluster", refuse)
+        for pol in (SmallestRemainingFirst(2.0, 2.0), SmallestRemainingFirst(2.0, 3.0)):
+            with pytest.raises(InstabilityError, match="^usage 2.4835 at grant 2 >= pool 2$"):
+                simulate(tr, spec, pol)
 
     def test_fixed_widths_need_no_pool(self, two_type_spec):
         spec = doubled_rates(two_type_spec)
