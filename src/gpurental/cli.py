@@ -34,7 +34,7 @@ from .simulator import (
     _measure,
     _replay,
     _sample_k,
-    simulate,
+    _simulate_each,
 )
 from .speedup import DEFAULT_K_MAX, _check_width
 from .speedup import validate as validate_speedup
@@ -247,12 +247,12 @@ def _cmd_compare(args) -> int:
         raise SpecError("--policies must name at least one policy")
     policies = [parse_policy(s, spec, args.k_max) for s in labels]
     _check_pools(spec, labels, policies)
-    results = []
-    for label, policy in zip(labels, policies):
-        try:
-            results.append(simulate(trace, spec, policy, collect_per_job=False))
-        except ReplayError as exc:
-            raise ReplayError(f"policy {label!r}: {exc}") from None
+    results = _simulate_each(trace, spec, policies)
+    for label, result in zip(labels, results):
+        if isinstance(result, ReplayError):
+            raise ReplayError(f"policy {label!r}: {result}") from None
+        if isinstance(result, BaseException):
+            raise result
     row = "%s,%s,%s," + _numbers(2) + "\n"
     rows = ["policy,job_count,mean_response_time,time_avg_budget,total_gpu_hours\n"]
     for label, metrics in zip(labels, results):

@@ -42,12 +42,23 @@ integer count, so K(t) is right-continuous (at the instant a job completes,
 it is gone) and exactly 0 when no job is present.
 
 One replay is strictly sequential (event-ordered); distinct replays share
-no state and may run concurrently.
+no state, so ``compare_policies`` (and the CLI's ``compare``) runs them
+concurrently, in forked processes, at most one per CPU the process may use.
+Fixed-width replays are closed-form and stay in the calling process.  The
+pooled ones are sorted by pool size, smallest (busiest) first, and dealt to
+the processes back and forth; the caller replays the first share, and each
+forked child replays its share and sends the pickled results back through a
+pipe.  Each replay is the same computation wherever it runs, so the results
+are bit for bit those of replaying the policies one after another, which is
+what runs when there is one such CPU or one pooled policy, or where the
+platform has no ``os.fork`` or ``os.sched_getaffinity``.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -449,14 +460,132 @@ def simulate(
     return _measure(trace, _replay(trace, spec, policy), collect_per_job)
 
 
+def _simulate_share(trace: Trace, spec: WorkloadSpec, policies, collect_per_job: bool):
+    """Yield each policy's metrics in order; at the first replay that raises
+    an Exception, yield that exception instead and stop."""
+    for policy in policies:
+        try:
+            metrics = simulate(trace, spec, policy, collect_per_job=collect_per_job)
+        except Exception as exc:
+            yield exc
+            return
+        yield metrics
+
+
+def _report_share(fd: int, trace: Trace, spec: WorkloadSpec, policies, share, collect_per_job):
+    """The body of a forked child: replay its share (indices into policies)
+    and write to fd the pickled list of results, the last of which may be
+    whatever exception ended the share.  It leaves by ``os._exit``,
+    status 0 only once the list is written, so it flushes no stdio buffer it
+    inherited and runs no ``atexit`` hook."""
+    status = 1
+    try:
+        results = []
+        try:
+            own = [policies[i] for i in share]
+            for result in _simulate_share(trace, spec, own, collect_per_job):
+                results.append(result)
+        except BaseException as exc:  # sent to the parent, which raises it
+            results.append(exc)
+        data = pickle.dumps(results)
+        with open(fd, "wb") as fh:
+            fh.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _simulate_each(
+    trace: Trace, spec: WorkloadSpec, policies, collect_per_job: bool = False
+) -> list[SimMetrics | BaseException]:
+    """Each policy's metrics, or the exception its replay raised, in policy
+    order; the list ends at the first such failure.
+
+    With W = min(pooled policies, CPUs this process may use) of two or
+    more, pooled policies are sorted by pool size and dealt to W processes
+    in snake order (0, 1, .., W-1, W-1, .., 0, 0, ..), since a smaller pool
+    has more events to replay.  This process replays share 0 and every
+    fixed-width policy, and W - 1 forked children the other shares, each in
+    policy order.  A child that ends without writing its results raises
+    ChildProcessError.  Every child is reaped before this returns or raises,
+    and killed first if this process raises before it has their results."""
+    pooled = sorted(
+        (i for i, p in enumerate(policies) if not isinstance(p, FixedWidth)),
+        key=lambda i: policies[i].cluster_size,
+    )
+    workers = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        workers = min(len(pooled), len(os.sched_getaffinity(0)))
+    if workers < 2:
+        return list(_simulate_share(trace, spec, policies, collect_per_job))
+    shares: list[list[int]] = [[] for _ in range(workers)]
+    for j, i in enumerate(pooled):
+        lap, w = divmod(j, workers)
+        shares[w if lap % 2 == 0 else workers - 1 - w].append(i)
+    shares[0] += (i for i, p in enumerate(policies) if isinstance(p, FixedWidth))
+    shares = [sorted(share) for share in shares]
+
+    children = []  # (pid, read end of its pipe, share)
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _report_share(w, trace, spec, policies, share, collect_per_job)
+            os.close(w)
+            children.append((pid, open(r, "rb"), share))
+        own = [policies[i] for i in shares[0]]
+        results = dict(zip(shares[0], _simulate_share(trace, spec, own, collect_per_job)))
+        payloads = [reader.read() for _, reader, _ in children]
+    except BaseException:
+        import signal
+
+        for pid, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        statuses = []
+        for pid, reader, _ in children:
+            reader.close()
+            statuses.append(os.waitpid(pid, 0)[1])
+
+    for (_, _, share), data, status in zip(children, payloads, statuses):
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            raise ChildProcessError(f"a replay worker ended without a result (exit code {code})")
+        results.update(zip(share, pickle.loads(data)))
+    ordered = []
+    for i in range(len(policies)):
+        ordered.append(results[i])
+        if isinstance(results[i], BaseException):
+            break
+    return ordered
+
+
 def compare_policies(
     trace: Trace,
     spec: WorkloadSpec,
     policies,
     collect_per_job: bool = False,
 ) -> list[tuple[Policy, SimMetrics]]:
-    """Simulate each policy on the identical trace, in the given order."""
-    return [(p, simulate(trace, spec, p, collect_per_job=collect_per_job)) for p in policies]
+    """Simulate each policy on the identical trace; results in the given order.
+
+    Pooled replays run concurrently, one forked process per CPU this
+    process may use (see ``_simulate_each``); fixed-width ones run here.
+    The metrics are bit for bit those of calling ``simulate`` on each
+    policy in turn, and so is the error: the first failure in policy order
+    is raised."""
+    policies = list(policies)
+    results = _simulate_each(trace, spec, policies, collect_per_job)
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return list(zip(policies, results))
 
 
 def budget_timeseries(

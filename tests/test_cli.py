@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -1238,3 +1243,180 @@ class TestNonFiniteReplay:
         out, err = capsys.readouterr()
         assert (rc, out) == (3, "")
         assert err == "error: policy 'uniform:1': trace line 2: job completion time is not finite\n"
+
+
+def assert_no_child_left():
+    """Every child this process forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def run_on_cpus(argv, cpus: int):
+    """(exit code, stdout, stderr) of ``main(argv)`` as if this process may
+    use cpus CPUs: one takes the serial path, more fork pooled replays."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            rc = main(argv)
+    finally:
+        assert_no_child_left()
+    return rc, out.getvalue(), err.getvalue()
+
+
+# Concave tables through (1, 1), and one whose s(1) is not 1.
+TABLES = [[[1, 1], [4, 2.5], [16, 4]], [[1, 1], [2, 1.9]], [[1, 0.5], [2, 0.9]]]
+
+
+@st.composite
+def compare_cases(draw):
+    """A spec of 1-3 types, a trace of 0-30 of its jobs (one, at times, of
+    size 1e308) and 2-6 policies: fixed widths (at times of the wrong count),
+    uniform widths, and equal-split and SRF pools, some at or below the
+    load; now and then a width or pool below one GPU, which is refused."""
+    n_types = draw(st.integers(1, 3))
+    types = []
+    for i in range(n_types):
+        speedup = draw(st.sampled_from(
+            [{"kind": "amdahl", "p": p} for p in (0.0, 0.3, 0.8, 1.0)]
+            + [{"kind": "power", "alpha": a} for a in (0.25, 0.5, 1.0)]
+            + [{"kind": "tabular", "points": t} for t in TABLES]))
+        types.append({"name": f"t{i}", "speedup": speedup,
+                      "arrival_rate": draw(st.sampled_from([0.05, 0.3, 0.8])),
+                      "size_dist": {"kind": "exponential", "mean": 1.0}})
+    n = draw(st.integers(0, 30))
+    gaps = draw(st.lists(st.sampled_from([0.0, 0.1, 0.5, 2.0]), min_size=n, max_size=n))
+    sizes = draw(st.lists(st.sampled_from([0.1, 0.5, 1.0, 3.0]), min_size=n, max_size=n))
+    if n and draw(st.integers(0, 4)) == 0:
+        sizes[draw(st.integers(0, n - 1))] = 1e308
+    rows = zip(np.cumsum(gaps).tolist(),
+               draw(st.lists(st.integers(0, n_types - 1), min_size=n, max_size=n)), sizes)
+    trace = "arrival_time,type,size\n" + "".join(f"{t!r},{ty},{x!r}\n" for t, ty, x in rows)
+    # One width or pool in 16 is below one GPU.
+    width = st.sampled_from(["1", "1.5", "2", "4", "8"] * 3 + ["0.5"])
+    pool = st.sampled_from(["1", "1.25", "2", "4", "8"] * 3 + ["0.5"])
+    policies = []
+    for _ in range(draw(st.integers(2, 6))):
+        kind = draw(st.sampled_from(["fixed", "uniform", "cluster", "cluster", "srf", "srf"]))
+        if kind == "fixed":
+            count = draw(st.sampled_from([n_types] * 3 + [n_types % 3 + 1]))
+            policies.append("fixed:" + ",".join(draw(st.lists(width, min_size=count,
+                                                              max_size=count))))
+        elif kind == "uniform":
+            policies.append(f"uniform:{draw(width)}")
+        elif kind == "cluster":
+            policies.append(f"cluster:{draw(pool)}")
+        else:
+            policies.append(f"srf:{draw(pool)},{draw(width)}")
+    return {"types": types, "budget": 2.0}, trace, ";".join(policies)
+
+
+class TestParallelCompare:
+    """``compare`` replays pooled policies in forked children, one per CPU
+    it may use; it prints what the serial loop prints and leaves no child."""
+
+    @pytest.fixture()
+    def both_fail(self, tmp_path):
+        """cluster:2 replays a 1e308-size job to GPU-hours past a double
+        (ReplayError); cluster:4 grants the steep type a width whose speed,
+        4**717, is not finite (SpecError)."""
+        doc = {"types": [{"name": "tab",
+                          "speedup": {"kind": "tabular", "points": [[1, 0.5], [2, 0.9]]},
+                          "arrival_rate": 0.1,
+                          "size_dist": {"kind": "deterministic", "x": 1}},
+                         {"name": "steep",
+                          "speedup": {"kind": "power", "alpha": 717},
+                          "arrival_rate": 0.1,
+                          "size_dist": {"kind": "deterministic", "x": 1}}],
+               "budget": 2}
+        trace = tmp_path / "t.csv"
+        trace.write_text("arrival_time,type,size\n1.0,0,1e308\n2.0,0,1.0\n", encoding="utf-8")
+        return ["compare", "--spec", write_config(tmp_path, doc), "--trace", str(trace)]
+
+    @pytest.fixture()
+    def four_pools(self, tmp_path, two_type_config_path):
+        trace = tmp_path / "t.csv"
+        main(["gen-trace", "--spec", two_type_config_path, "--jobs", "300", "--seed", "2",
+              "--out", str(trace)])
+        return ["compare", "--spec", two_type_config_path, "--trace", str(trace),
+                "--policies", "optimal;cluster:8;srf:8,4;cluster:1.25;srf:1.25,1"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=compare_cases(), cpus=st.integers(2, 4))
+    def test_parallel_prints_what_serial_prints(self, case, cpus):
+        doc, trace, policies = case
+        with tempfile.TemporaryDirectory() as tmp:
+            spec_path, trace_path = os.path.join(tmp, "spec.json"), os.path.join(tmp, "t.csv")
+            with open(spec_path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            with open(trace_path, "w", encoding="utf-8") as fh:
+                fh.write(trace)
+            argv = ["compare", "--spec", spec_path, "--trace", trace_path, "--policies", policies]
+            serial = run_on_cpus(argv, 1)
+            assert run_on_cpus(argv, cpus) == serial
+        rc, out, err = serial
+        assert rc in (0, 1, 2, 3)
+        if rc == 0:
+            assert err == "" and out.count("\n") == 2 + policies.count(";")
+        else:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("policies, message", [
+        ("cluster:2;cluster:4", "error: policy 'cluster:2': trace line 2: job GPU-hours is not "
+                                "finite\n"),
+        ("cluster:4;cluster:2", "error: type 'steep': speed at width 4 is not finite\n"),
+        ("cluster:4;cluster:2;cluster:1", "error: type 'steep': speed at width 4 is not "
+                                          "finite\n"),
+    ], ids=["replay-error-first", "spec-error-first", "child-share-in-label-order"])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_first_failure_in_label_order_is_printed(self, both_fail, policies, message, cpus):
+        # On two CPUs the smallest pool is replayed here and the next two in
+        # the child, in label order: each case has an error cross the pipe.
+        # cluster:1 fails too, on the 1e308-size job's completion time.
+        assert run_on_cpus(both_fail + ["--policies", policies], cpus) == (3, "", message)
+
+    def test_a_worker_that_dies_exits_3(self, four_pools, monkeypatch):
+        parent, simulate = os.getpid(), simulator.simulate
+
+        def dies_in_a_child(*args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "simulate", dies_in_a_child)
+        assert run_on_cpus(four_pools, 2) == (
+            3, "", "error: a replay worker ended without a result (exit code -9)\n")
+
+    def test_the_callers_failure_kills_and_reaps_the_children(self, four_pools, monkeypatch):
+        # This process's share is interrupted at once, while the child's
+        # replay would take a minute: the child is killed, not waited for.
+        parent, simulate = os.getpid(), simulator.simulate
+
+        def interrupted_here(*args, **kwargs):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "simulate", interrupted_here)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_on_cpus(four_pools, 2)
+        assert time.monotonic() - start < 30
+
+    def test_buffered_output_is_written_once(self, four_pools, tmp_path):
+        # Text the caller left in sys.stdout's buffer would be written again
+        # by any child that flushed it on its way out.
+        script = ("import os, sys\n"
+                  "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                  "sys.stdout.write('written before compare\\n')\n"
+                  "from gpurental import cli\n"
+                  f"sys.exit(cli.main({four_pools!r}))\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.count("written before compare\n") == 1
+        assert done.stdout.count("policy,job_count") == 1
+        assert len(done.stdout.splitlines()) == 7

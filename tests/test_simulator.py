@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -625,6 +627,22 @@ class TestCompare:
         pols = [FixedWidth((2.0, 2.0)), FixedWidth((1.0, 1.0))]
         res = compare_policies(tr, two_type_spec, pols)
         assert [p for p, _ in res] == pols
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_forked_replays_match_simulate(self, two_type_spec, monkeypatch, cpus):
+        # Pooled replays run in forked children; each result, per-job rows
+        # included, is bit for bit what simulate returns here.
+        tr = generate_trace(two_type_spec, 3000, seed=16)
+        pols = ALL_POLICIES + [StaticClusterEqualSplit(2.5), SmallestRemainingFirst(8.0, 4.0)]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        res = compare_policies(tr, two_type_spec, iter(pols), collect_per_job=True)
+        assert [p for p, _ in res] == pols
+        for pol, metrics in res:
+            want = simulate(tr, two_type_spec, pol)
+            assert metrics.to_dict() == want.to_dict()
+            assert np.array_equal(metrics.per_job, want.per_job)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestBudgetTimeseries:
