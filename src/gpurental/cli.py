@@ -41,6 +41,7 @@ from .speedup import validate as validate_speedup
 from .workload import (
     _BLOCK_ROWS,
     WorkloadSpec,
+    _write_blocks,
     generate_trace,
     load_spec,
     read_trace,
@@ -83,11 +84,15 @@ def _csv_rows(table) -> Iterator[str]:
 
 
 def _write_csv(path: str, header: str, table) -> None:
-    """Stream the header and the table's rows to path; None writes no rows."""
+    """Stream the header and the table's rows to path, a table of more than
+    one block formatted on every CPU (see ``_write_blocks``); None writes no
+    rows."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         if table is not None:
-            fh.writelines(_csv_rows(table))
+            table = np.asarray(table, dtype=float)
+            _write_blocks(fh, len(table), _BLOCK_ROWS // table.shape[1],
+                          lambda lo, hi: _csv_rows(table[lo:hi]), "a CSV writer worker")
 
 
 def _json_ready(value):

@@ -48,22 +48,24 @@ Fixed-width replays are closed-form and stay in the calling process.  The
 pooled ones are sorted by pool size, smallest (busiest) first, and dealt to
 the processes back and forth; the caller replays the first share, and each
 forked child replays its share and sends the pickled results back through a
-pipe.  Each replay is the same computation wherever it runs, so the results
-are bit for bit those of replaying the policies one after another, which is
-what runs when there is one such CPU or one pooled policy, or where the
-platform has no ``os.fork`` or ``os.sched_getaffinity``.
+pipe.  The forking, the pipes and the reaping are ``_fork.forked``'s, which
+the trace and CSV readers and writers share.  Each replay is the same
+computation wherever it runs, so the results are bit for bit those of
+replaying the policies one after another, which is what runs when there is
+one such CPU or one pooled policy, or where the platform has no ``os.fork``
+or ``os.sched_getaffinity``.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import pickle
 from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
 
+from . import _fork
 from .errors import InstabilityError, ReplayError, SpecError
 from .speedup import _check_width
 from .workload import Trace, WorkloadSpec, _check_stable
@@ -472,29 +474,6 @@ def _simulate_share(trace: Trace, spec: WorkloadSpec, policies, collect_per_job:
         yield metrics
 
 
-def _report_share(fd: int, trace: Trace, spec: WorkloadSpec, policies, share, collect_per_job):
-    """The body of a forked child: replay its share (indices into policies)
-    and write to fd the pickled list of results, the last of which may be
-    whatever exception ended the share.  It leaves by ``os._exit``,
-    status 0 only once the list is written, so it flushes no stdio buffer it
-    inherited and runs no ``atexit`` hook."""
-    status = 1
-    try:
-        results = []
-        try:
-            own = [policies[i] for i in share]
-            for result in _simulate_share(trace, spec, own, collect_per_job):
-                results.append(result)
-        except BaseException as exc:  # sent to the parent, which raises it
-            results.append(exc)
-        data = pickle.dumps(results)
-        with open(fd, "wb") as fh:
-            fh.write(data)
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def _simulate_each(
     trace: Trace, spec: WorkloadSpec, policies, collect_per_job: bool = False
 ) -> list[SimMetrics | BaseException]:
@@ -505,19 +484,16 @@ def _simulate_each(
     more, pooled policies are sorted by pool size and dealt to W processes
     in snake order (0, 1, .., W-1, W-1, .., 0, 0, ..), since a smaller pool
     has more events to replay.  This process replays share 0 and every
-    fixed-width policy, and W - 1 forked children the other shares, each in
-    policy order.  A child that ends without writing its results raises
+    fixed-width policy, and W - 1 children forked by ``_fork.forked`` the
+    other shares, each in policy order, and send back their pickled
+    results.  A child that ends without writing its results raises
     ChildProcessError.  Every child is reaped before this returns or raises,
     and killed first if this process raises before it has their results."""
     pooled = sorted(
         (i for i, p in enumerate(policies) if not isinstance(p, FixedWidth)),
         key=lambda i: policies[i].cluster_size,
     )
-    workers = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        workers = min(len(pooled), len(os.sched_getaffinity(0)))
-    if workers < 2:
-        return list(_simulate_share(trace, spec, policies, collect_per_job))
+    workers = max(1, min(len(pooled), _fork.cpus()))
     shares: list[list[int]] = [[] for _ in range(workers)]
     for j, i in enumerate(pooled):
         lap, w = divmod(j, workers)
@@ -525,40 +501,15 @@ def _simulate_each(
     shares[0] += (i for i, p in enumerate(policies) if isinstance(p, FixedWidth))
     shares = [sorted(share) for share in shares]
 
-    children = []  # (pid, read end of its pipe, share)
-    try:
-        for share in shares[1:]:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
-                _report_share(w, trace, spec, policies, share, collect_per_job)
-            os.close(w)
-            children.append((pid, open(r, "rb"), share))
-        own = [policies[i] for i in shares[0]]
-        results = dict(zip(shares[0], _simulate_share(trace, spec, own, collect_per_job)))
-        payloads = [reader.read() for _, reader, _ in children]
-    except BaseException:
-        import signal
+    def replay(share: list[int]) -> list[SimMetrics | Exception]:
+        own = [policies[i] for i in share]
+        return list(_simulate_share(trace, spec, own, collect_per_job))
 
-        for pid, _, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        statuses = []
-        for pid, reader, _ in children:
-            reader.close()
-            statuses.append(os.waitpid(pid, 0)[1])
-
-    for (_, _, share), data, status in zip(children, payloads, statuses):
-        code = os.waitstatus_to_exitcode(status)
-        if code != 0:
-            raise ChildProcessError(f"a replay worker ended without a result (exit code {code})")
-        results.update(zip(share, pickle.loads(data)))
+    with _fork.forked(lambda share: pickle.dumps(replay(share)), shares[1:],
+                      "a replay worker") as children:
+        results = dict(zip(shares[0], replay(shares[0])))
+        for child, share in zip(children, shares[1:]):
+            results.update(zip(share, pickle.loads(child.result())))
     ordered = []
     for i in range(len(policies)):
         ordered.append(results[i])

@@ -8,18 +8,27 @@ from CSV files with header ``arrival_time,type,size``.
 Specs and traces are immutable after construction; trace generation is a
 pure function of (spec, job_count, seed), so independent seeds can be
 generated concurrently.
+
+Trace files, and the CLI's CSVs through ``_write_blocks``, are written and
+read in contiguous ranges of rows, one per CPU the process may use: the
+calling process does one range, and children forked by ``_fork.forked`` the
+others.  Each row is formatted or parsed by the same code wherever it runs,
+so files, traces and errors are byte for byte those of one process.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from . import _fork
 from .errors import InstabilityError, SpecError, TraceError
 from .speedup import SpeedupFunction, parse_speedup
 
@@ -391,32 +400,98 @@ TRACE_HEADER = "arrival_time,type,size"
 _BLOCK_ROWS = 8192
 
 
+def _write_blocks(fh, rows: int, step: int, text, what: str) -> None:
+    """Write to the text file fh, after what it holds, the text of rows
+    [0, rows), which ``text(lo, hi)`` yields for rows [lo, hi) as strings.
+
+    The rows are split into W = min(blocks of ``step`` rows, CPUs)
+    contiguous ranges of whole blocks.  This process writes the first as
+    it formats it; each other range is formatted whole and UTF-8 encoded
+    in a forked child, whose bytes are then copied into the file, in order
+    and in blocks, so this process never holds a child's range.  The file
+    gets the same bytes on any number of CPUs."""
+    n_blocks = -(-rows // step)
+    workers = max(1, min(n_blocks, _fork.cpus()))
+    cuts = [min(n_blocks * k // workers * step, rows) for k in range(workers + 1)]
+    ranges = list(zip(cuts, cuts[1:]))
+    with _fork.forked(lambda r: "".join(text(*r)).encode("utf-8"), ranges[1:],
+                      what) as children:
+        fh.writelines(text(*ranges[0]))
+        fh.flush()
+        for child in children:
+            child.result(fh.buffer)
+
+
+def _trace_rows(trace: Trace, lo: int, hi: int):
+    """The CSV line of each trace row in [lo, hi), turned into Python
+    numbers _BLOCK_ROWS rows at a time, so memory does not grow with the
+    trace; floats use repr, so reading it back is exact."""
+    for start in range(lo, hi, _BLOCK_ROWS):
+        block = slice(start, min(start + _BLOCK_ROWS, hi))
+        for t, ty, x in zip(
+            trace.arrival_times[block].tolist(),
+            trace.type_indices[block].tolist(),
+            trace.sizes[block].tolist(),
+        ):
+            yield f"{t!r},{ty},{x!r}\n"
+
+
 def write_trace(trace: Trace, path) -> None:
     """Write a trace as CSV; floats use repr so reading it back is exact.
-
-    Rows are turned into Python numbers _BLOCK_ROWS at a time, so the
-    writer's memory does not grow with the trace."""
+    A trace of more than _BLOCK_ROWS rows is formatted on every CPU (see
+    ``_write_blocks``)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(TRACE_HEADER + "\n")
-        for start in range(0, len(trace), _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            for t, ty, x in zip(
-                trace.arrival_times[block].tolist(),
-                trace.type_indices[block].tolist(),
-                trace.sizes[block].tolist(),
-            ):
-                fh.write(f"{t!r},{ty},{x!r}\n")
+        _write_blocks(fh, len(trace), _BLOCK_ROWS, lambda lo, hi: _trace_rows(trace, lo, hi),
+                      "a trace writer worker")
 
 
 # One trace row as numpy's C CSV reader parses it, on numpy >= 2 only.
 _C_READER = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
 _TRACE_ROW = np.dtype([("arrival_time", np.float64), ("type", np.int64), ("size", np.float64)])
+# The least body a trace reader's range holds: about _BLOCK_ROWS rows of
+# ``write_trace``, whose rows take ~40 bytes.  A smaller body is read here
+# alone, as forking would cost more than it saves.
+_RANGE_BYTES = _BLOCK_ROWS * 40
 
 
 def _check_header(fh) -> None:
     header = fh.readline().strip()
     if header != TRACE_HEADER:
         raise TraceError(f"expected header {TRACE_HEADER!r}, got {header!r}", line=1)
+
+
+def _load_rows(fh) -> np.ndarray:
+    """The rows of the text file fh from where it stands to its end, as
+    _TRACE_ROW records, by numpy's C reader.  A text without a row that is
+    not blank gives none: numpy warns on it."""
+    start = fh.tell()
+    if not any(line.strip() for line in iter(fh.readline, "")):
+        return np.empty(0, dtype=_TRACE_ROW)
+    fh.seek(start)
+    return np.loadtxt(fh, delimiter=",", dtype=_TRACE_ROW, comments=None, ndmin=1)
+
+
+def _line_end(fd: int, pos: int) -> int:
+    """The offset just past the first newline at or after pos in the file
+    fd, or its end; read without moving fd's offset."""
+    while chunk := os.pread(fd, 65536, pos):
+        i = chunk.find(b"\n")
+        if i >= 0:
+            return pos + i + 1
+        pos += len(chunk)
+    return pos
+
+
+def _load_range(path, span: tuple[int, int]) -> bytes:
+    """``_load_rows`` of bytes [start, stop) of the file, as raw records.
+    A range starts and ends at a line, so it decodes on its own, and its
+    newlines are translated as a text file's are."""
+    start, stop = span
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        text = fh.read(stop - start).decode("utf-8")
+    return _load_rows(io.StringIO(text, newline=None)).tobytes()
 
 
 def read_trace(path) -> Trace:
@@ -428,20 +503,36 @@ def read_trace(path) -> Trace:
     refuses, or whose rows ``Trace`` refuses, is rescanned line by line:
     that names the faulty line, and still reads what only the scanner reads
     (``1_0``, unicode digits, whitespace-only lines).  A body without rows
-    goes straight to the scanner, which reads it as the empty trace.
-    numpy 1.x accepts 1.0 in an int column with only a warning, so there
-    the scanner reads every file."""
+    reads as the empty trace.  A body of two or more _RANGE_BYTES is cut at
+    line ends into one range per CPU (at most): forked children parse all
+    but the last, which this process parses, and send back the raw records.
+    A range any of them refuses sends the whole file to the scanner, so the
+    trace, or the error, is the same on any number of CPUs.  numpy 1.x
+    accepts 1.0 in an int column with only a warning, so there the scanner
+    reads every file."""
     if _C_READER:
         with open(path, "r", encoding="utf-8") as fh:
             _check_header(fh)
             body = fh.tell()
-            if any(line.strip() for line in iter(fh.readline, "")):  # numpy warns on no rows
-                fh.seek(body)
-                try:
-                    rows = np.loadtxt(fh, delimiter=",", dtype=_TRACE_ROW, comments=None, ndmin=1)
-                    return Trace(*(np.ascontiguousarray(rows[name]) for name in _TRACE_ROW.names))
-                except ValueError:  # TraceError is a ValueError
-                    pass
+            size = os.fstat(fh.fileno()).st_size
+            workers = max(1, min(_fork.cpus(), (size - body) // _RANGE_BYTES))
+            cuts = [body] + [
+                _line_end(fh.fileno(), body + (size - body) * k // workers)
+                for k in range(1, workers)
+            ]
+            spans = list(zip(cuts, cuts[1:]))
+            try:
+                with _fork.forked(lambda span: _load_range(path, span), spans,
+                                  "a trace reader worker") as children:
+                    fh.seek(cuts[-1])
+                    own = _load_rows(fh)
+                    parts = [np.frombuffer(c.result(), dtype=_TRACE_ROW) for c in children]
+                parts.append(own)
+                columns = [np.concatenate([p[name] for p in parts]) for name in _TRACE_ROW.names]
+                del parts, own  # before Trace copies the type column
+                return Trace(*columns)
+            except ValueError:  # TraceError is a ValueError
+                pass
     return _scan_trace(path)
 
 

@@ -20,11 +20,13 @@ from gpurental import (
     FixedWidth,
     SmallestRemainingFirst,
     budget_timeseries,
+    generate_trace,
     load_spec,
     read_trace,
     simulate,
+    write_trace,
 )
-from gpurental import cli, simulator
+from gpurental import cli, simulator, workload
 from gpurental.cli import _csv_rows, main
 
 FOUR_TYPE_TABULAR = Path(__file__).resolve().parents[1] / "perfbench" / "four_type_tabular.json"
@@ -1251,17 +1253,34 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def run_on_cpus(argv, cpus: int):
-    """(exit code, stdout, stderr) of ``main(argv)`` as if this process may
-    use cpus CPUs: one takes the serial path, more fork pooled replays."""
-    out, err = io.StringIO(), io.StringIO()
+@contextlib.contextmanager
+def on_cpus(cpus: int):
+    """Run the block as if this process may use cpus CPUs, and yield the
+    list of the pids it forks; every child is reaped by the block's end."""
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
     try:
-        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
+        with pytest.MonkeyPatch.context() as mp:
             mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-            rc = main(argv)
+            mp.setattr(os, "fork", counted_fork)
+            yield forks
     finally:
         assert_no_child_left()
+
+
+def run_on_cpus(argv, cpus: int):
+    """(exit code, stdout, stderr) of ``main(argv)`` as if this process may
+    use cpus CPUs: one takes the serial path, more fork pooled replays and
+    the parts of large trace and CSV files."""
+    out, err = io.StringIO(), io.StringIO()
+    with on_cpus(cpus), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
     return rc, out.getvalue(), err.getvalue()
 
 
@@ -1420,3 +1439,172 @@ class TestParallelCompare:
         assert done.stdout.count("written before compare\n") == 1
         assert done.stdout.count("policy,job_count") == 1
         assert len(done.stdout.splitlines()) == 7
+
+
+BLOCK = workload._BLOCK_ROWS
+# Rows of a trace on the block edges, and a few blocks plus a remainder: a
+# trace of more than one block is written on every CPU, and one of at least
+# two reader ranges (a little over two blocks of rows) is read on several.
+TRACE_ROWS = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 517]
+
+
+def trace_file(tmp_path, rows: int, seed: int = 5) -> Path:
+    """A trace file of ``rows`` jobs of the two-type spec, written on one CPU."""
+    path = tmp_path / f"trace-{rows}-{seed}.csv"
+    with on_cpus(1):
+        write_trace(generate_trace(load_spec(TWO_TYPE), rows, seed), path)
+    return path
+
+
+def kill_in_a_child(fn):
+    """fn, except that a forked child that calls it kills itself."""
+    parent = os.getpid()
+
+    def dies_in_a_child(*args, **kwargs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return fn(*args, **kwargs)
+
+    return dies_in_a_child
+
+
+class TestParallelTraceFiles:
+    """Trace and CSV files are formatted and parsed in ranges, one forked
+    process per CPU; every byte, trace and message is the serial one."""
+
+    @settings(max_examples=24, deadline=None)
+    @given(rows=st.sampled_from(TRACE_ROWS), cpus=st.integers(2, 4), seed=st.integers(0, 99),
+           step=st.sampled_from(["0.5", "1", "7"]))
+    def test_files_are_the_bytes_one_cpu_writes(self, rows, cpus, seed, step):
+        tr = generate_trace(load_spec(TWO_TYPE), rows, seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {(n, c): os.path.join(tmp, f"{n}-{c}.csv") for n in ("trace", "jobs", "k")
+                     for c in (1, cpus)}
+            outputs, forks = {}, {}
+            for c in (1, cpus):
+                with on_cpus(c) as forks["write", c]:
+                    write_trace(tr, paths["trace", c])
+                with on_cpus(c) as forks["read", c]:
+                    assert read_trace(paths["trace", 1]) == tr
+                outputs[c] = run_on_cpus(
+                    ["simulate", "--spec", str(TWO_TYPE), "--trace", paths["trace", 1],
+                     "--policy", "optimal", "--per-job", paths["jobs", c],
+                     "--timeseries", paths["k", c], "--timeseries-step", step], c)
+            for name in ("trace", "jobs", "k"):
+                with open(paths[name, 1], "rb") as one, open(paths[name, cpus], "rb") as many:
+                    assert one.read() == many.read(), name
+        assert outputs[cpus] == outputs[1]
+        assert outputs[1][0] == 0 and outputs[1][2] == ""
+        assert forks["write", 1] == forks["read", 1] == []
+        assert len(forks["write", cpus]) == max(0, min(cpus, -(-rows // BLOCK)) - 1)
+        assert bool(forks["read", cpus]) == (rows == TRACE_ROWS[-1])
+
+    @pytest.fixture(scope="class")
+    def trace_lines(self, tmp_path_factory):
+        """The lines of a trace of three blocks of rows: on two CPUs, a
+        forked child reads its first half."""
+        path = trace_file(tmp_path_factory.mktemp("faulty"), 3 * BLOCK)
+        return path.read_text(encoding="utf-8").splitlines(keepends=True)
+
+    @staticmethod
+    def with_field(line: str, column: int, text: str | None) -> str:
+        """The trace line with one field replaced, or dropped for None."""
+        fields = line.rstrip("\n").split(",")
+        fields[column:column + 1] = [] if text is None else [text]
+        return ",".join(fields) + "\n"
+
+    # Row 100, line 102, lies well inside the child's range, and the last
+    # row in this process's.  Each case: (line index, column, new text or
+    # None to drop the field, whether a whitespace-only line goes before
+    # row 100, message).
+    FAULTS = {
+        "non-finite size": (101, 2, "inf", False,
+                            "line 102: size inf is not positive and finite"),
+        "decreasing arrival": (101, 0, "0.0", False,
+                               "line 102: arrival time 0.0 is before previous "),
+        "1_0 field": (101, 0, "1_0", False, "line 102: arrival time 10.0 is before previous "),
+        "two fields": (101, 2, None, False, "line 102: expected 3 fields, got 2"),
+        # Only the scanner reads the blank line; it counts toward the line
+        # of the size refused at the last row.
+        "whitespace-only line": (-1, 2, "inf", True,
+                                 f"line {3 * BLOCK + 2}: size inf is not positive and finite"),
+        # This process's own range fails while the child still parses.
+        "two fields in the last row": (-1, 2, None, False,
+                                       f"line {3 * BLOCK + 1}: expected 3 fields, got 2"),
+    }
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_a_fault_past_the_first_cut_is_named_as_on_one_cpu(self, tmp_path, trace_lines,
+                                                               fault):
+        at, column, text, blank, message = self.FAULTS[fault]
+        lines = list(trace_lines)
+        lines[at] = self.with_field(lines[at], column, text)
+        if blank:
+            lines.insert(101, " \t \n")
+        assert float(lines[100].split(",")[0]) > 10.0
+        path = tmp_path / "faulty.csv"
+        path.write_text("".join(lines), encoding="utf-8")
+        assert len("".join(lines[:103]).encode()) < path.stat().st_size // 2
+        argv = ["simulate", "--spec", str(TWO_TYPE), "--trace", str(path), "--policy", "optimal"]
+        serial = run_on_cpus(argv, 1)
+        with on_cpus(2) as forks:
+            assert run_on_cpus(argv, 2) == serial
+        assert forks
+        rc, out, err = serial
+        assert (rc, out) == (3, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_a_trace_writer_that_dies_exits_3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(workload, "_trace_rows", kill_in_a_child(workload._trace_rows))
+        argv = ["gen-trace", "--spec", str(TWO_TYPE), "--jobs", str(3 * BLOCK), "--seed", "1",
+                "--out", str(tmp_path / "t.csv")]
+        assert run_on_cpus(argv, 2) == (
+            3, "", "error: a trace writer worker ended without a result (exit code -9)\n")
+
+    def test_a_csv_writer_that_dies_exits_3(self, tmp_path, monkeypatch):
+        trace = trace_file(tmp_path, BLOCK)
+        monkeypatch.setattr(cli, "_csv_rows", kill_in_a_child(cli._csv_rows))
+        argv = ["simulate", "--spec", str(TWO_TYPE), "--trace", str(trace), "--policy", "optimal",
+                "--per-job", str(tmp_path / "jobs.csv")]
+        rc, out, err = run_on_cpus(argv, 2)
+        assert (rc, err) == (
+            3, "error: a CSV writer worker ended without a result (exit code -9)\n")
+        assert json.loads(out)["job_count"] == BLOCK  # printed before the CSV is written
+
+    def test_a_trace_reader_that_dies_exits_3(self, tmp_path, monkeypatch):
+        trace = trace_file(tmp_path, 3 * BLOCK)
+        monkeypatch.setattr(workload, "_load_range", kill_in_a_child(workload._load_range))
+        argv = ["simulate", "--spec", str(TWO_TYPE), "--trace", str(trace), "--policy", "optimal"]
+        assert run_on_cpus(argv, 2) == (
+            3, "", "error: a trace reader worker ended without a result (exit code -9)\n")
+
+    def test_buffered_output_and_headers_are_written_once(self, tmp_path):
+        # Text left in sys.stdout's buffer, and the header still in the
+        # trace file's buffer when the writer forks, would be written again
+        # by any child that flushed them on its way out.
+        gen = ["gen-trace", "--spec", str(TWO_TYPE), "--jobs", str(3 * BLOCK), "--seed", "4",
+               "--out", "t.csv"]
+        sim = ["simulate", "--spec", str(TWO_TYPE), "--trace", "t.csv", "--policy", "optimal",
+               "--per-job", "jobs.csv", "--timeseries", "k.csv"]
+        script = ("import os, sys\n"
+                  "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                  "sys.stdout.write('written before gen-trace\\n')\n"
+                  "from gpurental import cli\n"
+                  f"assert cli.main({gen!r}) == 0\n"
+                  "sys.stdout.write('written before simulate\\n')\n"
+                  f"sys.exit(cli.main({sim!r}))\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        for line in ("written before gen-trace\n", "written before simulate\n",
+                     f"wrote {3 * BLOCK} events to t.csv\n", '"job_count": '):
+            assert done.stdout.count(line) == 1, line
+        for name, header, rows in (("t.csv", "arrival_time,type,size\n", 3 * BLOCK),
+                                   ("jobs.csv", "arrival,completion,response,gpu_hours\n",
+                                    3 * BLOCK),
+                                   ("k.csv", "t,K\n", None)):
+            text = (tmp_path / name).read_text(encoding="utf-8")
+            assert text.startswith(header) and text.count(header) == 1, name
+            if rows is not None:
+                assert text.count("\n") == rows + 1, name

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import tracemalloc
 import warnings
@@ -581,3 +582,34 @@ class TestTraceReaders:
         p = tmp_path / "t.csv"
         p.write_bytes(text.encode("utf-8"))
         assert _read_outcome(read_trace, p) == _read_outcome(workload._scan_trace, p)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=trace_files(), cpus=st.integers(2, 4), range_bytes=st.sampled_from([1, 16, 64]))
+    def test_ranges_read_what_one_range_reads(self, tmp_path, text, cpus, range_bytes):
+        # With ranges of a few bytes, the cuts land between any two lines,
+        # among blank and faulty ones, and ranges may hold no row at all:
+        # numpy, which warns on those, must not see them.  Forked children
+        # inherit the warning filters, so a warning there fails too.  A file
+        # that one range reads without the line scanner, the ranges read
+        # without it too.
+        p = tmp_path / "t.csv"
+        p.write_bytes(text.encode("utf-8"))
+        scans, scan = [], workload._scan_trace
+
+        def counted_scan(path):
+            scans.append(path)
+            return scan(path)
+
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mp.setattr(workload, "_RANGE_BYTES", range_bytes)
+            mp.setattr(workload, "_scan_trace", counted_scan)
+            mp.setattr(os, "sched_getaffinity", lambda pid: {0})
+            serial = _read_outcome(read_trace, p)
+            serial_scans = len(scans)
+            mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            assert _read_outcome(read_trace, p) == serial
+            assert len(scans) == 2 * serial_scans
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
