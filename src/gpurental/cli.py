@@ -41,6 +41,7 @@ from .speedup import validate as validate_speedup
 from .workload import (
     _BLOCK_ROWS,
     WorkloadSpec,
+    _row_line,
     _write_blocks,
     generate_trace,
     load_spec,
@@ -137,6 +138,13 @@ def parse_policy(text: str, spec: WorkloadSpec, k_max: float) -> Policy:
     raise SpecError(f"unknown policy {text!r}")
 
 
+def _on_its_line(exc: ReplayError, trace_path) -> str:
+    """``exc``'s message, naming the line of the trace file that holds its row."""
+    if exc.row is None:
+        return str(exc)
+    return f"trace line {_row_line(trace_path, exc.row)}: {exc.reason}"
+
+
 def _check_pools(spec: WorkloadSpec, labels, policies) -> None:
     """Refuse, before any replay, a pooled policy that cannot keep up, by
     the label it was given."""
@@ -202,13 +210,16 @@ def _cmd_simulate(args) -> int:
     _check_pools(spec, [args.policy], [policy])
     # One replay serves the metrics and the K(t) samples: what simulate and
     # budget_timeseries would each compute from their own replay.
-    rep = _replay(trace, spec, policy)
+    try:
+        rep = _replay(trace, spec, policy)
+    except ReplayError as exc:
+        raise ReplayError(_on_its_line(exc, args.trace)) from None
     metrics = _measure(trace, rep, collect_per_job=bool(args.per_job))
-    sys.stdout.write(_metrics_json(metrics))
     if args.per_job:
         _write_csv(args.per_job, "arrival,completion,response,gpu_hours", metrics.per_job)
     if args.timeseries:
         _write_csv(args.timeseries, "t,K", _sample_k(trace, rep, args.timeseries_step))
+    sys.stdout.write(_metrics_json(metrics))
     return EXIT_OK
 
 
@@ -255,7 +266,7 @@ def _cmd_compare(args) -> int:
     results = _simulate_each(trace, spec, policies)
     for label, result in zip(labels, results):
         if isinstance(result, ReplayError):
-            raise ReplayError(f"policy {label!r}: {result}") from None
+            raise ReplayError(f"policy {label!r}: {_on_its_line(result, args.trace)}") from None
         if isinstance(result, BaseException):
             raise result
     row = "%s,%s,%s," + _numbers(2) + "\n"

@@ -166,16 +166,14 @@ def _allocations(
 
 
 def _numpy_sum(row) -> float:
-    """``row`` summed in numpy's order for a row of doubles, with its bits: left to
-    right under 8 terms, else in 8 lanes added pairwise, past 128 in halves."""
-    n = len(row)
-    if n < 8:
-        return sum(row)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _numpy_sum(row[:half]) + _numpy_sum(row[half:])
-    r = [sum(row[k : n - n % 8 : 8]) for k in range(8)]
-    return sum(row[n - n % 8 :], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+    """``row``, a list of doubles, summed with numpy's bits: by numpy past 7 terms, else
+    left to right in a float loop (numpy's order there), never by the builtin ``sum``."""
+    if len(row) >= 8:
+        return float(np.add.reduce(np.array(row)))
+    total = 0.0
+    for x in row:
+        total += x
+    return total
 
 
 def _search(spec: WorkloadSpec, budgets, *, k_max: float) -> list[Allocation]:
@@ -193,8 +191,9 @@ def _search(spec: WorkloadSpec, budgets, *, k_max: float) -> list[Allocation]:
     tabular width changes there), mu is that breakpoint and the fill pass
     spends the slack.  A budget that no breakpoint's usage fits, because
     the last one (mu = inf) rounds past it, takes that last row.  Powers,
-    logs and exps are numpy's and sums take numpy's order, so one budget
-    gets the same bits alone as in a sweep.
+    logs and exps are numpy's, and sums are ``_numpy_sum``'s: numpy's own
+    past 7 terms, a plain float loop (numpy's order there) below, never the
+    builtin ``sum``.  So one budget gets the same bits alone as in a sweep.
 
     A bad ``k_max`` raises SpecError first.  The minimizers assume the
     speedup axioms, so a type whose speedup fails ``validate`` raises
@@ -338,7 +337,7 @@ def brute_force_allocation(
     def axis_values(i: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ks = 1.0 + idx.astype(float) * grid_step
         s = spec.types[i].speedup(ks)
-        return loads[i] * ks / s, loads[i] / s
+        return loads[i] * (ks / s), loads[i] / s
 
     last = int(np.argmax(sizes))
     outer = [i for i in range(m) if i != last]
@@ -351,14 +350,9 @@ def brute_force_allocation(
 
     def evaluate(idx_lists: list[np.ndarray]) -> tuple[float, list[int], int] | None:
         """Best feasible point with outer axes restricted to idx_lists."""
-        us = []
-        objs = []
-        for ax, idx in zip(outer, idx_lists):
-            u, o = axis_values(ax, idx)
-            us.append(u)
-            objs.append(o)
-        grids_u = np.meshgrid(*us, indexing="ij") if us else [np.zeros(1)]
-        grids_o = np.meshgrid(*objs, indexing="ij") if objs else [np.zeros(1)]
+        axes = [axis_values(ax, idx) for ax, idx in zip(outer, idx_lists)]
+        grids_u = np.meshgrid(*(u for u, _ in axes), indexing="ij") if axes else [np.zeros(1)]
+        grids_o = np.meshgrid(*(o for _, o in axes), indexing="ij") if axes else [np.zeros(1)]
         rem = b - sum(g.ravel() for g in grids_u)
         outer_obj = sum(g.ravel() for g in grids_o)
         j = np.searchsorted(u_last, rem, side="right") - 1
@@ -368,42 +362,31 @@ def brute_force_allocation(
         total = np.where(feasible, outer_obj + best_obj_last[np.maximum(j, 0)], np.inf)
         flat = int(np.argmin(total))
         shape = tuple(len(x) for x in idx_lists) if idx_lists else (1,)
-        coords = np.unravel_index(flat, shape)
-        picked = [int(idx_lists[d][coords[d]]) for d in range(len(idx_lists))]
+        picked = [int(idx[c]) for idx, c in zip(idx_lists, np.unravel_index(flat, shape))]
         return float(total[flat]), picked, int(arg_last[j[flat]])
 
     windows = [(0, sizes[ax] - 1) for ax in outer]
     strides = [max(1, (hi - lo) // _ZOOM_POINTS + 1) for lo, hi in windows]
     best = None
     while True:
-        idx_lists = []
-        for (lo, hi), st in zip(windows, strides):
-            idx = np.arange(lo, hi + 1, st)
-            if idx[-1] != hi:
-                idx = np.append(idx, hi)
-            idx_lists.append(idx)
+        # Every st-th grid point of each window, and its right end.
+        idx_lists = [np.append(np.arange(lo, hi, st), hi) for (lo, hi), st in zip(windows, strides)]
         res = evaluate(idx_lists)
         if res is not None and (best is None or res[0] < best[0]):
             best = res
         if all(st == 1 for st in strides):
             break
         center = res[1] if res is not None else [w[0] for w in windows]
-        new_windows = []
-        new_strides = []
-        for d, ((lo, hi), st) in enumerate(zip(windows, strides)):
-            c = center[d]
-            new_windows.append((max(lo, c - 2 * st), min(hi, c + 2 * st)))
-            new_strides.append(max(1, st // 16))
-        windows, strides = new_windows, new_strides
+        windows = [(max(lo, c - 2 * st), min(hi, c + 2 * st))
+                   for (lo, hi), st, c in zip(windows, strides, center)]
+        strides = [max(1, st // 16) for st in strides]
 
     if best is None:
         raise BruteForceError("no feasible grid point")
     _, picked, j_last = best
-    ks = np.empty(m)
-    for d, ax in enumerate(outer):
-        ks[ax] = 1.0 + picked[d] * grid_step
-    ks[last] = 1.0 + j_last * grid_step
-    return _allocations(spec, ks[None, :], np.zeros(1), k_max=k_max)[0]
+    idx = np.empty(m)
+    idx[outer], idx[last] = picked, j_last
+    return _allocations(spec, 1.0 + idx[None, :] * grid_step, np.zeros(1), k_max=k_max)[0]
 
 
 def pareto_frontier(

@@ -341,12 +341,12 @@ def _check_pool(spec: WorkloadSpec, policy: Policy) -> None:
 
 def _check_finite(rep: _Replay) -> None:
     """Refuse a replay in which a job's completion time or GPU-hours is not
-    finite, naming its line in the trace CSV (row i is line i + 2)."""
+    finite, naming its row."""
     bad = ~((rep.completions < math.inf) & (rep.gpu_hours < math.inf))
     if bad.any():
         i = int(np.argmax(bad))
         what = "completion time" if not rep.completions[i] < math.inf else "GPU-hours"
-        raise ReplayError(f"trace line {i + 2}: job {what} is not finite")
+        raise ReplayError(f"job {what} is not finite", row=i)
 
 
 def _replay(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay:

@@ -103,9 +103,7 @@ class SpeedupFunction:
         if np.any(arr < 1.0):
             raise ValueError(f"speedup is defined for k >= 1, got {np.min(arr)}")
         out = self._value(arr)
-        if arr.ndim == 0:
-            return float(out)
-        return out
+        return float(out) if arr.ndim == 0 else out
 
 
 def _fixed_width(f: SpeedupFunction, k: float) -> Minimizer:

@@ -22,7 +22,6 @@ import io
 import json
 import math
 import os
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -348,11 +347,10 @@ def generate_trace(
         while short:
             for i in short:
                 draw(i)
-            merged = np.concatenate([t for chunks in times for t in chunks])
-            cut = np.partition(merged, job_count - 1)[job_count - 1]
+            all_times = np.concatenate([t for chunks in times for t in chunks])
+            cut = np.partition(all_times, job_count - 1)[job_count - 1]
             short = [i for i in range(m) if last[i] < cut]
 
-    all_times = np.concatenate([t for chunks in times for t in chunks])
     all_types = np.repeat(np.arange(m, dtype=np.int64), [sum(map(len, c)) for c in times])
     all_sizes = np.concatenate([x for chunks in sizes for x in chunks])
     # Stable sort on time keeps tied events in type order, deterministically.
@@ -542,14 +540,12 @@ def _scan_trace(path) -> Trace:
     times: list[float] = []
     types: list[int] = []
     sizes: list[float] = []
-    blank_at: list[int] = []  # rows read before each skipped blank line
     fault = None  # (line, message) of the row that did not parse
     with open(path, "r", encoding="utf-8") as fh:
         _check_header(fh)
         for lineno, raw in enumerate(fh, start=2):
             row = raw.strip()
             if not row:
-                blank_at.append(len(times))
                 continue
             parts = row.split(",")
             if len(parts) != 3:
@@ -569,11 +565,18 @@ def _scan_trace(path) -> Trace:
     arrays = np.array(times), np.array(types, dtype=np.int64), np.array(sizes)
     bad = _first_bad_row(*arrays)
     if bad is not None:
-        i, reason = bad
-        raise TraceError(reason, line=i + 2 + bisect_right(blank_at, i))
+        raise TraceError(bad[1], line=_row_line(path, bad[0]))
     if fault is not None:
         raise TraceError(fault[1], line=fault[0])
     return Trace(*arrays)
+
+
+def _row_line(path, row: int) -> int:
+    """The line of the trace CSV at path that holds row ``row`` (0-based), past the
+    blank lines the readers skip, read no further (row + 2 if there is no such row)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = (n for n, text in enumerate(fh, start=1) if text.strip())  # the header is 1
+        return next((n for i, n in enumerate(lines) if i > row), row + 2)
 
 
 def _parse_size_dist(obj, where: str) -> SizeDistribution:

@@ -554,6 +554,20 @@ class TestGenTrace:
         assert "unrecognized arguments: --k-max nan" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_job_count_exits_3(self, tmp_path, two_type_config_path, capsys):
+        out = tmp_path / "t.csv"
+        rc = main(["gen-trace", "--spec", two_type_config_path, "--jobs", "-1", "--seed", "1",
+                   "--out", str(out)])
+        assert (rc, capsys.readouterr()) == (3, ("", "error: job_count must be >= 0\n"))
+        assert not out.exists()
+
+    def test_size_dist_that_is_not_an_object_exits_3(self, tmp_path, capsys):
+        spec = edited_config(tmp_path, TWO_TYPE, (("types", 1, "size_dist"), 5))
+        rc = main(["gen-trace", "--spec", spec, "--jobs", "1", "--seed", "1",
+                   "--out", str(tmp_path / "t.csv")])
+        assert (rc, capsys.readouterr()) == (3, (
+            "", "error: types[1].size_dist: expected an object with a 'kind' field\n"))
+
 
 class TestGenTraceOverflows:
     """A spec whose arrival rates or drawn values overflow a double is
@@ -1246,6 +1260,26 @@ class TestNonFiniteReplay:
         assert (rc, out) == (3, "")
         assert err == "error: policy 'uniform:1': trace line 2: job completion time is not finite\n"
 
+    # On two_type, the second row (line 5, after two blank lines) overflows
+    # its completion time at one GPU and its GPU-hours at 4 or 8.
+    BLANK_LINES = "0.5,0,1.0\n\n\n1e308,1,1.7e308\n"
+
+    def test_simulate_counts_blank_lines(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, str(TWO_TYPE), self.BLANK_LINES, "fixed:1,1")
+        assert err == "error: trace line 5: job completion time is not finite\n"
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("policies,err", [
+        ("fixed:1,1;cluster:8", "policy 'fixed:1,1': trace line 5: job completion time"),
+        # On two CPUs cluster:8 is replayed in a child, which pickles its error.
+        ("cluster:8;cluster:4", "policy 'cluster:8': trace line 5: job GPU-hours"),
+    ])
+    def test_compare_counts_blank_lines(self, tmp_path, cpus, policies, err):
+        trace = tmp_path / "t.csv"
+        trace.write_text("arrival_time,type,size\n" + self.BLANK_LINES, encoding="utf-8")
+        argv = ["compare", "--spec", str(TWO_TYPE), "--trace", str(trace), "--policies", policies]
+        assert run_on_cpus(argv, cpus) == (3, "", f"error: {err} is not finite\n")
+
 
 def assert_no_child_left():
     """Every child this process forked has been reaped."""
@@ -1569,7 +1603,17 @@ class TestParallelTraceFiles:
         rc, out, err = run_on_cpus(argv, 2)
         assert (rc, err) == (
             3, "error: a CSV writer worker ended without a result (exit code -9)\n")
-        assert json.loads(out)["job_count"] == BLOCK  # printed before the CSV is written
+        assert out == ""  # the metrics are printed only once the files are written
+
+    def test_a_timeseries_that_cannot_be_opened_exits_3(self, tmp_path):
+        trace = trace_file(tmp_path, 50)
+        argv = ["simulate", "--spec", str(TWO_TYPE), "--trace", str(trace), "--policy", "optimal",
+                "--per-job", str(tmp_path / "jobs.csv"),
+                "--timeseries", str(tmp_path / "missing" / "k.csv")]
+        rc, out, err = run_on_cpus(argv, 1)
+        assert (rc, out) == (3, "")
+        assert err.startswith("error: [Errno 2] No such file or directory: ")
+        assert err.count("\n") == 1
 
     def test_a_trace_reader_that_dies_exits_3(self, tmp_path, monkeypatch):
         trace = trace_file(tmp_path, 3 * BLOCK)

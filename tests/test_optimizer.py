@@ -1,3 +1,4 @@
+import builtins
 import dataclasses
 import math
 import os
@@ -529,6 +530,38 @@ class TestComplementarySlackness:
                 assert a.budget_used >= pt.budget * (1 - 1e-9)
 
 
+def _budgets_at_breakpoints(spec: WorkloadSpec, spread) -> list[float]:
+    """Budgets in the open, ``total_load * (1 + spread)``, and at each
+    breakpoint's usage, where the piece and the jump test are decided, and
+    one ulp either side; only the stable ones."""
+    ms = [t.speedup.minimizer(DEFAULT_K_MAX) for t in spec.types]
+    budgets = (spec.total_load * (1.0 + np.array(spread))).tolist()
+    for mu in sorted({v for mz in ms for v in mz.breakpoints}):
+        used = budget_usage(spec, [mz.widths(np.array([mu]))[0][0] for mz in ms])
+        budgets += [math.nextafter(used, 0.0), used, math.nextafter(used, math.inf)]
+    return [b for b in budgets if b > spec.total_load]
+
+
+_builtin_sum = builtins.sum
+
+
+def _compensated_sum(iterable, /, start=0):
+    """CPython 3.12's builtin ``sum`` of floats, Neumaier's compensated sum, for
+    a Python without it.  Any item or start that is not a float (or the start
+    int 0), and an empty sum, go to the real ``sum``."""
+    items = list(iterable)
+    if not items or any(type(x) is not float for x in items) or not (
+        type(start) is float or (type(start) is int and start == 0)
+    ):
+        return _builtin_sum(items, start)
+    total, c = float(start), 0.0
+    for x in items:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
 class TestReferenceSearch:
     """The search decides each budget on Python floats; the vectorised
     search it replaced is kept in ``reference_search`` as the oracle."""
@@ -537,15 +570,8 @@ class TestReferenceSearch:
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 50), with_tabular=st.booleans(),
            spread=st.lists(st.floats(1e-9, 20.0), min_size=1, max_size=10))
     def test_search_matches_the_vectorised_search(self, seed, m, with_tabular, spread):
-        # Budgets in the open and at each breakpoint's usage, where the
-        # piece and the jump test are decided, and one ulp either side.
         spec = random_spec(np.random.default_rng(seed), m=m, with_tabular=with_tabular)
-        ms = [t.speedup.minimizer(DEFAULT_K_MAX) for t in spec.types]
-        budgets = (spec.total_load * (1.0 + np.array(spread))).tolist()
-        for mu in sorted({v for mz in ms for v in mz.breakpoints}):
-            used = budget_usage(spec, [mz.widths(np.array([mu]))[0][0] for mz in ms])
-            budgets += [math.nextafter(used, 0.0), used, math.nextafter(used, math.inf)]
-        budgets = [b for b in budgets if b > spec.total_load]
+        budgets = _budgets_at_breakpoints(spec, spread)
         got = optimizer._search(spec, budgets, k_max=DEFAULT_K_MAX)
         want = reference_search(spec, np.array(budgets), k_max=DEFAULT_K_MAX)
         for b, a, r in zip(budgets, got, want):
@@ -558,6 +584,20 @@ class TestReferenceSearch:
         for n in range(1, 300):
             row = rng.lognormal(0.0, 8.0, size=(1, n))
             assert optimizer._numpy_sum(row[0].tolist()) == row.sum(axis=1)[0]
+
+    def test_a_compensated_builtin_sum_changes_nothing(self, monkeypatch):
+        # Python 3.12 made the builtin sum of floats compensated.  Under a copy
+        # of it, the sums still take numpy's order and the search still
+        # matches the vectorised one (both run under the copy).
+        monkeypatch.setattr(builtins, "sum", _compensated_sum)
+        assert sum([1.0, 1e100, 1.0, -1e100]) == 2.0  # the copy is in place
+        self.test_sums_take_numpys_order()
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            spec = random_spec(rng, m=int(rng.integers(1, 51)), with_tabular=seed % 2 == 1)
+            budgets = _budgets_at_breakpoints(spec, [1e-9, 1e-3, 0.1, 1.0, 5.0, 20.0])
+            got = optimizer._search(spec, budgets, k_max=DEFAULT_K_MAX)
+            assert got == reference_search(spec, np.array(budgets), k_max=DEFAULT_K_MAX)
 
 
 class TestAllocationBuilder:
@@ -597,6 +637,24 @@ class TestAllocationBuilder:
 
 
 class TestBruteForce:
+    def test_huge_load_does_not_overflow_the_grid(self):
+        # Usage is load * (k / s), as in the solver: load * k overflows here,
+        # and every wider grid point would read as infeasible.
+        spec = WorkloadSpec((JobType("t", Amdahl(0.999), 1e307, Deterministic(1.0)),), 1.5e307)
+        assert solve_allocation(spec).ks[0] == pytest.approx(501.0)
+        bf = brute_force_allocation(spec, 1.0)
+        assert bf.ks == (500.0,)
+        assert bf.objective == pytest.approx(0.002998)
+
+    @pytest.mark.parametrize("step", [0.0, -1.0])
+    def test_grid_step_must_be_positive(self, two_type_spec, step):
+        with pytest.raises(ValueError, match="^grid_step must be positive$"):
+            brute_force_allocation(two_type_spec, step)
+
+    def test_axis_past_the_limit_refused(self, two_type_spec):
+        with pytest.raises(BruteForceError, match="grid points at step 1e-08; raise grid_step"):
+            brute_force_allocation(two_type_spec, 1e-8)
+
     def test_single_type_closed_form(self, single_power_spec):
         bf = brute_force_allocation(single_power_spec, 1e-3)
         assert 3.99 <= bf.ks[0] <= 4.01

@@ -101,6 +101,10 @@ def assert_same_replay(a, b):
 
 
 class TestPolicyTypes:
+    def test_no_widths_refused(self):
+        with pytest.raises(SpecError, match="^fixed-width policy needs at least one width$"):
+            FixedWidth(())
+
     def test_width_bounds(self):
         with pytest.raises(SpecError):
             FixedWidth((0.5, 2.0))
@@ -641,6 +645,19 @@ class TestCompare:
             want = simulate(tr, two_type_spec, pol)
             assert metrics.to_dict() == want.to_dict()
             assert np.array_equal(metrics.per_job, want.per_job)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("pools", [(1.2, 1.0), (1.0, 1.2)])
+    def test_the_first_failure_in_policy_order_is_raised(self, monkeypatch, cpus, pools):
+        # Both pools are at or below the total load of 1.5, so both replays
+        # fail; on two CPUs the larger pool is replayed in a child.
+        spec = WorkloadSpec((JobType("a", Amdahl(0.5), 1.5, Deterministic(1.0)),), 10.0)
+        tr = generate_trace(spec, 10, seed=1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        with pytest.raises(InstabilityError, match=f"^total load 1.5 >= budget {pools[0]:g}$"):
+            compare_policies(tr, spec, [StaticClusterEqualSplit(c) for c in pools])
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

@@ -167,6 +167,10 @@ class TestTraceType:
         with pytest.raises(TraceError):
             Trace(np.array([1.0, 0.5]), np.array([0, 0]), np.array([1.0, 1.0]))
 
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(TraceError, match="^arrival_times, type_indices and sizes must have"):
+            Trace(np.array([0.0, 1.0]), np.array([0]), np.array([1.0]))
+
     def test_non_positive_size_rejected(self):
         with pytest.raises(TraceError):
             Trace(np.array([0.5]), np.array([0]), np.array([0.0]))
@@ -187,6 +191,10 @@ class TestGenerateTrace:
     def test_zero_jobs(self):
         tr = generate_trace(one_type_spec(), 0, seed=1)
         assert len(tr) == 0
+
+    def test_unknown_arrival_process_rejected(self):
+        with pytest.raises(SpecError, match="^unknown arrival process 'bursty'$"):
+            generate_trace(one_type_spec(), 10, seed=1, arrivals="bursty")
 
     def test_deterministic_in_seed(self, two_type_spec):
         a = generate_trace(two_type_spec, 5000, seed=11)
@@ -443,6 +451,18 @@ class TestTraceBoundary:
         p.write_text("arrival_time,type,size\n2.0,0,1\n1.0,0,1\n3.0,0,1\n4.0,zero,1\n",
                      encoding="utf-8")
         with pytest.raises(TraceError, match="^line 3: arrival time 1.0 is before previous 2.0"):
+            read_trace(p)
+
+    def test_text_past_a_parse_fault_is_not_decoded(self, tmp_path):
+        # The scanner stops at the parse fault on line 6; naming the earlier
+        # faulty row, past a blank line, must not read on to the bytes that
+        # are not UTF-8, thousands of lines later.
+        rows = ["0.5,0,1.0", "", "0.6,0,-1.0", "0.7,0,1.0", "bad"]
+        rows += [f"{1.0 + i!r},0,1.0" for i in range(3000)]
+        p = tmp_path / "t.csv"
+        p.write_bytes(("arrival_time,type,size\n" + "\n".join(rows) + "\n").encode()
+                      + b"\xff\xfe,0,1\n")
+        with pytest.raises(TraceError, match="^line 4: size -1.0 is not positive and finite$"):
             read_trace(p)
 
     def test_parse_fault_named_when_rows_before_it_pass(self, tmp_path):
