@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 validation failure (from ``validate``, or a speedup
 that fails the axioms in a command that solves), 2 instability (total load
 >= budget, or >= the pool of a ``cluster``/``srf`` policy, or an ``srf``
-pool at or below its usage at its largest grant), 3 I/O or parse errors.
+pool at or below its usage at its largest grant), 3 I/O or parse errors,
+or a command that runs out of memory.
 All numbers are printed with 12 significant digits so repeated runs with
 the same inputs are byte-identical.
 
@@ -138,6 +139,14 @@ def parse_policy(text: str, spec: WorkloadSpec, k_max: float) -> Policy:
     raise SpecError(f"unknown policy {text!r}")
 
 
+def _csv_field(text: str) -> str:
+    """text as one CSV field: quoted, with each ``"`` doubled, when it holds
+    a comma, a quote, a CR or an LF (RFC 4180)."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _on_its_line(exc: ReplayError, trace_path) -> str:
     """``exc``'s message, naming the line of the trace file that holds its row."""
     if exc.row is None:
@@ -228,6 +237,10 @@ def _cmd_pareto(args) -> int:
     _check_width("k_max", args.k_max)
     if args.points < 1:
         raise SpecError("--points must be >= 1")
+    if args.points >= 2**60:  # numpy refuses an array of more than 2**63 - 1 bytes
+        raise SpecError(
+            f"--points must be < 2**60, the largest array of doubles, got {args.points}"
+        )
     # The span is not finite when either bound is not, or when it overflows;
     # np.linspace would then make NaN or infinite budgets.
     if not math.isfinite(args.b_max - args.b_min):
@@ -272,7 +285,7 @@ def _cmd_compare(args) -> int:
     row = "%s,%s,%s," + _numbers(2) + "\n"
     rows = ["policy,job_count,mean_response_time,time_avg_budget,total_gpu_hours\n"]
     for label, metrics in zip(labels, results):
-        field = f'"{label}"' if "," in label else label
+        field = _csv_field(label)
         mrt = metrics.mean_response_time  # None when the trace has no jobs
         mrt = "" if mrt is None else _numbers(1) % mrt
         rows.append(
@@ -356,6 +369,9 @@ def main(argv=None) -> int:
         return EXIT_UNSTABLE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_IO
 
 

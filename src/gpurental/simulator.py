@@ -6,7 +6,8 @@ uses, extended linearly below one GPU.  So a job that holds the same width
 under two policies runs at the same speed, to the last bit.
 
 Fixed-width policies never queue, so their replay is closed-form: each job
-finishes at arrival + size / s(k).
+finishes at arrival + size / s(k).  A replay keeps of each job only what
+the outputs read: its completion time and GPU-hours.
 
 The pooled baselines (equal split and SRF) share one event loop.  Each event
 is an arrival or a completion.  Between events every present job depletes its
@@ -18,20 +19,21 @@ remaining/speed for the next event; under SRF the advance takes only the
 jobs granted at the last event, since a waiting job's fields do not change.
 A completion tied with an arrival goes first; of tied completions, the job
 that arrived first goes first.  Each present job is one record, kept in
-arrival order; its work and GPU-hours go to the outputs once, when it
-completes.  A grant depends only on m, the number of jobs present (equal
-split: C/m each), or on a job's rank by remaining work (SRF: min(k_cap, what
-is left), in rank order), so grants and their speed per job type are
-computed once per m or rank and then looked up.
+arrival order; its GPU-hours go to the outputs once, when it completes.  A
+grant depends only on m, the number of jobs present (equal split: C/m
+each), or on a job's rank by remaining work (SRF: min(k_cap, what is left),
+in rank order), so grants and their speed per job type are computed once per
+m or rank and then looked up.
 
 Most jobs at moderate load never share the pool.  A job that arrives to an
 empty pool runs alone on the first grant: the pool under equal split,
 min(k_cap, C) under SRF.  If that solo run, size / s(first), lasts no longer
 than the gap to the next arrival, the job completes first (the tie rule
-above) and the next job also finds the pool empty.  So every job's solo
-outcome is computed up front in one vectorised step, each value by the same
-single floating-point operation the loop would do, and whenever the loop
-finds the pool empty it jumps to the next arrival that outlasts its gap.
+above) and the next job also finds the pool empty.  A solo run is a
+fixed-width run at the first grant, so every job's solo outcome comes up
+front from the fixed-width replay's code, ``_run_fixed``, by the same single
+floating-point operations the loop would do, and whenever the loop finds the
+pool empty it jumps to the next arrival that outlasts its gap.
 The loop thus runs only on busy periods of two or more jobs, and its results
 are bit for bit those of replaying every job through it.
 
@@ -144,7 +146,6 @@ class SimMetrics:
 class _Replay:
     completions: np.ndarray
     gpu_hours: np.ndarray
-    work_done: np.ndarray
     # With n_i type-i jobs present, a fixed-width policy rents
     # sum_i widths[i] * n_i GPUs, and a pooled policy, with m = sum_i n_i,
     # rents k_by_count[min(m, len(k_by_count) - 1)].  One of the two is set.
@@ -167,14 +168,18 @@ def _speeds(spec: WorkloadSpec, widths) -> list[float]:
     return speeds
 
 
-def _replay_fixed(trace: Trace, spec: WorkloadSpec, widths: np.ndarray) -> _Replay:
-    speeds_per_type = np.array(_speeds(spec, widths.tolist()))
-    k_job = widths[trace.type_indices]
+def _run_fixed(trace: Trace, widths: np.ndarray, speeds: np.ndarray):
+    """Each job's run time, completion time and GPU-hours when every type-i
+    job runs on widths[i] GPUs at speeds[i] from its arrival on."""
     with np.errstate(over="ignore"):  # _check_finite refuses what overflows
-        durations = trace.sizes / speeds_per_type[trace.type_indices]
-        return _Replay(
-            trace.arrival_times + durations, k_job * durations, trace.sizes.copy(), widths=widths
-        )
+        durations = trace.sizes / speeds[trace.type_indices]
+        return durations, trace.arrival_times + durations, widths[trace.type_indices] * durations
+
+
+def _replay_fixed(trace: Trace, spec: WorkloadSpec, widths: np.ndarray) -> _Replay:
+    speeds = np.array(_speeds(spec, widths.tolist()))
+    _, completions, gpu_hours = _run_fixed(trace, widths, speeds)
+    return _Replay(completions, gpu_hours, widths=widths)
 
 
 _remaining = itemgetter(0)
@@ -201,19 +206,14 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
     # Every job's outcome if it runs alone; the loop overwrites those of jobs
     # in busy periods.  Each job in ``outlasts`` runs alone past the next
     # arrival (the last job always fits); a busy period starts at one.
-    job_speed = np.array(solo_speeds)[trace.type_indices]
-    with np.errstate(over="ignore"):  # _check_finite refuses what overflows
-        solo = trace.sizes / job_speed
-        completions = trace.arrival_times + solo
-        work_done = job_speed * solo
-        gpu_hours = first * solo
+    solo, completions, gpu_hours = _run_fixed(trace, np.full(n_types, first), np.array(solo_speeds))
     outlasts = np.flatnonzero(solo[:-1] > np.diff(trace.arrival_times))
-    del job_speed, solo  # before the list copies, so that peak memory stays flat
+    del solo  # before the list copies, so that peak memory stays flat
 
     arr_t = trace.arrival_times.tolist()
     arr_ty = trace.type_indices.tolist()
     arr_x = trace.sizes.tolist()
-    jobs: list[list] = []  # [rem, work, gpu_hours, alloc, speed, idx, type], in arrival order
+    jobs: list[list] = []  # [rem, gpu_hours, alloc, speed, idx, type], in arrival order
     granted: list[list] = []  # SRF: the jobs granted at the last event
     t = 0.0
     i_next = 0
@@ -233,24 +233,21 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
         if arriving:
             if i_next == n:  # no job present completes in finite time
                 for job in jobs:
-                    completions[job[5]] = math.inf
+                    completions[job[4]] = math.inf
                 break
             # An arrival at or before t (t can round past it) advances by
             # 0.0, which changes no bit: every speed and grant is finite.
             dt = dt_arr if dt_arr > 0.0 else 0.0
             t = arr_t[i_next]
-            jobs.append([arr_x[i_next], 0.0, 0.0, 0.0, 0.0, i_next, arr_ty[i_next]])
+            jobs.append([arr_x[i_next], 0.0, 0.0, 0.0, i_next, arr_ty[i_next]])
             i_next += 1
         else:
             # The pass below no longer sees the job, so its last interval is
             # added here (under SRF, ``granted`` still advances its record).
             t += dt
             jobs.remove(done)
-            i = done[5]
-            completions[i] = t
-            w = done[4] * dt
-            work_done[i] = done[1] + w
-            gpu_hours[i] = done[2] + done[3] * dt
+            completions[done[4]] = t
+            gpu_hours[done[4]] = done[1] + done[2] * dt
 
         # One pass per event advances the jobs by dt, re-grants the pool and
         # finds the next completion, the least max(rem, 0) / speed.  A new
@@ -267,13 +264,11 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
                 row = share_of[m] = (share, _speeds(spec, [share] * n_types))
             share, speeds = row
             for job in jobs:  # in arrival order: a strict < keeps the earliest of ties
-                rem, work, hours, alloc, speed, _, ty = job
-                w = speed * adv
-                job[0] = rem = rem - w
-                job[1] = work + w
-                job[2] = hours + alloc * adv
-                job[3] = share
-                job[4] = speed = speeds[ty]
+                rem, hours, alloc, speed, _, ty = job
+                job[0] = rem = rem - speed * adv
+                job[1] = hours + alloc * adv
+                job[2] = share
+                job[3] = speed = speeds[ty]
                 if speed > 0.0:
                     tc = (rem if rem > 0.0 else 0.0) / speed
                     if tc < dt:
@@ -282,11 +277,9 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
             # Only the jobs granted at the last event advance: a waiting
             # job's would add 0.0 to each field.
             for job in granted:
-                rem, work, hours, alloc, speed, _, _ = job
-                w = speed * adv
-                job[0] = rem - w
-                job[1] = work + w
-                job[2] = hours + alloc * adv
+                rem, hours, alloc, speed, _, _ = job
+                job[0] = rem - speed * adv
+                job[1] = hours + alloc * adv
             # A stable sort of the arrival-ordered list ranks by (remaining,
             # arrival).  It is a copy: reordering ``jobs`` would change which
             # of two jobs with equal remaining work ranks first.
@@ -298,8 +291,8 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
                 rank_speed.append(_speeds(spec, [a] * n_types))
             granted = ranked[: len(rank_alloc)]
             for job, a, speeds in zip(granted, rank_alloc, rank_speed):
-                job[3] = a
-                job[4] = speed = speeds[job[6]]
+                job[2] = a
+                job[3] = speed = speeds[job[5]]
                 if speed > 0.0:
                     rem = job[0]
                     tc = (rem if rem > 0.0 else 0.0) / speed
@@ -307,14 +300,14 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
                     # smaller trace index) completes first.
                     if tc < dt:
                         dt, done = tc, job
-                    elif tc == dt and done is not None and job[5] < done[5]:
+                    elif tc == dt and done is not None and job[4] < done[4]:
                         done = job
 
     if equal_split:
         k_by_count = [0.0, pool]
     else:
         k_by_count = [math.fsum(rank_alloc[:j]) for j in range(len(rank_alloc) + 1)]
-    return _Replay(completions, gpu_hours, work_done, k_by_count=np.array(k_by_count))
+    return _Replay(completions, gpu_hours, k_by_count=np.array(k_by_count))
 
 
 def _check_pool(spec: WorkloadSpec, policy: Policy) -> None:
@@ -333,8 +326,9 @@ def _check_pool(spec: WorkloadSpec, policy: Policy) -> None:
     _check_stable(spec.total_load, pool)
     if isinstance(policy, SmallestRemainingFirst):
         a = min(policy.k_cap, pool)
-        speeds = _speeds(spec, [a] * len(spec.types))
-        usage = sum(load * (a / s) for load, s in zip(spec.loads.tolist(), speeds))
+        speeds = np.array(_speeds(spec, [a] * len(spec.types)))
+        with np.errstate(over="ignore"):  # an infinite usage is refused
+            usage = float((spec.loads * (a / speeds)).sum())
         if usage >= pool:
             raise InstabilityError(f"usage {usage:.6g} at grant {a:.6g} >= pool {pool:.6g}")
 

@@ -176,7 +176,7 @@ class WorkloadSpec:
 
     @property
     def total_rate(self) -> float:
-        return float(sum(t.arrival_rate for t in self.types))
+        return float(np.array([t.arrival_rate for t in self.types]).sum())
 
     def check_stability(self) -> None:
         """The system can only keep up if total load is strictly below budget."""

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -961,6 +962,32 @@ class TestPareto:
         assert rc == 3
         assert capsys.readouterr() == ("", "error: --points must be >= 1\n")
 
+    def test_points_past_the_largest_array_exits_3(self, two_type_config_path, capsys):
+        rc = main(["pareto", "--spec", two_type_config_path, "--b-min", "3", "--b-max", "8",
+                   "--points", str(2**60)])
+        assert rc == 3
+        assert capsys.readouterr() == (
+            "", f"error: --points must be < 2**60, the largest array of doubles, got {2**60}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "exc, message",
+        [(MemoryError("Unable to allocate 7.1 EiB for an array"),
+          "Unable to allocate 7.1 EiB for an array"),
+         (MemoryError(), "out of memory")],
+    )
+    def test_out_of_memory_exits_3(self, two_type_config_path, capsys, monkeypatch, exc, message):
+        # The budgets' array fails to allocate, as numpy's does for 10**18
+        # points, without asking for the memory.
+        def refuse(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli.np, "linspace", refuse)
+        rc = main(["pareto", "--spec", two_type_config_path, "--b-min", "3", "--b-max", "8",
+                   "--points", str(10**18)])
+        assert rc == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_non_positive_finite_budget_is_a_row_error(self, two_type_config_path, capsys):
         rc = main(
             ["pareto", "--spec", two_type_config_path, "--b-min=-1", "--b-max", "4",
@@ -1082,6 +1109,25 @@ class TestCompare:
         assert lines[0] == "policy,job_count,mean_response_time,time_avg_budget,total_gpu_hours"
         assert len(lines) == 5
         assert lines[1].startswith("optimal,1000,")
+
+    def test_labels_are_csv_fields(self, tmp_path, two_type_config_path):
+        # float() takes the whitespace around a number, so a label can hold
+        # a CR or an LF; one that does, or a comma, is quoted.
+        trace = tmp_path / "t.csv"
+        main(["gen-trace", "--spec", two_type_config_path, "--jobs", "50", "--seed", "5",
+              "--out", str(trace)])
+        labels = ["uniform:2\n", "cluster:8", "fixed:2,3", "srf:8,4\r\n"]
+        out = tmp_path / "cmp.csv"
+        rc = main(["compare", "--spec", two_type_config_path, "--trace", str(trace),
+                   "--policies", ";".join(labels), "--out", str(out)])
+        assert rc == 0
+        with open(out, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(r) for r in rows] == [5] * 5
+        assert [r[0] for r in rows[1:]] == labels
+        text = out.read_text(encoding="utf-8")
+        assert '\n"fixed:2,3",50,' in text and "\ncluster:8,50," in text
+        assert cli._csv_field('a"b') == '"a""b"'
 
     def test_empty_policy_list_exits_3(self, tmp_path, two_type_config_path):
         trace = tmp_path / "t.csv"

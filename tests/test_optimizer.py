@@ -30,7 +30,7 @@ from gpurental import (
     pareto_frontier,
     solve_allocation,
 )
-from gpurental import load_spec, optimizer
+from gpurental import SmallestRemainingFirst, load_spec, optimizer, simulator
 from gpurental.speedup import DEFAULT_K_MAX, _check_width
 from randspecs import random_concave_tabular, random_spec, random_speedup
 from reference_search import _search as reference_search
@@ -598,6 +598,22 @@ class TestReferenceSearch:
             budgets = _budgets_at_breakpoints(spec, [1e-9, 1e-3, 0.1, 1.0, 5.0, 20.0])
             got = optimizer._search(spec, budgets, k_max=DEFAULT_K_MAX)
             assert got == reference_search(spec, np.array(budgets), k_max=DEFAULT_K_MAX)
+
+
+def test_rates_and_srf_usage_sum_in_numpys_order(monkeypatch):
+    # Under a copy of Python 3.12's compensated builtin sum, the total
+    # arrival rate and an SRF pool's usage still add in numpy's order.
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    assert load_spec(FOUR_TYPE_TABULAR).total_rate == 1.4000000000000001
+    # At a grant of 1 every s(1) is 1, so the usage is the loads' sum:
+    # 1.0 in numpy's order, one ulp more compensated.  A pool of 1 + ulp
+    # keeps up only in numpy's order.
+    spec = WorkloadSpec(
+        tuple(JobType(f"t{i}", PowerLaw(0.5), rate, Deterministic(1.0))
+              for i, rate in enumerate([1.0, 1e-16, 1e-16])),
+        budget=2.0,
+    )
+    simulator._check_pool(spec, SmallestRemainingFirst(math.nextafter(1.0, 2.0), 1.0))
 
 
 class TestAllocationBuilder:

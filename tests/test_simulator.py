@@ -75,27 +75,39 @@ def pool_sizes(lo, hi):
 
 
 def assert_work_conserved(tr, spec):
+    """Every job's work is done: at s(k) from arrival to completion under a
+    fixed width; as the reference oracle records it under a pooled policy,
+    whose completions and GPU-hours the replay must equal bit for bit."""
     for pol in ALL_POLICIES:
         rep = _replay(tr, spec, pol)
-        err = np.abs(rep.work_done - tr.sizes)
+        if isinstance(pol, FixedWidth):
+            speeds = np.array([t.speedup(k) for t, k in zip(spec.types, pol.ks)])
+            work = speeds[tr.type_indices] * (rep.completions - tr.arrival_times)
+        else:
+            ref = reference_replay_cluster(tr, spec, pol)
+            for field in ("completions", "gpu_hours"):
+                assert np.array_equal(getattr(rep, field), ref[field]), (pol, field)
+            work = ref["work_done"]
+        err = np.abs(work - tr.sizes)
         assert np.all(err <= 1e-9 * np.maximum(1.0, tr.sizes)), type(pol).__name__
 
 
 def replay_arrays(tr, rep):
     """A replay's per-job arrays and its K(t) steps, named as the reference
-    oracle names them."""
+    oracle names them.  The oracle also records each job's work, which a
+    replay does not keep."""
     seg_times, seg_k = _k_steps(tr, rep)
     return {
         "completions": rep.completions,
         "gpu_hours": rep.gpu_hours,
-        "work_done": rep.work_done,
         "seg_times": seg_times,
         "seg_k": seg_k,
     }
 
 
 def assert_same_replay(a, b):
-    assert a.keys() == b.keys()
+    """Every array of a equals b's of the same name, bit for bit."""
+    assert a.keys() <= b.keys()
     for field in a:
         assert np.array_equal(a[field], b[field]), field
 
@@ -412,7 +424,7 @@ class TestOnePassLoop:
         rep = _replay_cluster(tr, two_type_spec, pol)
         ref = reference_replay_cluster(tr, two_type_spec, pol)
         assert rep.completions[0] > arr
-        for field in ("completions", "gpu_hours", "work_done"):
+        for field in ("completions", "gpu_hours"):
             assert np.array_equal(getattr(rep, field), ref[field]), field
 
     def test_srf_arrival_sends_a_running_job_to_wait(self, two_type_spec):
@@ -423,11 +435,11 @@ class TestOnePassLoop:
         tr = Trace(np.array([0.0, 1.0]), np.array([1, 1]), np.array([4.0, 0.5]))
         pol = SmallestRemainingFirst(4.0, 4.0)
         rep = _replay_cluster(tr, two_type_spec, pol)
-        assert_same_replay(replay_arrays(tr, rep),
-                           reference_replay_cluster(tr, two_type_spec, pol))
+        ref = reference_replay_cluster(tr, two_type_spec, pol)
+        assert_same_replay(replay_arrays(tr, rep), ref)
         assert rep.completions.tolist() == [2.25, 1.25]
         assert rep.gpu_hours.tolist() == [8.0, 1.0]
-        assert rep.work_done.tolist() == [4.0, 0.5]
+        assert ref["work_done"].tolist() == [4.0, 0.5]
 
 
 class TestBusyPeriods:
@@ -512,31 +524,43 @@ class TestBusyPeriods:
 
 class TestAloneInAPool:
     """A job alone in a pool holds the first grant for its whole run, so it
-    replays bit for bit as under a fixed width of that grant: pooled and
-    fixed-width replay take their speeds from one evaluator."""
+    replays bit for bit as under a fixed width of that grant: a pooled
+    replay takes every solo run from the fixed-width replay's code."""
 
     @staticmethod
-    def assert_pooled_matches_fixed(alpha, pool, sizes):
-        spec = WorkloadSpec((JobType("pow", PowerLaw(alpha), 0.1, Exponential(1.0)),), budget=2.0)
+    def assert_pooled_matches_fixed(spec, pool, types, sizes):
         # s(k) >= 1, so each job completes within its size, before the next
         # arrival: every job runs alone.
         arrivals = np.cumsum(np.concatenate([[0.0], sizes[:-1] + 1.0]))
-        tr = Trace(arrivals, np.zeros(len(sizes), dtype=int), sizes)
-        fixed = _replay(tr, spec, FixedWidth((pool,)))
+        tr = Trace(arrivals, types, sizes)
+        fixed = _replay(tr, spec, FixedWidth((pool,) * len(spec.types)))
         for pol in (StaticClusterEqualSplit(pool), SmallestRemainingFirst(pool, pool)):
             rep = _replay(tr, spec, pol)
             for field in ("completions", "gpu_hours"):
                 assert np.array_equal(getattr(rep, field), getattr(fixed, field)), (pol, field)
 
+    @staticmethod
+    def assert_power_law_matches_fixed(alpha, pool, sizes):
+        spec = WorkloadSpec((JobType("pow", PowerLaw(alpha), 0.1, Exponential(1.0)),), budget=2.0)
+        TestAloneInAPool.assert_pooled_matches_fixed(
+            spec, pool, np.zeros(len(sizes), dtype=int), sizes
+        )
+
     def test_sqrt_on_a_pool_of_56_5(self):
         sizes = np.random.default_rng(21).exponential(1.0, 200)
-        self.assert_pooled_matches_fixed(0.5, 56.51989828254439, sizes)
+        self.assert_power_law_matches_fixed(0.5, 56.51989828254439, sizes)
+
+    @pytest.mark.parametrize("pool", [1.0, 1.25, 8.0, 56.51989828254439])
+    def test_two_type_trace(self, two_type_spec, pool):
+        # The types and sizes of a generated two_type trace, spread apart.
+        tr = generate_trace(two_type_spec, 500, seed=25)
+        self.assert_pooled_matches_fixed(two_type_spec, pool, tr.type_indices, tr.sizes)
 
     @settings(max_examples=200, deadline=None)
     @given(alpha=st.floats(0.05, 1.0), pool=st.floats(1.0, 1e6),
            sizes=st.lists(st.floats(0.01, 100.0), min_size=1, max_size=20))
     def test_drawn_pools_and_exponents(self, alpha, pool, sizes):
-        self.assert_pooled_matches_fixed(alpha, pool, np.array(sizes))
+        self.assert_power_law_matches_fixed(alpha, pool, np.array(sizes))
 
 
 def doubled_rates(spec, factor=2.0):
