@@ -33,6 +33,7 @@ from .simulator import (
     StaticClusterEqualSplit,
     _check_pool,
     _measure,
+    _per_job_rows,
     _replay,
     _sample_k,
     _simulate_each,
@@ -85,16 +86,21 @@ def _csv_rows(table) -> Iterator[str]:
         yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
-def _write_csv(path: str, header: str, table) -> None:
-    """Stream the header and the table's rows to path, a table of more than
-    one block formatted on every CPU (see ``_write_blocks``); None writes no
-    rows."""
+def _write_csv(path: str, header: str, rows: int, block) -> None:
+    """Stream the header and rows [0, rows) to path, where ``block(lo, hi)``
+    gives rows [lo, hi) as a 2-D array of the header's columns.  The rows
+    are asked for one block of _BLOCK_ROWS values at a time, so no more of
+    the table than that need ever exist, and more than one block is
+    formatted on every CPU (see ``_write_blocks``)."""
+    step = _BLOCK_ROWS // (header.count(",") + 1)
+
+    def text(lo: int, hi: int) -> Iterator[str]:
+        for start in range(lo, hi, step):
+            yield from _csv_rows(block(start, min(start + step, hi)))
+
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        if table is not None:
-            table = np.asarray(table, dtype=float)
-            _write_blocks(fh, len(table), _BLOCK_ROWS // table.shape[1],
-                          lambda lo, hi: _csv_rows(table[lo:hi]), "a CSV writer worker")
+        _write_blocks(fh, rows, step, text, "a CSV writer worker")
 
 
 def _json_ready(value):
@@ -223,11 +229,14 @@ def _cmd_simulate(args) -> int:
         rep = _replay(trace, spec, policy)
     except ReplayError as exc:
         raise ReplayError(_on_its_line(exc, args.trace)) from None
-    metrics = _measure(trace, rep, collect_per_job=bool(args.per_job))
+    metrics = _measure(trace, rep, collect_per_job=False)
+    # The files take their rows from the replay a block at a time, so no
+    # per-job or per-sample table is built.
     if args.per_job:
-        _write_csv(args.per_job, "arrival,completion,response,gpu_hours", metrics.per_job)
+        _write_csv(args.per_job, "arrival,completion,response,gpu_hours", len(trace),
+                   lambda lo, hi: _per_job_rows(trace, rep, lo, hi))
     if args.timeseries:
-        _write_csv(args.timeseries, "t,K", _sample_k(trace, rep, args.timeseries_step))
+        _write_csv(args.timeseries, "t,K", *_sample_k(trace, rep, args.timeseries_step))
     sys.stdout.write(_metrics_json(metrics))
     return EXIT_OK
 
@@ -248,7 +257,12 @@ def _cmd_pareto(args) -> int:
             f"--b-min, --b-max and their difference must be finite, "
             f"got {args.b_min} and {args.b_max}"
         )
-    budgets = np.linspace(args.b_min, args.b_max, args.points)
+    # np.linspace makes point i as b_min + i * (span / (points - 1)).  With a
+    # span near the largest double, that product can overflow only for the
+    # last point (in any grid that fits in memory), which np.linspace then
+    # sets to b_max itself.
+    with np.errstate(over="ignore"):
+        budgets = np.linspace(args.b_min, args.b_max, args.points)
     points = pareto_frontier(spec, budgets, k_max=args.k_max)
     m = len(spec.types)
     solved_row = _numbers(2 + m) + "\n"

@@ -205,6 +205,8 @@ def _search(spec: WorkloadSpec, budgets, *, k_max: float) -> list[Allocation]:
         if not report.ok:
             check = next(c for c in report.checks() if not c.passed)
             raise AxiomError(f"type {t.name!r}: speedup is not {check.name}: {check.detail}")
+    if len(budgets) == 0:  # e.g. pareto with every budget unstable
+        return []
     minimizers = [t.speedup.minimizer(k_max) for t in spec.types]
     power_terms = [m.power_term for m in minimizers]
     loads = spec.loads

@@ -41,7 +41,11 @@ K(t), the number of GPUs rented at time t, depends only on the jobs present,
 so it is counted from arrivals and completions, and only when sampled.  The
 jobs present at t are those arrived by t less those completed by t, an
 integer count, so K(t) is right-continuous (at the instant a job completes,
-it is gone) and exactly 0 when no job is present.
+it is gone) and exactly 0 when no job is present.  One evaluator, ``_k_at``,
+counts it for ascending sample times from sorted arrival and completion
+times, touching only the events between the first and the last sample, so
+the CLI asks it for one block of samples at a time and no array holds every
+sample.
 
 One replay is strictly sequential (event-ordered); distinct replays share
 no state, so ``compare_policies`` (and the CLI's ``compare``) runs them
@@ -72,7 +76,9 @@ from .errors import InstabilityError, ReplayError, SpecError
 from .speedup import _check_width
 from .workload import Trace, WorkloadSpec, _check_stable
 
-MAX_TIMESERIES_SAMPLES = 10**7  # ~160 MB of (t, K) rows
+# The samples are written block by block, so the cap bounds the file's size
+# (~10^7 lines) and the time to write it, not the memory.
+MAX_TIMESERIES_SAMPLES = 10**7
 
 
 @dataclass(frozen=True)
@@ -358,54 +364,72 @@ def _replay(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay:
     return rep
 
 
+def _per_job_rows(trace: Trace, rep: _Replay, lo: int, hi: int) -> np.ndarray:
+    """Rows [lo, hi) of the per-job table: (arrival, completion, response,
+    gpu_hours), one row per job in trace order."""
+    arrivals, completions = trace.arrival_times[lo:hi], rep.completions[lo:hi]
+    return np.column_stack([arrivals, completions, completions - arrivals, rep.gpu_hours[lo:hi]])
+
+
 def _measure(trace: Trace, rep: _Replay, collect_per_job: bool) -> SimMetrics:
     n = len(trace)
     if n == 0:
         return SimMetrics(0, None, 0.0, 0.0, per_job=None)
-    responses = rep.completions - trace.arrival_times
     with np.errstate(over="ignore"):
         total = float(rep.gpu_hours.sum())
-        mean_response = float(responses.mean())
+        mean_response = float((rep.completions - trace.arrival_times).mean())
     if not (total < math.inf and mean_response < math.inf):
         raise ReplayError("the replay's total GPU-hours or mean response time overflows")
     horizon = float(rep.completions.max())
-    per_job = None
-    if collect_per_job:
-        per_job = np.column_stack(
-            [trace.arrival_times, rep.completions, responses, rep.gpu_hours]
-        )
     return SimMetrics(
         job_count=n,
         mean_response_time=mean_response,
         time_avg_budget=total / horizon,
         total_gpu_hours=total,
-        per_job=per_job,
+        per_job=_per_job_rows(trace, rep, 0, n) if collect_per_job else None,
     )
 
 
-def _k_at(trace: Trace, rep: _Replay, ts: np.ndarray) -> np.ndarray:
-    """K(t) at each of the ascending times ts, from integer counts of the
-    jobs present: those arrived by t, less those completed by t.
+def _present(arrivals: np.ndarray, completions: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The jobs present at each of the ascending times ts, from their sorted
+    arrival and completion times: those arrived by t less those completed
+    by t.  Two binary searches count the events up to ts[0]; only those in
+    (ts[0], ts[-1]] are binned, each at the first time at or after it."""
+    ends = (ts[0], ts[-1])
+    a0, a1 = np.searchsorted(arrivals, ends, side="right")
+    c0, c1 = np.searchsorted(completions, ends, side="right")
+    net = np.bincount(np.searchsorted(ts, arrivals[a0:a1]), minlength=len(ts))
+    net -= np.bincount(np.searchsorted(ts, completions[c0:c1]), minlength=len(ts))
+    net[0] += a0 - c0
+    return np.cumsum(net)
 
-    A fixed-width policy sums width * count over its distinct widths, so a
-    time with no job present gets exactly 0.  A pooled policy looks its
-    grant total up by the count of all jobs present."""
-    # Job j is counted at ts[i] for arrived[j] <= i < completed[j]; the
-    # last bin holds what happens after ts[-1].
-    arrived = np.searchsorted(ts, trace.arrival_times)
-    completed = np.searchsorted(ts, rep.completions)
 
-    def present(jobs=slice(None)) -> np.ndarray:
-        net = np.bincount(arrived[jobs], minlength=len(ts) + 1)
-        net -= np.bincount(completed[jobs], minlength=len(ts) + 1)
-        return np.cumsum(net[:-1])
+def _k_at(trace: Trace, rep: _Replay):
+    """The replay's K(t), as a function of a 1-D array of ascending times,
+    counted from the integer number of jobs present (``_present``).
 
+    A fixed-width policy sums width * count over its distinct widths, in
+    ascending order, so a time with no job present gets exactly 0.  A
+    pooled policy looks its grant total up by the count of all jobs present.
+
+    Each width's arrivals and sorted completions (all jobs', for a pool) are
+    taken once, here, so a call costs what its times and the events between
+    them take, not what the whole trace does."""
     if rep.k_by_count is not None:
-        return rep.k_by_count.take(present(), mode="clip")
-    ks = np.zeros(len(ts))
+        arrivals, completions = trace.arrival_times, np.sort(rep.completions)
+        return lambda ts: rep.k_by_count.take(_present(arrivals, completions, ts), mode="clip")
+    groups = []
     for w in sorted(set(rep.widths.tolist())):
-        ks += w * present((rep.widths == w)[trace.type_indices])
-    return ks
+        mine = (rep.widths == w)[trace.type_indices]
+        groups.append((w, trace.arrival_times[mine], np.sort(rep.completions[mine])))
+
+    def k_at(ts: np.ndarray) -> np.ndarray:
+        ks = np.zeros(len(ts))
+        for w, arrivals, completions in groups:
+            ks += w * _present(arrivals, completions, ts)
+        return ks
+
+    return k_at
 
 
 def _k_steps(trace: Trace, rep: _Replay) -> tuple[np.ndarray, np.ndarray]:
@@ -414,12 +438,17 @@ def _k_steps(trace: Trace, rep: _Replay) -> tuple[np.ndarray, np.ndarray]:
     times are 0 and the distinct arrival and completion instants; ks is
     counted there by ``_k_at``, the evaluator that samples K(t)."""
     times = np.unique(np.concatenate([[0.0], trace.arrival_times, rep.completions]))
-    return times, _k_at(trace, rep, times)
+    return times, _k_at(trace, rep)(times)
 
 
-def _sample_k(trace: Trace, rep: _Replay, sample_step: float) -> np.ndarray:
-    """(t, K(t)) rows at t = 0, sample_step, ... up to the last completion,
-    counted at the sample times themselves, without the event-level steps."""
+def _sample_k(trace: Trace, rep: _Replay, sample_step: float):
+    """The (t, K(t)) samples at t = 0, sample_step, ... up to the last
+    completion, counted at the sample times themselves, without the
+    event-level steps: their number, and a function that gives rows
+    [lo, hi) as a 2-D array, so that no array need hold every sample.
+
+    A step that is not positive and finite, or that needs more than
+    MAX_TIMESERIES_SAMPLES samples, is refused first."""
     if not 0.0 < sample_step < math.inf:
         raise ValueError(f"sample_step must be positive and finite, got {sample_step}")
     horizon = float(rep.completions.max()) if len(rep.completions) else 0.0
@@ -430,8 +459,13 @@ def _sample_k(trace: Trace, rep: _Replay, sample_step: float) -> np.ndarray:
             f"sample_step {sample_step} needs {count:.10g} samples over horizon {horizon}, "
             f"more than {MAX_TIMESERIES_SAMPLES}"
         )
-    ts = np.arange(count) * sample_step
-    return np.column_stack([ts, _k_at(trace, rep, ts)])
+    k_at = _k_at(trace, rep)
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        ts = np.arange(lo, hi) * sample_step
+        return np.column_stack([ts, k_at(ts)])
+
+    return count, rows
 
 
 def simulate(
@@ -547,4 +581,5 @@ def budget_timeseries(
     than MAX_TIMESERIES_SAMPLES samples, is refused before they are
     allocated.
     """
-    return _sample_k(trace, _replay(trace, spec, policy), sample_step)
+    count, rows = _sample_k(trace, _replay(trace, spec, policy), sample_step)
+    return rows(0, count)

@@ -161,9 +161,12 @@ class WorkloadSpec:
         object.__setattr__(self, "types", tuple(self.types))
         _check_budget(self.budget)
         with np.errstate(over="ignore"):
-            overflows = not self.total_load < math.inf
-        if overflows:
+            load_overflows = not self.total_load < math.inf
+            rate_overflows = not self.total_rate < math.inf
+        if load_overflows:
             raise SpecError("total load overflows")
+        if rate_overflows:  # every objective divides by it
+            raise SpecError("total arrival rate overflows")
 
     @property
     def loads(self) -> np.ndarray:
@@ -303,10 +306,8 @@ def generate_trace(
 
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(m)]
     rates = np.array([t.arrival_rate for t in spec.types])
+    total = rates.sum()  # finite: WorkloadSpec refuses a total rate that overflows
     with np.errstate(over="ignore"):
-        total = rates.sum()
-        if not total < math.inf:
-            raise SpecError("total arrival rate overflows")
         # Draw enough arrivals per type to cover the job_count-th merged
         # arrival, extending any stream that falls short (rare; bound is ~6
         # sigma).  Where job_count * rate overflows, take the share first.

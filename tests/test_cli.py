@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from gpurental import (
     FixedWidth,
     SmallestRemainingFirst,
+    StaticClusterEqualSplit,
     budget_timeseries,
     generate_trace,
     load_spec,
@@ -123,6 +124,11 @@ def test_csv_rows_match_per_value_format(table):
 SMALL_BLOCK = 7  # rows per block in the block-boundary tests
 
 
+def write_table(path, header, table):
+    """``cli._write_csv`` of a whole 2-D table, which gives each block as a slice."""
+    cli._write_csv(path, header, len(table), lambda lo, hi: table[lo:hi])
+
+
 @pytest.mark.parametrize("rows", [0, 1, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1,
                                   3 * SMALL_BLOCK + 7])
 def test_write_csv_blocks_match_per_row_format(tmp_path, monkeypatch, rows):
@@ -131,7 +137,7 @@ def test_write_csv_blocks_match_per_row_format(tmp_path, monkeypatch, rows):
     values = np.resize(np.array(EDGE_FLOATS + NON_FINITE + [0.1, -2.5, 1 / 3]), rows * 3)
     table = values.reshape(rows, 3)
     path = tmp_path / "t.csv"
-    cli._write_csv(path, "a,b,c", table)
+    write_table(path, "a,b,c", table)
     reference = "a,b,c\n" + "".join(
         ",".join(format(float(x), ".12g") for x in row) + "\n" for row in table
     )
@@ -145,7 +151,7 @@ def test_write_csv_memory_does_not_grow_with_rows(tmp_path):
     table = np.random.default_rng(3).random((100_000, 4)) * 1e3
     tracemalloc.start()
     try:
-        cli._write_csv(tmp_path / "big.csv", "a,b,c,d", table)
+        write_table(tmp_path / "big.csv", "a,b,c,d", table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -752,9 +758,9 @@ class TestSimulate:
         spec, trace, policy = load_spec(two_type_config_path), read_trace(trace_path), calls[0]
         metrics = simulate(trace, spec, policy)
         assert capsys.readouterr().out == cli._metrics_json(metrics)
-        cli._write_csv(tmp_path / "jobs2.csv", "arrival,completion,response,gpu_hours",
-                       metrics.per_job)
-        cli._write_csv(tmp_path / "k2.csv", "t,K", budget_timeseries(trace, spec, policy, 0.5))
+        write_table(tmp_path / "jobs2.csv", "arrival,completion,response,gpu_hours",
+                    metrics.per_job)
+        write_table(tmp_path / "k2.csv", "t,K", budget_timeseries(trace, spec, policy, 0.5))
         assert per_job.read_bytes() == (tmp_path / "jobs2.csv").read_bytes()
         assert series.read_bytes() == (tmp_path / "k2.csv").read_bytes()
 
@@ -988,6 +994,20 @@ class TestPareto:
         assert rc == 3
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    def test_budget_grid_from_the_largest_double(self, two_type_config_path, capsys):
+        # The span, 30 - 1.797e308, is finite, but 6 * (span / 6) rounds
+        # past the largest double: numpy warned (an error in this suite) on
+        # its way to the last point, which np.linspace sets to b_max.
+        rc = main(["pareto", "--spec", two_type_config_path, "--b-min", "1.7976931348623157e308",
+                   "--b-max", "30", "--points", "7"])
+        out, err = capsys.readouterr()
+        assert (rc, err) == (0, "")
+        b_min, span = 1.7976931348623157e308, 30 - 1.7976931348623157e308
+        grid = [b_min + i * (span / 6) for i in range(6)] + [30.0]  # as np.linspace makes it
+        rows = out.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [cli._fmt(b) for b in sorted(grid)]
+        assert not any("error" in row for row in rows)
+
     def test_non_positive_finite_budget_is_a_row_error(self, two_type_config_path, capsys):
         rc = main(
             ["pareto", "--spec", two_type_config_path, "--b-min=-1", "--b-max", "4",
@@ -1207,6 +1227,27 @@ class TestOverflowingSpecs:
         rc = main(command + ["--spec", spec])
         out, err = capsys.readouterr()
         assert (rc, out, err) == (3, "", "error: total load overflows\n")
+
+    @pytest.mark.parametrize("command", [
+        ["solve"],
+        ["pareto", "--b-min", "2", "--b-max", "3", "--points", "2"],
+        ["simulate", "--policy", "optimal"],
+        ["compare", "--policies", "optimal;cluster:8"],
+    ], ids=["solve", "pareto", "simulate", "compare"])
+    def test_total_arrival_rate_overflow_exits_3(self, tmp_path, capsys, command):
+        # Each rate, 1e308, and each load, 1e8, is finite; the summed rate,
+        # which divides every objective, is not.  It used to reach numpy,
+        # whose overflow warning the suite raises.
+        tiny = {"kind": "deterministic", "x": 1e-300}
+        doc = {"types": [{"name": name, "speedup": {"kind": "power", "alpha": 0.5},
+                          "arrival_rate": 1e308, "size_dist": tiny} for name in "ab"],
+               "budget": 1e9}
+        trace = tmp_path / "t.csv"
+        trace.write_text("arrival_time,type,size\n0.5,0,1\n", encoding="utf-8")
+        if command[0] in ("simulate", "compare"):
+            command = command + ["--trace", str(trace)]
+        rc = main(command + ["--spec", write_config(tmp_path, doc)])
+        assert (rc, *capsys.readouterr()) == (3, "", "error: total arrival rate overflows\n")
 
 
 class TestHugeLoadOnAWideType:
@@ -1698,3 +1739,87 @@ class TestParallelTraceFiles:
             assert text.startswith(header) and text.count(header) == 1, name
             if rows is not None:
                 assert text.count("\n") == rows + 1, name
+
+
+def step_for_samples(horizon: float, count: int) -> float:
+    """A K(t) step that takes ``count`` samples, ceil(horizon / step) + 1,
+    over a positive horizon."""
+    step = horizon / (count - 1)
+    while math.ceil(horizon / step) + 1 > count:
+        step = np.nextafter(step, math.inf)
+    while math.ceil(horizon / step) + 1 < count:
+        step = np.nextafter(step, 0.0)
+    return float(step)
+
+
+def csv_text(header: str, table) -> str:
+    """The CSV a table makes, each value formatted on its own."""
+    rows = [] if table is None else table
+    return header + "\n" + "".join(
+        ",".join(format(float(x), ".12g") for x in row) + "\n" for row in rows)
+
+
+class TestSimulateFilesFromColumns:
+    """``simulate`` formats its per-job and K(t) files block by block from
+    the replay's columns: the bytes are those of ``simulate(...).per_job``
+    and ``budget_timeseries`` formatted row by row, on any number of CPUs."""
+
+    JOB_BLOCK = BLOCK // 4  # rows of a per-job block; a K(t) block holds BLOCK // 2
+
+    @pytest.mark.parametrize("policy_text, policy", [
+        pytest.param(text, policy, id=text) for text, policy in [
+            ("optimal", None),
+            ("fixed:2,3", FixedWidth((2.0, 3.0))),
+            ("cluster:1.25", StaticClusterEqualSplit(1.25)),
+            ("srf:1.25,1", SmallestRemainingFirst(1.25, 1.0)),
+        ]
+    ])
+    @pytest.mark.parametrize("blocks", [(0, 1), (JOB_BLOCK - 1, BLOCK // 2 - 1),
+                                        (JOB_BLOCK, BLOCK // 2), (JOB_BLOCK + 1, BLOCK // 2 + 1)],
+                             ids=["empty", "block-1", "block", "block+1"])
+    def test_files_are_the_tables_rows(self, tmp_path, policy_text, policy, blocks):
+        jobs, samples = blocks
+        spec = load_spec(TWO_TYPE)
+        if policy is None:
+            policy = FixedWidth(cli.solve_allocation(spec).ks)
+        trace = generate_trace(spec, jobs, 7)
+        path = tmp_path / "t.csv"
+        write_trace(trace, path)
+        metrics = simulate(trace, spec, policy)
+        horizon = float(metrics.per_job[:, 1].max()) if jobs else 0.0
+        step = step_for_samples(horizon, samples) if jobs else 1.0
+        k_of_t = budget_timeseries(trace, spec, policy, step)
+        assert len(k_of_t) == samples
+        expect = (csv_text("arrival,completion,response,gpu_hours", metrics.per_job),
+                  csv_text("t,K", k_of_t))
+        for cpus in (1, 3):
+            jobs_csv, k_csv = tmp_path / f"jobs-{cpus}.csv", tmp_path / f"k-{cpus}.csv"
+            rc, out, err = run_on_cpus(
+                ["simulate", "--spec", str(TWO_TYPE), "--trace", str(path),
+                 "--policy", policy_text, "--per-job", str(jobs_csv),
+                 "--timeseries", str(k_csv), "--timeseries-step", repr(step)], cpus)
+            assert (rc, out, err) == (0, cli._metrics_json(metrics), ""), cpus
+            assert (jobs_csv.read_text(encoding="utf-8"),
+                    k_csv.read_text(encoding="utf-8")) == expect, cpus
+
+    def test_timeseries_memory_does_not_grow_with_samples(self, tmp_path):
+        # Three jobs, the last running alone on 2 GPUs at speed 5/3 for a
+        # million hours: K(t) has a million samples at step 1, whose (t, K)
+        # table would take 16 bytes each.  One block of samples is alive at
+        # a time.
+        path = tmp_path / "t.csv"
+        path.write_text("arrival_time,type,size\n0.5,0,1\n2.0,1,1\n3.0,0,1666667\n",
+                        encoding="utf-8")
+        k_csv = tmp_path / "k.csv"
+        argv = ["simulate", "--spec", str(TWO_TYPE), "--trace", str(path), "--policy",
+                "fixed:2,3", "--timeseries", str(k_csv)]
+        tracemalloc.start()
+        try:
+            rc, out, err = run_on_cpus(argv, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rc, err) == (0, "")
+        samples = k_csv.read_text(encoding="utf-8").count("\n") - 1
+        assert samples > 1_000_000
+        assert peak < 2_000_000 < 16 * samples
