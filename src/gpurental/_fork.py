@@ -89,7 +89,7 @@ def _run_child(fd: int, fn, part, readers: list[int]) -> None:
 
 @contextmanager
 def forked(fn, parts, what: str):
-    """Fork one child per part, which computes ``fn(part)``, a bytes
+    """Fork one child per part, which computes ``fn(part)``, a bytes-like
     object; yield the children, in the order of ``parts``.
 
     The caller takes every child's result inside the block.  On leaving it,

@@ -19,7 +19,6 @@ import functools
 import json
 import math
 import sys
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -32,6 +31,7 @@ from .simulator import (
     SmallestRemainingFirst,
     StaticClusterEqualSplit,
     _check_pool,
+    _check_widths,
     _measure,
     _per_job_rows,
     _replay,
@@ -44,7 +44,7 @@ from .workload import (
     _BLOCK_ROWS,
     WorkloadSpec,
     _row_line,
-    _write_blocks,
+    _write_rows,
     generate_trace,
     load_spec,
     read_trace,
@@ -68,39 +68,21 @@ def _numbers(ncols: int) -> str:
     return ",".join(["%.12g"] * ncols)
 
 
-def _csv_rows(table) -> Iterator[str]:
-    """The CSV lines of a 2-D numeric table, one newline-terminated string
-    per block of rows.
-
-    Each block is one ``%`` of the row template, repeated once per row, over
-    the block's values as one tuple of Python floats: no call runs per row
-    or per value.  A block holds _BLOCK_ROWS // ncols rows, about
-    _BLOCK_ROWS values; its floats, their tuple, the template and the text
-    are all that is alive, so memory grows with neither the table's length
-    nor its width."""
+def _csv_block(table) -> str:
+    """The CSV lines of a 2-D numeric table: one ``%`` of the row template,
+    repeated once per row, over the table's values as one tuple of Python
+    floats, so no call runs per row or per value."""
     table = np.asarray(table, dtype=float)
-    row = _numbers(table.shape[1]) + "\n"
-    step = _BLOCK_ROWS // table.shape[1]
-    for start in range(0, len(table), step):
-        block = table[start:start + step]
-        yield (row * len(block)) % tuple(block.ravel().tolist())
+    return ((_numbers(table.shape[1]) + "\n") * len(table)) % tuple(table.ravel().tolist())
 
 
 def _write_csv(path: str, header: str, rows: int, block) -> None:
-    """Stream the header and rows [0, rows) to path, where ``block(lo, hi)``
+    """Write the header and rows [0, rows) to path, where ``block(lo, hi)``
     gives rows [lo, hi) as a 2-D array of the header's columns.  The rows
     are asked for one block of _BLOCK_ROWS values at a time, so no more of
-    the table than that need ever exist, and more than one block is
-    formatted on every CPU (see ``_write_blocks``)."""
-    step = _BLOCK_ROWS // (header.count(",") + 1)
-
-    def text(lo: int, hi: int) -> Iterator[str]:
-        for start in range(lo, hi, step):
-            yield from _csv_rows(block(start, min(start + step, hi)))
-
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        _write_blocks(fh, rows, step, text, "a CSV writer worker")
+    the table than that need ever exist (see ``_write_rows``)."""
+    _write_rows(path, header, rows, _BLOCK_ROWS // (header.count(",") + 1),
+                lambda lo, hi: _csv_block(block(lo, hi)), "a CSV writer worker")
 
 
 def _json_ready(value):
@@ -122,9 +104,10 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def parse_policy(text: str, spec: WorkloadSpec, k_max: float) -> Policy:
+def parse_policy(text: str, spec: WorkloadSpec, k_max: float, labelled: bool = False) -> Policy:
     """Parse a policy string: optimal | fixed:k1,..,kM | uniform:k |
-    cluster:C | srf:C,kcap.  ``uniform:k`` is ``fixed:k,...,k``."""
+    cluster:C | srf:C,kcap.  ``uniform:k`` is ``fixed:k,...,k``.  With
+    ``labelled``, a width the width rule refuses names the policy."""
     if text == "optimal":
         return FixedWidth(solve_allocation(spec, k_max=k_max).ks)
     kind, _, rest = text.partition(":")
@@ -139,9 +122,11 @@ def parse_policy(text: str, spec: WorkloadSpec, k_max: float) -> Policy:
             c, cap = rest.split(",")
             return SmallestRemainingFirst(float(c), float(cap))
     except (ValueError, TypeError) as exc:
-        if isinstance(exc, SpecError):
-            raise
-        raise SpecError(f"bad policy arguments in {text!r}: {exc}") from None
+        if not isinstance(exc, SpecError):
+            raise SpecError(f"bad policy arguments in {text!r}: {exc}") from None
+        if labelled:
+            raise SpecError(f"policy {text!r}: {exc}") from None
+        raise
     raise SpecError(f"unknown policy {text!r}")
 
 
@@ -160,10 +145,16 @@ def _on_its_line(exc: ReplayError, trace_path) -> str:
     return f"trace line {_row_line(trace_path, exc.row)}: {exc.reason}"
 
 
-def _check_pools(spec: WorkloadSpec, labels, policies) -> None:
-    """Refuse, before any replay, a pooled policy that cannot keep up, by
-    the label it was given."""
+def _check_pools(spec: WorkloadSpec, labels, policies, widths: bool = False) -> None:
+    """Refuse, before any replay and in policy order, a pooled policy that
+    cannot keep up, and with ``widths`` a fixed-width policy without one
+    width per type, by the label it was given."""
     for label, policy in zip(labels, policies):
+        if widths:
+            try:
+                _check_widths(spec, policy)
+            except SpecError as exc:
+                raise SpecError(f"policy {label!r}: {exc}") from None
         try:
             _check_pool(spec, policy)
         except InstabilityError as exc:
@@ -288,8 +279,8 @@ def _cmd_compare(args) -> int:
     labels = [s for s in args.policies.split(";") if s]
     if not labels:
         raise SpecError("--policies must name at least one policy")
-    policies = [parse_policy(s, spec, args.k_max) for s in labels]
-    _check_pools(spec, labels, policies)
+    policies = [parse_policy(s, spec, args.k_max, labelled=True) for s in labels]
+    _check_pools(spec, labels, policies, widths=True)
     results = _simulate_each(trace, spec, policies)
     for label, result in zip(labels, results):
         if isinstance(result, ReplayError):

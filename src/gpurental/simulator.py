@@ -349,15 +349,20 @@ def _check_finite(rep: _Replay) -> None:
         raise ReplayError(f"job {what} is not finite", row=i)
 
 
-def _replay(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay:
-    trace.check_against(spec)
-    _check_pool(spec, policy)
-    if not isinstance(policy, FixedWidth):
-        rep = _replay_cluster(trace, spec, policy)
-    elif len(policy.ks) != len(spec.types):
+def _check_widths(spec: WorkloadSpec, policy: Policy) -> None:
+    """A fixed-width policy needs one width per type."""
+    if isinstance(policy, FixedWidth) and len(policy.ks) != len(spec.types):
         raise SpecError(
             f"policy has {len(policy.ks)} widths but workload has {len(spec.types)} types"
         )
+
+
+def _replay(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay:
+    trace.check_against(spec)
+    _check_pool(spec, policy)
+    _check_widths(spec, policy)
+    if not isinstance(policy, FixedWidth):
+        rep = _replay_cluster(trace, spec, policy)
     else:
         rep = _replay_fixed(trace, spec, np.asarray(policy.ks))
     _check_finite(rep)

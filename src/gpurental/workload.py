@@ -9,8 +9,10 @@ Specs and traces are immutable after construction; trace generation is a
 pure function of (spec, job_count, seed), so independent seeds can be
 generated concurrently.
 
-Trace files, and the CLI's CSVs through ``_write_blocks``, are written and
-read in contiguous ranges of rows, one per CPU the process may use: the
+One writer, ``_write_rows``, writes trace files and the CLI's CSV files:
+it opens the file, writes the header and asks the caller's formatter for
+the text of one block of rows at a time.  Files are written, and traces
+read, in contiguous ranges of rows, one per CPU the process may use: the
 calling process does one range, and children forked by ``_fork.forked`` the
 others.  Each row is formatted or parsed by the same code wherever it runs,
 so files, traces and errors are byte for byte those of one process.
@@ -167,6 +169,14 @@ class WorkloadSpec:
             raise SpecError("total load overflows")
         if rate_overflows:  # every objective divides by it
             raise SpecError("total arrival rate overflows")
+        for t in self.types:  # the objective at width 1 averages these by rate
+            if not t.size_dist.mean / float(t.speedup._value(1.0)) < math.inf:
+                raise SpecError(f"type {t.name!r}: mean response time at width 1, "
+                                "mean size / s(1), overflows")
+        # That average bounds every plan's objective, but can round past a
+        # double when types' values lie near the largest one.
+        if not self.total_load / self.total_rate < math.inf:
+            raise SpecError("mean response time at width 1 overflows")
 
     @property
     def loads(self) -> np.ndarray:
@@ -395,54 +405,61 @@ def empirical_loads(trace: Trace, spec: WorkloadSpec) -> list[LoadEstimate]:
 
 
 TRACE_HEADER = "arrival_time,type,size"
-# Rows a CSV writer turns into Python numbers at a time, here and in the CLI.
+# Rows of a trace block; a CLI CSV block holds this many values.
 _BLOCK_ROWS = 8192
 
 
-def _write_blocks(fh, rows: int, step: int, text, what: str) -> None:
-    """Write to the text file fh, after what it holds, the text of rows
-    [0, rows), which ``text(lo, hi)`` yields for rows [lo, hi) as strings.
+def _write_range(sink, lo: int, hi: int, block_rows: int, block_text):
+    """Write rows [lo, hi) UTF-8 encoded to the binary file sink, one block
+    of block_rows rows at a time, whose text ``block_text(lo, hi)`` gives
+    as one string, and return sink.  A forked writer writes its range into
+    one ``io.BytesIO`` and sends its buffer, so it holds the range once."""
+    for start in range(lo, hi, block_rows):
+        sink.write(block_text(start, min(start + block_rows, hi)).encode("utf-8"))
+    return sink
 
-    The rows are split into W = min(blocks of ``step`` rows, CPUs)
-    contiguous ranges of whole blocks.  This process writes the first as
-    it formats it; each other range is formatted whole and UTF-8 encoded
-    in a forked child, whose bytes are then copied into the file, in order
-    and in blocks, so this process never holds a child's range.  The file
-    gets the same bytes on any number of CPUs."""
-    n_blocks = -(-rows // step)
+
+def _write_rows(path, header: str, rows: int, block_rows: int, block_text, what: str) -> None:
+    """Write the header line and rows [0, rows) to the file at path, where
+    ``block_text(lo, hi)`` gives the text of rows [lo, hi), at most
+    block_rows of them.
+
+    The rows are split into W = min(blocks of block_rows rows, CPUs)
+    contiguous ranges of whole blocks.  This process writes the first;
+    each other range is made by a forked child (named ``what`` if it dies)
+    into one buffer, which this process copies into the file once its own
+    range is written, in order and in blocks, so it never holds a child's
+    range.  The file gets the same bytes on any number of CPUs."""
+    n_blocks = -(-rows // block_rows)
     workers = max(1, min(n_blocks, _fork.cpus()))
-    cuts = [min(n_blocks * k // workers * step, rows) for k in range(workers + 1)]
-    ranges = list(zip(cuts, cuts[1:]))
-    with _fork.forked(lambda r: "".join(text(*r)).encode("utf-8"), ranges[1:],
-                      what) as children:
-        fh.writelines(text(*ranges[0]))
-        fh.flush()
-        for child in children:
-            child.result(fh.buffer)
+    cuts = [min(n_blocks * k // workers * block_rows, rows) for k in range(workers + 1)]
+    with open(path, "wb") as fh:
+        fh.write(f"{header}\n".encode("utf-8"))
+        with _fork.forked(
+            lambda span: _write_range(io.BytesIO(), *span, block_rows, block_text).getbuffer(),
+            list(zip(cuts[1:], cuts[2:])), what,
+        ) as children:
+            _write_range(fh, cuts[0], cuts[1], block_rows, block_text)
+            for child in children:
+                child.result(fh)
 
 
-def _trace_rows(trace: Trace, lo: int, hi: int):
-    """The CSV line of each trace row in [lo, hi), turned into Python
-    numbers _BLOCK_ROWS rows at a time, so memory does not grow with the
-    trace; floats use repr, so reading it back is exact."""
-    for start in range(lo, hi, _BLOCK_ROWS):
-        block = slice(start, min(start + _BLOCK_ROWS, hi))
-        for t, ty, x in zip(
-            trace.arrival_times[block].tolist(),
-            trace.type_indices[block].tolist(),
-            trace.sizes[block].tolist(),
-        ):
-            yield f"{t!r},{ty},{x!r}\n"
+def _trace_block(trace: Trace, lo: int, hi: int) -> str:
+    """The CSV lines of trace rows [lo, hi); floats use repr, so reading
+    them back is exact."""
+    return "".join([
+        f"{t!r},{ty},{x!r}\n"
+        for t, ty, x in zip(trace.arrival_times[lo:hi].tolist(),
+                            trace.type_indices[lo:hi].tolist(), trace.sizes[lo:hi].tolist())
+    ])
 
 
 def write_trace(trace: Trace, path) -> None:
     """Write a trace as CSV; floats use repr so reading it back is exact.
     A trace of more than _BLOCK_ROWS rows is formatted on every CPU (see
-    ``_write_blocks``)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        _write_blocks(fh, len(trace), _BLOCK_ROWS, lambda lo, hi: _trace_rows(trace, lo, hi),
-                      "a trace writer worker")
+    ``_write_rows``)."""
+    _write_rows(path, TRACE_HEADER, len(trace), _BLOCK_ROWS,
+                lambda lo, hi: _trace_block(trace, lo, hi), "a trace writer worker")
 
 
 # One trace row as numpy's C CSV reader parses it, on numpy >= 2 only.
@@ -489,8 +506,9 @@ def _load_range(path, span: tuple[int, int]) -> bytes:
     start, stop = span
     with open(path, "rb") as fh:
         fh.seek(start)
-        text = fh.read(stop - start).decode("utf-8")
-    return _load_rows(io.StringIO(text, newline=None)).tobytes()
+        raw = fh.read(stop - start)
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=None)
+    return _load_rows(text).tobytes()
 
 
 def read_trace(path) -> Trace:

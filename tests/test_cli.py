@@ -29,7 +29,7 @@ from gpurental import (
     write_trace,
 )
 from gpurental import cli, simulator, workload
-from gpurental.cli import _csv_rows, main
+from gpurental.cli import _csv_block, main
 
 FOUR_TYPE_TABULAR = Path(__file__).resolve().parents[1] / "perfbench" / "four_type_tabular.json"
 TWO_TYPE = Path(__file__).resolve().parents[1] / "configs" / "two_type.json"
@@ -118,7 +118,7 @@ def test_csv_rows_match_per_value_format(table):
     reference = "".join(
         ",".join(format(float(x), ".12g") for x in row) + "\n" for row in table
     )
-    assert "".join(_csv_rows(table)) == reference
+    assert _csv_block(table) == reference
 
 
 SMALL_BLOCK = 7  # rows per block in the block-boundary tests
@@ -784,12 +784,12 @@ class TestSimulate:
         trace = tmp_path / "t.csv"
         trace.write_text("arrival_time,type,size\n" + rows, encoding="utf-8")
         capsys.readouterr()
-        for argv in (["simulate", "--policy", "fixed:2"],
-                     ["compare", "--policies", "cluster:4;fixed:2"]):
+        for argv, label in ((["simulate", "--policy", "fixed:2"], ""),
+                            (["compare", "--policies", "cluster:4;fixed:2"], "policy 'fixed:2': ")):
             rc = main(argv + ["--spec", two_type_config_path, "--trace", str(trace)])
             out, err = capsys.readouterr()
             assert (rc, out) == (3, ""), argv
-            assert err == "error: policy has 1 widths but workload has 2 types\n", argv
+            assert err == f"error: {label}policy has 1 widths but workload has 2 types\n", argv
 
     def test_cluster_and_srf_policies(self, two_type_config_path, trace_path, capsys):
         for policy in ("cluster:4", "srf:4,2"):
@@ -1149,6 +1149,27 @@ class TestCompare:
         assert '\n"fixed:2,3",50,' in text and "\ncluster:8,50," in text
         assert cli._csv_field('a"b') == '"a""b"'
 
+    @pytest.mark.parametrize("policies, message", [
+        ("uniform:2;fixed:1;cluster:8",
+         "policy 'fixed:1': policy has 1 widths but workload has 2 types"),
+        ("uniform:2;cluster:0.5", "policy 'cluster:0.5': cluster size must be finite and >= 1, "
+                                  "got 0.5"),
+        ("uniform:2;srf:8,0.5", "policy 'srf:8,0.5': k_cap must be finite and >= 1, got 0.5"),
+        # Messages that quote the policy text already stay as they are.
+        ("uniform:2;srf:8", "bad policy arguments in 'srf:8': not enough values to unpack "
+                            "(expected 2, got 1)"),
+        ("uniform:2;magic:1", "unknown policy 'magic:1'"),
+    ])
+    def test_refused_widths_name_the_policy_before_any_replay(
+        self, tmp_path, two_type_config_path, capsys, monkeypatch, policies, message
+    ):
+        trace = tmp_path / "t.csv"
+        trace.write_text("arrival_time,type,size\n0.5,0,1\n", encoding="utf-8")
+        refuse_replays(monkeypatch)
+        rc = main(["compare", "--spec", two_type_config_path, "--trace", str(trace),
+                   "--policies", policies])
+        assert (rc, *capsys.readouterr()) == (3, "", f"error: {message}\n")
+
     def test_empty_policy_list_exits_3(self, tmp_path, two_type_config_path):
         trace = tmp_path / "t.csv"
         main(["gen-trace", "--spec", two_type_config_path, "--jobs", "10", "--seed", "5",
@@ -1248,6 +1269,28 @@ class TestOverflowingSpecs:
             command = command + ["--trace", str(trace)]
         rc = main(command + ["--spec", write_config(tmp_path, doc)])
         assert (rc, *capsys.readouterr()) == (3, "", "error: total arrival rate overflows\n")
+
+    # One type whose load, 2.7e-156, and least usage, 2.7e144, are finite,
+    # but whose mean size / s(1), the objective at width 1, is 1.5e369.  It
+    # used to print an infinite objective (solve) or six inf rows (pareto)
+    # at exit 0, with numpy's overflow warning, which the suite raises.
+    SLOW_TYPE = {"types": [{"name": "slow",
+                            "speedup": {"kind": "tabular", "points": [[1, 1e-300]]},
+                            "arrival_rate": 1.7760405322684384e-225,
+                            "size_dist": {"kind": "exponential",
+                                          "mean": 1.5006613276648424e+69}}],
+                 "budget": 1e200}
+    SLOW_TYPE_ERROR = ("error: type 'slow': mean response time at width 1, mean size / s(1), "
+                       "overflows\n")
+
+    def test_mean_response_overflow_exits_3_in_solve(self, tmp_path, capsys):
+        rc = main(["solve", "--spec", write_config(tmp_path, self.SLOW_TYPE), "--k-max", "1e300"])
+        assert (rc, *capsys.readouterr()) == (3, "", self.SLOW_TYPE_ERROR)
+
+    def test_mean_response_overflow_exits_3_in_pareto(self, tmp_path, capsys):
+        rc = main(["pareto", "--spec", write_config(tmp_path, self.SLOW_TYPE), "--k-max", "1e300",
+                   "--b-min", "1e-150", "--b-max", "1.6519310560276604e+233", "--points", "7"])
+        assert (rc, *capsys.readouterr()) == (3, "", self.SLOW_TYPE_ERROR)
 
 
 class TestHugeLoadOnAWideType:
@@ -1676,7 +1719,7 @@ class TestParallelTraceFiles:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
     def test_a_trace_writer_that_dies_exits_3(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(workload, "_trace_rows", kill_in_a_child(workload._trace_rows))
+        monkeypatch.setattr(workload, "_trace_block", kill_in_a_child(workload._trace_block))
         argv = ["gen-trace", "--spec", str(TWO_TYPE), "--jobs", str(3 * BLOCK), "--seed", "1",
                 "--out", str(tmp_path / "t.csv")]
         assert run_on_cpus(argv, 2) == (
@@ -1684,7 +1727,7 @@ class TestParallelTraceFiles:
 
     def test_a_csv_writer_that_dies_exits_3(self, tmp_path, monkeypatch):
         trace = trace_file(tmp_path, BLOCK)
-        monkeypatch.setattr(cli, "_csv_rows", kill_in_a_child(cli._csv_rows))
+        monkeypatch.setattr(cli, "_csv_block", kill_in_a_child(cli._csv_block))
         argv = ["simulate", "--spec", str(TWO_TYPE), "--trace", str(trace), "--policy", "optimal",
                 "--per-job", str(tmp_path / "jobs.csv")]
         rc, out, err = run_on_cpus(argv, 2)

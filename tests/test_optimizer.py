@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gpurental import (
@@ -19,6 +19,7 @@ from gpurental import (
     InstabilityError,
     JobType,
     PowerLaw,
+    SpecError,
     SpeedupFunction,
     Tabular,
     WorkloadSpec,
@@ -95,6 +96,25 @@ class TestObjectiveAndBudget:
     def test_width_below_one(self, two_type_spec):
         with pytest.raises(ValueError):
             objective(two_type_spec, [0.5, 2.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(types=st.lists(st.tuples(*[st.floats(5e-324, 1.7976931348623157e308)] * 3),
+                          min_size=1, max_size=3))
+    def test_a_spec_that_constructs_has_a_finite_objective(self, types):
+        # Each type: s(1) (flat past it), arrival rate and size, anywhere in
+        # the doubles.  A spec refuses what overflows; what it keeps has a
+        # finite objective at width 1 and, s being non-decreasing, at the cap.
+        try:
+            spec = WorkloadSpec(tuple(
+                JobType(f"t{i}", Tabular(((1.0, s1),)), rate, Deterministic(size))
+                for i, (s1, rate, size) in enumerate(types)), budget=1.0)
+        except SpecError:
+            assume(False)
+        # The usage at the cap may overflow, or be 0 * inf where a load
+        # underflows to 0; only the objective is checked here.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in (1.0, DEFAULT_K_MAX):
+                assert math.isfinite(objective(spec, [k] * len(types))), k
 
 
 class TestInnerMinimize:

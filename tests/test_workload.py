@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import re
@@ -106,6 +107,15 @@ class TestSpecTypes:
     def test_load_overflow_refused(self):
         with pytest.raises(SpecError, match="^type 'a': load arrival_rate \\* mean size overflows$"):
             JobType("a", Amdahl(0.5), 1e10, Deterministic(1e300))
+
+    def test_mean_response_rounded_past_a_double_refused(self):
+        # Each type's mean size / s(1) is the largest double, and so is
+        # their rate-weighted mean, but it rounds past it as computed.
+        big = Deterministic(1.7976931348623157e308)
+        types = (JobType("a", PowerLaw(0.5), 0.1, big),
+                 JobType("b", PowerLaw(0.5), 0.15838287025480557, big))
+        with pytest.raises(SpecError, match="^mean response time at width 1 overflows$"):
+            WorkloadSpec(types, budget=1.0)
 
     def test_empty_spec_rejected(self):
         with pytest.raises(SpecError):
@@ -339,6 +349,23 @@ class TestTraceFiles:
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
+
+    def test_a_writer_child_holds_its_range_once(self, two_type_spec):
+        # What a forked trace writer runs, here on a range of 100k rows, ~4
+        # MB of text: each block is encoded into the one buffer it sends as
+        # the block is made.  Joining the range's text and then encoding it
+        # would hold the range about three times.
+        tr = generate_trace(two_type_spec, 100_000, seed=9)
+        tracemalloc.start()
+        try:
+            sent = workload._write_range(io.BytesIO(), 0, len(tr), workload._BLOCK_ROWS,
+                                         lambda lo, hi: workload._trace_block(tr, lo, hi))
+            sent = sent.getbuffer()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(sent)
+        assert bytes(sent) == workload._trace_block(tr, 0, len(tr)).encode("utf-8")
 
 
 # Values that stress the text round trip: ties, zero, subnormals, the
