@@ -30,8 +30,6 @@ from .simulator import (
     SimMetrics,
     SmallestRemainingFirst,
     StaticClusterEqualSplit,
-    _check_pool,
-    _check_widths,
     _measure,
     _per_job_rows,
     _replay,
@@ -104,10 +102,10 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def parse_policy(text: str, spec: WorkloadSpec, k_max: float, labelled: bool = False) -> Policy:
+def parse_policy(text: str, spec: WorkloadSpec, k_max: float) -> Policy:
     """Parse a policy string: optimal | fixed:k1,..,kM | uniform:k |
-    cluster:C | srf:C,kcap.  ``uniform:k`` is ``fixed:k,...,k``.  With
-    ``labelled``, a width the width rule refuses names the policy."""
+    cluster:C | srf:C,kcap.  ``uniform:k`` is ``fixed:k,...,k``.  Its
+    errors do not quote text; the commands name the policy (``_refused``)."""
     if text == "optimal":
         return FixedWidth(solve_allocation(spec, k_max=k_max).ks)
     kind, _, rest = text.partition(":")
@@ -121,13 +119,11 @@ def parse_policy(text: str, spec: WorkloadSpec, k_max: float, labelled: bool = F
         if kind == "srf":
             c, cap = rest.split(",")
             return SmallestRemainingFirst(float(c), float(cap))
-    except (ValueError, TypeError) as exc:
-        if not isinstance(exc, SpecError):
-            raise SpecError(f"bad policy arguments in {text!r}: {exc}") from None
-        if labelled:
-            raise SpecError(f"policy {text!r}: {exc}") from None
+    except SpecError:
         raise
-    raise SpecError(f"unknown policy {text!r}")
+    except (ValueError, TypeError) as exc:
+        raise SpecError(f"bad arguments: {exc}") from None
+    raise SpecError(f"unknown policy kind {kind!r}")
 
 
 def _csv_field(text: str) -> str:
@@ -138,27 +134,20 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _on_its_line(exc: ReplayError, trace_path) -> str:
-    """``exc``'s message, naming the line of the trace file that holds its row."""
-    if exc.row is None:
-        return str(exc)
-    return f"trace line {_row_line(trace_path, exc.row)}: {exc.reason}"
-
-
-def _check_pools(spec: WorkloadSpec, labels, policies, widths: bool = False) -> None:
-    """Refuse, before any replay and in policy order, a pooled policy that
-    cannot keep up, and with ``widths`` a fixed-width policy without one
-    width per type, by the label it was given."""
-    for label, policy in zip(labels, policies):
-        if widths:
-            try:
-                _check_widths(spec, policy)
-            except SpecError as exc:
-                raise SpecError(f"policy {label!r}: {exc}") from None
-        try:
-            _check_pool(spec, policy)
-        except InstabilityError as exc:
-            raise InstabilityError(f"policy {label!r}: {exc}") from None
+def _refused(label: str, exc: Exception, trace_path: str) -> Exception:
+    """The error to print for exc, raised for the policy ``label``: a
+    SpecError or InstabilityError becomes one of its type worded ``policy
+    '<label>': <reason>``, where a ReplayError's reason names the line of
+    the trace file that holds its row.  Any other error (a trace that does
+    not fit the spec, a dead worker, no memory) is not the policy's and
+    comes back as it is."""
+    if isinstance(exc, ReplayError) and exc.row is not None:
+        reason = f"trace line {_row_line(trace_path, exc.row)}: {exc.reason}"
+    elif isinstance(exc, (SpecError, InstabilityError)):
+        reason = str(exc)
+    else:
+        return exc
+    return type(exc)(f"policy {label!r}: {reason}")
 
 
 def _cmd_validate(args) -> int:
@@ -212,15 +201,13 @@ def _cmd_simulate(args) -> int:
     spec = load_spec(args.spec)
     trace = read_trace(args.trace)
     _check_width("k_max", args.k_max)
-    policy = parse_policy(args.policy, spec, args.k_max)
-    _check_pools(spec, [args.policy], [policy])
     # One replay serves the metrics and the K(t) samples: what simulate and
     # budget_timeseries would each compute from their own replay.
     try:
-        rep = _replay(trace, spec, policy)
-    except ReplayError as exc:
-        raise ReplayError(_on_its_line(exc, args.trace)) from None
-    metrics = _measure(trace, rep, collect_per_job=False)
+        rep = _replay(trace, spec, parse_policy(args.policy, spec, args.k_max))
+        metrics = _measure(trace, rep, collect_per_job=False)
+    except Exception as exc:
+        raise _refused(args.policy, exc, args.trace) from None
     # The files take their rows from the replay a block at a time, so no
     # per-job or per-sample table is built.
     if args.per_job:
@@ -279,14 +266,15 @@ def _cmd_compare(args) -> int:
     labels = [s for s in args.policies.split(";") if s]
     if not labels:
         raise SpecError("--policies must name at least one policy")
-    policies = [parse_policy(s, spec, args.k_max, labelled=True) for s in labels]
-    _check_pools(spec, labels, policies, widths=True)
-    results = _simulate_each(trace, spec, policies)
-    for label, result in zip(labels, results):
-        if isinstance(result, ReplayError):
-            raise ReplayError(f"policy {label!r}: {_on_its_line(result, args.trace)}") from None
-        if isinstance(result, BaseException):
-            raise result
+    policies = []
+    for label in labels:
+        try:
+            policies.append(parse_policy(label, spec, args.k_max))
+        except Exception as exc:
+            raise _refused(label, exc, args.trace) from None
+    results, failure = _simulate_each(trace, spec, policies)
+    if failure is not None:
+        raise _refused(labels[failure[0]], failure[1], args.trace)
     row = "%s,%s,%s," + _numbers(2) + "\n"
     rows = ["policy,job_count,mean_response_time,time_avg_budget,total_gpu_hours\n"]
     for label, metrics in zip(labels, results):

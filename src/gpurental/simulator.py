@@ -50,6 +50,8 @@ sample.
 One replay is strictly sequential (event-ordered); distinct replays share
 no state, so ``compare_policies`` (and the CLI's ``compare``) runs them
 concurrently, in forked processes, at most one per CPU the process may use.
+Every policy is checked first (``_check_policy``), in policy order, so one
+that cannot be replayed is refused before any replay or fork.
 Fixed-width replays are closed-form and stay in the calling process.  The
 pooled ones are sorted by pool size, smallest (busiest) first, and dealt to
 the processes back and forth; the caller replays the first share, and each
@@ -316,17 +318,21 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
     return _Replay(completions, gpu_hours, k_by_count=np.array(k_by_count))
 
 
-def _check_pool(spec: WorkloadSpec, policy: Policy) -> None:
-    """A pooled policy keeps up only if the total load is below its pool.
-    With m jobs present each holds at most C/m GPUs, and once that is below
-    one a job runs at (C/m) * s(1): the pool then serves no faster than C
-    GPUs of width-1 jobs, which need the total load's GPUs to keep up.
+def _check_policy(spec: WorkloadSpec, policy: Policy) -> None:
+    """A fixed-width policy needs one width per type.  A pooled policy keeps
+    up only if the total load is below its pool.  With m jobs present each
+    holds at most C/m GPUs, and once that is below one a job runs at
+    (C/m) * s(1): the pool then serves no faster than C GPUs of width-1
+    jobs, which need the total load's GPUs to keep up.
 
     SRF must also keep up at its largest grant, a = min(k_cap, C): the
     axioms make s(g)/g non-increasing, so no grant does less work per GPU
     than s(a)/a, and sum_i load_i * a / s_i(a) < C suffices.  The test is
     conservative: a smaller leftover grant does more per GPU."""
     if isinstance(policy, FixedWidth):
+        if len(policy.ks) != len(spec.types):
+            raise SpecError(f"policy has {len(policy.ks)} widths but workload has "
+                            f"{len(spec.types)} types")
         return
     pool = policy.cluster_size
     _check_stable(spec.total_load, pool)
@@ -349,18 +355,9 @@ def _check_finite(rep: _Replay) -> None:
         raise ReplayError(f"job {what} is not finite", row=i)
 
 
-def _check_widths(spec: WorkloadSpec, policy: Policy) -> None:
-    """A fixed-width policy needs one width per type."""
-    if isinstance(policy, FixedWidth) and len(policy.ks) != len(spec.types):
-        raise SpecError(
-            f"policy has {len(policy.ks)} widths but workload has {len(spec.types)} types"
-        )
-
-
 def _replay(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay:
+    _check_policy(spec, policy)
     trace.check_against(spec)
-    _check_pool(spec, policy)
-    _check_widths(spec, policy)
     if not isinstance(policy, FixedWidth):
         rep = _replay_cluster(trace, spec, policy)
     else:
@@ -485,43 +482,40 @@ def simulate(
     last arrival; the time-average budget divides by the last completion
     time, over which K(t) is identically zero afterwards.
 
-    A pooled policy whose pool is at or below the total load cannot keep up
-    and raises InstabilityError before any replay, as does an SRF pool at or
-    below its usage at the largest grant (see ``_check_pool``); a type whose
-    speed at a width the policy grants is not finite raises SpecError, and a job's
-    completion time or GPU-hours, or their totals, past the range of a
-    double raise ReplayError.
+    The policy is checked before any replay (``_check_policy``): a
+    fixed-width policy without one width per type raises SpecError, and a
+    pooled policy whose pool is at or below the total load, or an SRF pool
+    at or below its usage at the largest grant, cannot keep up and raises
+    InstabilityError.  A type whose speed at a width the policy grants is
+    not finite raises SpecError, and a job's completion time or GPU-hours,
+    or their totals, past the range of a double raise ReplayError.
     """
     return _measure(trace, _replay(trace, spec, policy), collect_per_job)
 
 
-def _simulate_share(trace: Trace, spec: WorkloadSpec, policies, collect_per_job: bool):
-    """Yield each policy's metrics in order; at the first replay that raises
-    an Exception, yield that exception instead and stop."""
-    for policy in policies:
-        try:
-            metrics = simulate(trace, spec, policy, collect_per_job=collect_per_job)
-        except Exception as exc:
-            yield exc
-            return
-        yield metrics
-
-
 def _simulate_each(
     trace: Trace, spec: WorkloadSpec, policies, collect_per_job: bool = False
-) -> list[SimMetrics | BaseException]:
-    """Each policy's metrics, or the exception its replay raised, in policy
-    order; the list ends at the first such failure.
+) -> tuple[list[SimMetrics], tuple[int, Exception] | None]:
+    """Each policy's metrics in policy order, and None; or, at the first
+    failure in policy order, [] and that failure as (index, exception).
 
-    With W = min(pooled policies, CPUs this process may use) of two or
-    more, pooled policies are sorted by pool size and dealt to W processes
-    in snake order (0, 1, .., W-1, W-1, .., 0, 0, ..), since a smaller pool
-    has more events to replay.  This process replays share 0 and every
-    fixed-width policy, and W - 1 children forked by ``_fork.forked`` the
-    other shares, each in policy order, and send back their pickled
-    results.  A child that ends without writing its results raises
-    ChildProcessError.  Every child is reaped before this returns or raises,
-    and killed first if this process raises before it has their results."""
+    Every policy is checked (``_check_policy``), in policy order, before
+    any replay or fork, so a policy the check refuses is the failure and
+    nothing is replayed.  Then, with W = min(pooled policies, CPUs this
+    process may use) of two or more, pooled policies are sorted by pool
+    size and dealt to W processes in snake order (0, 1, .., W-1, W-1, ..,
+    0, 0, ..), since a smaller pool has more events to replay.  This
+    process replays share 0 and every fixed-width policy, and W - 1
+    children forked by ``_fork.forked`` the other shares, each in policy
+    order up to its first failure, and send back their pickled results.  A
+    child that ends without writing its results raises ChildProcessError.
+    Every child is reaped before this returns or raises, and killed first
+    if this process raises before it has their results."""
+    for i, policy in enumerate(policies):
+        try:
+            _check_policy(spec, policy)
+        except Exception as exc:
+            return [], (i, exc)
     pooled = sorted(
         (i for i, p in enumerate(policies) if not isinstance(p, FixedWidth)),
         key=lambda i: policies[i].cluster_size,
@@ -535,20 +529,25 @@ def _simulate_each(
     shares = [sorted(share) for share in shares]
 
     def replay(share: list[int]) -> list[SimMetrics | Exception]:
-        own = [policies[i] for i in share]
-        return list(_simulate_share(trace, spec, own, collect_per_job))
+        results = []
+        for i in share:
+            try:
+                results.append(simulate(trace, spec, policies[i], collect_per_job))
+            except Exception as exc:
+                results.append(exc)
+                break
+        return results
 
     with _fork.forked(lambda share: pickle.dumps(replay(share)), shares[1:],
                       "a replay worker") as children:
         results = dict(zip(shares[0], replay(shares[0])))
         for child, share in zip(children, shares[1:]):
             results.update(zip(share, pickle.loads(child.result())))
-    ordered = []
+    # A share stops at its first failure, so a missing result follows one.
     for i in range(len(policies)):
-        ordered.append(results[i])
-        if isinstance(results[i], BaseException):
-            break
-    return ordered
+        if isinstance(results[i], Exception):
+            return [], (i, results[i])
+    return [results[i] for i in range(len(policies))], None
 
 
 def compare_policies(
@@ -559,17 +558,19 @@ def compare_policies(
 ) -> list[tuple[Policy, SimMetrics]]:
     """Simulate each policy on the identical trace; results in the given order.
 
-    Pooled replays run concurrently, one forked process per CPU this
+    Every policy is checked, in the given order, before any is replayed: a
+    policy ``simulate`` would refuse before its replay (a wrong width
+    count, a pool that cannot keep up) raises here with nothing replayed.
+    Pooled replays then run concurrently, one forked process per CPU this
     process may use (see ``_simulate_each``); fixed-width ones run here.
     The metrics are bit for bit those of calling ``simulate`` on each
-    policy in turn, and so is the error: the first failure in policy order
-    is raised."""
+    policy in turn.  The error raised is the first check failure in policy
+    order, else the first replay failure in policy order."""
     policies = list(policies)
-    results = _simulate_each(trace, spec, policies, collect_per_job)
-    for result in results:
-        if isinstance(result, BaseException):
-            raise result
-    return list(zip(policies, results))
+    metrics, failure = _simulate_each(trace, spec, policies, collect_per_job)
+    if failure is not None:
+        raise failure[1]
+    return list(zip(policies, metrics))
 
 
 def budget_timeseries(

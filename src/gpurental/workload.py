@@ -137,6 +137,8 @@ class JobType:
         _check_size_dist(self.size_dist, f"type {self.name!r}")
         if not self.load < math.inf:
             raise SpecError(f"type {self.name!r}: load arrival_rate * mean size overflows")
+        if not self.load > 0.0:  # its objective and usage terms would be 0, or 0 * inf
+            raise SpecError(f"type {self.name!r}: load arrival_rate * mean size underflows to 0")
 
     @property
     def load(self) -> float:

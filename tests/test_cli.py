@@ -436,6 +436,55 @@ def test_bad_k_max_exits_3(tmp_path, two_type_config_path, capsys, command, k_ma
     assert err == f"error: k_max must be finite and >= 1, got {float(k_max)}\n"
 
 
+def deterministic(x):
+    return {"kind": "deterministic", "x": x}
+
+
+class TestBudgetPromiseAtTheEdges:
+    """ROADMAP item 1's reproductions: stable specs on which ``solve`` should
+    exit 0 within ``budget_used <= b * (1 + 1e-12)``, or refuse with one
+    documented error, but breaks the promise today.  Each is a strict
+    expected failure: the fix that mends it makes it pass, which fails the
+    suite until its mark is removed."""
+
+    def solve(self, tmp_path, capsys, types, budget, k_max):
+        rc = main(["solve", "--spec", write_config(tmp_path, {"types": types, "budget": budget}),
+                   "--k-max", k_max])
+        out, err = capsys.readouterr()
+        if rc == 0:
+            assert err == ""
+            assert json.loads(out)["budget_used"] <= budget * (1 + 1e-12)
+        else:
+            assert rc in (1, 2, 3) and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_a_root_below_the_smallest_double(self, tmp_path, capsys):
+        # The answer is width 2e200; budget_used prints 5e+299 at the cap.
+        types = [{"name": "a", "speedup": {"kind": "amdahl", "p": 0.5}, "arrival_rate": 1,
+                  "size_dist": deterministic(1)}]
+        self.solve(tmp_path, capsys, types, 1e200, "1e300")
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_a_subnormal_root_keeps_too_few_bits(self, tmp_path, capsys):
+        # budget_used prints 1.70000002145e+308, 1.3e-8 over the budget.
+        types = [{"name": "a", "speedup": {"kind": "amdahl", "p": 1e-300},
+                  "arrival_rate": 1e300, "size_dist": deterministic(1)},
+                 {"name": "b", "speedup": {"kind": "amdahl", "p": 1e-300},
+                  "arrival_rate": 1.0000001, "size_dist": deterministic(2.2250738585072014e-308)}]
+        self.solve(tmp_path, capsys, types, 1.7e308, "1e300")
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_newtons_terms_overflow(self, tmp_path, capsys):
+        # np.exp(-e * x) overflows in the optimizer's Newton step, which
+        # the suite's filter raises.
+        types = [{"name": "a", "speedup": {"kind": "power", "alpha": 1e-300},
+                  "arrival_rate": 1e-12, "size_dist": {"kind": "exponential", "mean": 2}},
+                 {"name": "b", "speedup": {"kind": "amdahl", "p": 0.5}, "arrival_rate": 1e-12,
+                  "size_dist": deterministic(2.0578981220339323e-268)}]
+        self.solve(tmp_path, capsys, types, 0.5, "1.7e308")
+
+
 class TestUnnormalizedSpeedup:
     """s(1) = 0.5: width 1 already uses 2 GPUs for load 1, so budgets below 2
     are unstable in every command, and larger ones solve."""
@@ -518,8 +567,9 @@ class TestAxiomFailures:
         if command[0] in ("simulate", "compare"):
             argv += ["--trace", trace]
         assert main(argv) == 1
+        label = "policy 'optimal': " if command[0] in ("simulate", "compare") else ""
         assert capsys.readouterr() == (
-            "", f"error: type 'bad': speedup is not sublinear: {detail}\n")
+            "", f"error: {label}type 'bad': speedup is not sublinear: {detail}\n")
 
     def test_validate_exits_1(self, paths, capsys, speedup, detail):
         capsys.readouterr()
@@ -784,12 +834,13 @@ class TestSimulate:
         trace = tmp_path / "t.csv"
         trace.write_text("arrival_time,type,size\n" + rows, encoding="utf-8")
         capsys.readouterr()
-        for argv, label in ((["simulate", "--policy", "fixed:2"], ""),
-                            (["compare", "--policies", "cluster:4;fixed:2"], "policy 'fixed:2': ")):
+        for argv in (["simulate", "--policy", "fixed:2"],
+                     ["compare", "--policies", "cluster:4;fixed:2"]):
             rc = main(argv + ["--spec", two_type_config_path, "--trace", str(trace)])
             out, err = capsys.readouterr()
             assert (rc, out) == (3, ""), argv
-            assert err == f"error: {label}policy has 1 widths but workload has 2 types\n", argv
+            assert err == ("error: policy 'fixed:2': "
+                           "policy has 1 widths but workload has 2 types\n"), argv
 
     def test_cluster_and_srf_policies(self, two_type_config_path, trace_path, capsys):
         for policy in ("cluster:4", "srf:4,2"):
@@ -825,7 +876,7 @@ class TestSimulate:
         assert rc == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith(f"error: bad policy arguments in {policy!r}: ")
+        assert err.startswith(f"error: policy {policy!r}: bad arguments: ")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("k_max", ["nan", "inf"])
@@ -1111,7 +1162,7 @@ class TestPooledRefusals:
         rc = main(["simulate", "--spec", spec, "--trace", str(trace), "--policy", policy])
         out, err = capsys.readouterr()
         assert (rc, out) == (3, "")
-        assert err == "error: type 'sqrt': speed at width 4 is not finite\n"
+        assert err == f"error: policy {policy!r}: type 'sqrt': speed at width 4 is not finite\n"
 
 
 class TestCompare:
@@ -1155,10 +1206,9 @@ class TestCompare:
         ("uniform:2;cluster:0.5", "policy 'cluster:0.5': cluster size must be finite and >= 1, "
                                   "got 0.5"),
         ("uniform:2;srf:8,0.5", "policy 'srf:8,0.5': k_cap must be finite and >= 1, got 0.5"),
-        # Messages that quote the policy text already stay as they are.
-        ("uniform:2;srf:8", "bad policy arguments in 'srf:8': not enough values to unpack "
+        ("uniform:2;srf:8", "policy 'srf:8': bad arguments: not enough values to unpack "
                             "(expected 2, got 1)"),
-        ("uniform:2;magic:1", "unknown policy 'magic:1'"),
+        ("uniform:2;magic:1", "policy 'magic:1': unknown policy kind 'magic'"),
     ])
     def test_refused_widths_name_the_policy_before_any_replay(
         self, tmp_path, two_type_config_path, capsys, monkeypatch, policies, message
@@ -1236,6 +1286,20 @@ class TestOverflowingSpecs:
         assert (rc, out) == (3, "")
         assert err == f"error: type 'amdahl': {message}\n"
 
+
+    @pytest.mark.parametrize("command", [["validate"], ["solve"]], ids=["validate", "solve"])
+    def test_load_underflow_exits_3(self, tmp_path, capsys, command):
+        # 0.5 * 5e-324 rounds to 0.  solve used to print "objective": 0.0,
+        # though every job takes a whole hour, and "budget_used": NaN, from
+        # 0 * inf; validate printed "total load 0 < budget 1" and OK.
+        doc = {"types": [{"name": "tiny",
+                          "speedup": {"kind": "tabular", "points": [[1, 5e-324]]},
+                          "arrival_rate": 0.5,
+                          "size_dist": {"kind": "deterministic", "x": 5e-324}}],
+               "budget": 1}
+        rc = main(command + ["--spec", write_config(tmp_path, doc)])
+        assert (rc, *capsys.readouterr()) == (
+            3, "", "error: type 'tiny': load arrival_rate * mean size underflows to 0\n")
 
     @pytest.mark.parametrize("command", [["validate"], ["solve"]], ids=["validate", "solve"])
     def test_total_load_overflow_exits_3(self, tmp_path, two_type_config_path, capsys,
@@ -1354,19 +1418,20 @@ class TestNonFiniteReplay:
     @pytest.mark.parametrize("policy", ["fixed:2", "cluster:2", "srf:2,2"])
     def test_overflowing_gpu_hours(self, tmp_path, capsys, spec, policy):
         err = self.run(tmp_path, capsys, spec, "1.0,0,1e308\n2.0,0,1.0\n", policy)
-        assert err == "error: trace line 2: job GPU-hours is not finite\n"
+        assert err == f"error: policy {policy!r}: trace line 2: job GPU-hours is not finite\n"
 
     @pytest.mark.parametrize("policy", ["cluster:2", "srf:2,1"])
     def test_jobs_that_never_complete(self, tmp_path, capsys, spec, policy):
         # Two such jobs share the pool at speed 0.5 each: neither completes
         # in finite time, where the event loop once ran past the last arrival.
         err = self.run(tmp_path, capsys, spec, "1.0,0,1e308\n2.0,0,1e308\n", policy)
-        assert err == "error: trace line 2: job completion time is not finite\n"
+        assert err == (f"error: policy {policy!r}: trace line 2: "
+                       "job completion time is not finite\n")
 
     def test_the_first_such_line_is_named(self, tmp_path, capsys, spec):
         err = self.run(tmp_path, capsys, spec, "1.0,0,1\n2.0,0,1e308\n3.0,0,1e308\n",
                        "fixed:2")
-        assert err == "error: trace line 3: job GPU-hours is not finite\n"
+        assert err == "error: policy 'fixed:2': trace line 3: job GPU-hours is not finite\n"
 
     @pytest.mark.parametrize("policy", ["fixed:1", "cluster:2"])
     def test_overflowing_totals(self, tmp_path, capsys, policy):
@@ -1378,7 +1443,8 @@ class TestNonFiniteReplay:
                "budget": 2}
         spec = write_config(tmp_path, doc)
         err = self.run(tmp_path, capsys, spec, "1.0,0,1e308\n2.0,0,1e308\n", policy)
-        assert err == "error: the replay's total GPU-hours or mean response time overflows\n"
+        assert err == (f"error: policy {policy!r}: "
+                       "the replay's total GPU-hours or mean response time overflows\n")
 
     def test_compare_names_the_policy(self, tmp_path, capsys, spec):
         # uniform:1 runs the 1e308-size job at s(1) = 0.5, so it never completes.
@@ -1396,7 +1462,8 @@ class TestNonFiniteReplay:
 
     def test_simulate_counts_blank_lines(self, tmp_path, capsys):
         err = self.run(tmp_path, capsys, str(TWO_TYPE), self.BLANK_LINES, "fixed:1,1")
-        assert err == "error: trace line 5: job completion time is not finite\n"
+        assert err == ("error: policy 'fixed:1,1': trace line 5: "
+                       "job completion time is not finite\n")
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("policies,err", [
@@ -1548,9 +1615,10 @@ class TestParallelCompare:
     @pytest.mark.parametrize("policies, message", [
         ("cluster:2;cluster:4", "error: policy 'cluster:2': trace line 2: job GPU-hours is not "
                                 "finite\n"),
-        ("cluster:4;cluster:2", "error: type 'steep': speed at width 4 is not finite\n"),
-        ("cluster:4;cluster:2;cluster:1", "error: type 'steep': speed at width 4 is not "
-                                          "finite\n"),
+        ("cluster:4;cluster:2", "error: policy 'cluster:4': type 'steep': speed at width 4 is "
+                                "not finite\n"),
+        ("cluster:4;cluster:2;cluster:1", "error: policy 'cluster:4': type 'steep': speed at "
+                                          "width 4 is not finite\n"),
     ], ids=["replay-error-first", "spec-error-first", "child-share-in-label-order"])
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_first_failure_in_label_order_is_printed(self, both_fail, policies, message, cpus):
@@ -1603,6 +1671,71 @@ class TestParallelCompare:
         assert done.stdout.count("written before compare\n") == 1
         assert done.stdout.count("policy,job_count") == 1
         assert len(done.stdout.splitlines()) == 7
+
+
+# two_type with its sqrt type at k**717, which overflows a double at 4 GPUs
+# but not at 2.
+STEEP = ((("types", 1, "speedup", "alpha"), 717),)
+# On two_type, the row on line 5 (after two blank lines) overflows its
+# completion time at one GPU and its GPU-hours at 8, but neither at 2.
+LINE_5 = "0.5,0,1.0\n\n\n5e307,0,1.45e308\n"
+
+
+class TestOneRefusalRule:
+    """``simulate --policy X`` and ``compare --policies "uniform:2;X"``
+    refuse X with the same line, ``error: policy 'X': <reason>``, and the
+    same exit code, on one CPU and on two.  A refusal that the policy check
+    makes (``checked``) comes before any replay in both commands."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("policy, edits, rows, checked, rc, reason", [
+        ("srf:8", (), "0.5,0,1.0\n", True, 3,
+         "bad arguments: not enough values to unpack (expected 2, got 1)"),
+        ("magic:1", (), "0.5,0,1.0\n", True, 3, "unknown policy kind 'magic'"),
+        ("cluster:0.5", (), "0.5,0,1.0\n", True, 3,
+         "cluster size must be finite and >= 1, got 0.5"),
+        ("fixed:1", (), "0.5,0,1.0\n", True, 3, "policy has 1 widths but workload has 2 types"),
+        ("cluster:1", ((("types", 0, "arrival_rate"), 0.8), (("types", 1, "arrival_rate"), 0.8)),
+         "0.5,0,1.0\n", True, 2, "total load 1.6 >= budget 1"),
+        ("srf:2,2", ((("types", 0, "arrival_rate"), 0.95), (("types", 1, "arrival_rate"), 0.95)),
+         "0.5,0,1.0\n", True, 2, "usage 2.4835 at grant 2 >= pool 2"),
+        ("fixed:2,4", STEEP, "0.5,1,1.0\n", False, 3,
+         "type 'sqrt': speed at width 4 is not finite"),
+        ("cluster:4", STEEP, "0.5,1,1.0\n", False, 3,
+         "type 'sqrt': speed at width 4 is not finite"),
+        ("srf:8,4", STEEP, "0.5,1,1.0\n", True, 3,
+         "type 'sqrt': speed at width 4 is not finite"),
+        ("optimal", ((("types", 1, "speedup", "alpha"), 1.5),), "0.5,1,1.0\n", True, 1,
+         "type 'sqrt': speedup is not sublinear: s(1)/1 = 1 < s(2)/2 = 1.41421"),
+        ("optimal", ((("budget",), 0.5),), "0.5,1,1.0\n", True, 2, "total load 0.8 >= budget 0.5"),
+        ("uniform:1", (), LINE_5, False, 3, "trace line 5: job completion time is not finite"),
+        ("cluster:8", (), LINE_5, False, 3, "trace line 5: job GPU-hours is not finite"),
+    ], ids=["bad-arguments", "unknown-kind", "width-rule", "width-count", "unstable-pool",
+            "srf-usage", "fixed-speed", "cluster-speed", "srf-speed", "optimal-axioms",
+            "optimal-unstable", "completion", "gpu-hours"])
+    def test_simulate_and_compare_print_one_line(self, tmp_path, two_type_config_path,
+                                                 monkeypatch, cpus, policy, edits, rows,
+                                                 checked, rc, reason):
+        spec = edited_config(tmp_path, two_type_config_path, *edits)
+        trace = tmp_path / "t.csv"
+        trace.write_text("arrival_time,type,size\n" + rows, encoding="utf-8")
+        if checked:
+            refuse_replays(monkeypatch)
+        want = (rc, "", f"error: policy {policy!r}: {reason}\n")
+        common = ["--spec", spec, "--trace", str(trace)]
+        assert run_on_cpus(["simulate", "--policy", policy] + common, cpus) == want
+        assert run_on_cpus(["compare", "--policies", "uniform:2;" + policy] + common, cpus) == want
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_trace_past_the_spec_is_not_the_policys(self, tmp_path, two_type_config_path,
+                                                      cpus):
+        trace = tmp_path / "t.csv"
+        trace.write_text("arrival_time,type,size\n0.5,2,1.0\n", encoding="utf-8")
+        want = (3, "", "error: trace references type 2 but the workload has only 2 types\n")
+        common = ["--spec", two_type_config_path, "--trace", str(trace)]
+        assert run_on_cpus(["simulate", "--policy", "cluster:4"] + common, cpus) == want
+        assert run_on_cpus(["compare", "--policies", "uniform:2;cluster:4"] + common,
+                           cpus) == want
 
 
 BLOCK = workload._BLOCK_ROWS

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from gpurental import (
@@ -97,22 +97,26 @@ class TestObjectiveAndBudget:
         with pytest.raises(ValueError):
             objective(two_type_spec, [0.5, 2.0])
 
-    @settings(max_examples=300, deadline=None)
+    # About 70% of drawn specs are refused, most for a load that overflows,
+    # and the first draws, near 5e-324, for one that underflows: at some
+    # seeds that trips hypothesis's filter health check.  Every one of the
+    # 300 examples is still a spec that constructs.
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
     @given(types=st.lists(st.tuples(*[st.floats(5e-324, 1.7976931348623157e308)] * 3),
                           min_size=1, max_size=3))
     def test_a_spec_that_constructs_has_a_finite_objective(self, types):
         # Each type: s(1) (flat past it), arrival rate and size, anywhere in
-        # the doubles.  A spec refuses what overflows; what it keeps has a
-        # finite objective at width 1 and, s being non-decreasing, at the cap.
+        # the doubles.  A spec refuses what overflows or underflows; what it
+        # keeps has a finite objective at width 1 and, s being
+        # non-decreasing, at the cap.
         try:
             spec = WorkloadSpec(tuple(
                 JobType(f"t{i}", Tabular(((1.0, s1),)), rate, Deterministic(size))
                 for i, (s1, rate, size) in enumerate(types)), budget=1.0)
         except SpecError:
             assume(False)
-        # The usage at the cap may overflow, or be 0 * inf where a load
-        # underflows to 0; only the objective is checked here.
-        with np.errstate(over="ignore", invalid="ignore"):
+        # The usage at the cap may overflow; only the objective is checked here.
+        with np.errstate(over="ignore"):
             for k in (1.0, DEFAULT_K_MAX):
                 assert math.isfinite(objective(spec, [k] * len(types))), k
 
@@ -633,7 +637,7 @@ def test_rates_and_srf_usage_sum_in_numpys_order(monkeypatch):
               for i, rate in enumerate([1.0, 1e-16, 1e-16])),
         budget=2.0,
     )
-    simulator._check_pool(spec, SmallestRemainingFirst(math.nextafter(1.0, 2.0), 1.0))
+    simulator._check_policy(spec, SmallestRemainingFirst(math.nextafter(1.0, 2.0), 1.0))
 
 
 class TestAllocationBuilder:

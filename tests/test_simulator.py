@@ -686,6 +686,26 @@ class TestCompare:
             os.waitpid(-1, os.WNOHANG)
 
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_every_policy_is_checked_before_any_replay(self, monkeypatch, cpus):
+        # cluster:1 is at or below the total load of 1.5: it is refused
+        # before the fixed width ahead of it is replayed, and before cluster:8
+        # could be dealt to a child.
+        spec = WorkloadSpec((JobType("a", Amdahl(0.5), 1.5, Deterministic(1.0)),), 10.0)
+        tr = generate_trace(spec, 10, seed=1)
+
+        def refuse(*args):
+            raise AssertionError("replayed or forked before every policy was checked")
+
+        monkeypatch.setattr(simulator, "_replay_cluster", refuse)
+        monkeypatch.setattr(simulator, "_replay_fixed", refuse)
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        pols = [FixedWidth((2.0,)), StaticClusterEqualSplit(8.0), StaticClusterEqualSplit(1.0)]
+        with pytest.raises(InstabilityError, match="^total load 1.5 >= budget 1$"):
+            compare_policies(tr, spec, pols)
+
+
 class TestBudgetTimeseries:
     def test_k_built_only_when_sampled(self, two_type_spec, monkeypatch):
         tr = generate_trace(two_type_spec, 200, seed=5)
