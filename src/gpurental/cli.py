@@ -30,6 +30,7 @@ from .simulator import (
     SimMetrics,
     SmallestRemainingFirst,
     StaticClusterEqualSplit,
+    _check_policy,
     _measure,
     _per_job_rows,
     _replay,
@@ -266,12 +267,16 @@ def _cmd_compare(args) -> int:
     labels = [s for s in args.policies.split(";") if s]
     if not labels:
         raise SpecError("--policies must name at least one policy")
+    # Each label is parsed and checked before the next is parsed, so the
+    # refusal printed is the first in policy order, whichever step makes it.
     policies = []
     for label in labels:
         try:
-            policies.append(parse_policy(label, spec, args.k_max))
+            policy = parse_policy(label, spec, args.k_max)
+            _check_policy(spec, policy)
         except Exception as exc:
             raise _refused(label, exc, args.trace) from None
+        policies.append(policy)
     results, failure = _simulate_each(trace, spec, policies)
     if failure is not None:
         raise _refused(labels[failure[0]], failure[1], args.trace)

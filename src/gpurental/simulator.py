@@ -35,7 +35,10 @@ front from the fixed-width replay's code, ``_run_fixed``, by the same single
 floating-point operations the loop would do, and whenever the loop finds the
 pool empty it jumps to the next arrival that outlasts its gap.
 The loop thus runs only on busy periods of two or more jobs, and its results
-are bit for bit those of replaying every job through it.
+are bit for bit those of replaying every job through it.  It reads the
+trace's columns and writes the outputs in place, through memoryviews of the
+arrays, so it holds Python objects only for the jobs present, never a copy
+of the whole trace.
 
 K(t), the number of GPUs rented at time t, depends only on the jobs present,
 so it is counted from arrivals and completions, and only when sampled.  The
@@ -216,11 +219,12 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
     # arrival (the last job always fits); a busy period starts at one.
     solo, completions, gpu_hours = _run_fixed(trace, np.full(n_types, first), np.array(solo_speeds))
     outlasts = np.flatnonzero(solo[:-1] > np.diff(trace.arrival_times))
-    del solo  # before the list copies, so that peak memory stays flat
+    del solo
 
-    arr_t = trace.arrival_times.tolist()
-    arr_ty = trace.type_indices.tolist()
-    arr_x = trace.sizes.tolist()
+    # The loop reads and writes the arrays in place: an item of a memoryview
+    # is the array's own double or int, boxed only when the loop touches it.
+    arr_t, arr_ty, arr_x, outlasts, out_t, out_hours = map(memoryview, (
+        trace.arrival_times, trace.type_indices, trace.sizes, outlasts, completions, gpu_hours))
     jobs: list[list] = []  # [rem, gpu_hours, alloc, speed, idx, type], in arrival order
     granted: list[list] = []  # SRF: the jobs granted at the last event
     t = 0.0
@@ -235,13 +239,13 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
                 p += 1
             if p == n_outlasts:
                 break
-            i_next = int(outlasts[p])
+            i_next = outlasts[p]
         dt_arr = arr_t[i_next] - t if i_next < n else math.inf
         arriving = done is None or dt > dt_arr  # a completion tied with an arrival goes first
         if arriving:
             if i_next == n:  # no job present completes in finite time
                 for job in jobs:
-                    completions[job[4]] = math.inf
+                    out_t[job[4]] = math.inf
                 break
             # An arrival at or before t (t can round past it) advances by
             # 0.0, which changes no bit: every speed and grant is finite.
@@ -254,8 +258,8 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
             # added here (under SRF, ``granted`` still advances its record).
             t += dt
             jobs.remove(done)
-            completions[done[4]] = t
-            gpu_hours[done[4]] = done[1] + done[2] * dt
+            out_t[done[4]] = t
+            out_hours[done[4]] = done[1] + done[2] * dt
 
         # One pass per event advances the jobs by dt, re-grants the pool and
         # finds the next completion, the least max(rem, 0) / speed.  A new

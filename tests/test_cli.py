@@ -1727,6 +1727,28 @@ class TestOneRefusalRule:
         assert run_on_cpus(["compare", "--policies", "uniform:2;" + policy] + common, cpus) == want
 
     @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("first, second", [
+        ("fixed:1", "magic:1"), ("magic:1", "fixed:1"),
+        ("cluster:1", "srf:8"), ("srf:8", "cluster:1"),
+    ], ids=["width-count-then-parse", "parse-then-width-count",
+            "unstable-pool-then-parse", "parse-then-unstable-pool"])
+    def test_compare_prints_the_first_refusal_in_policy_order(
+            self, tmp_path, two_type_config_path, monkeypatch, cpus, first, second):
+        # One label fails its parse and the other the policy check; whichever
+        # comes first is printed, as simulate prints it for that label alone.
+        spec = edited_config(tmp_path, two_type_config_path,
+                             (("types", 0, "arrival_rate"), 0.8),
+                             (("types", 1, "arrival_rate"), 0.8))
+        trace = tmp_path / "t.csv"
+        trace.write_text("arrival_time,type,size\n0.5,0,1.0\n", encoding="utf-8")
+        refuse_replays(monkeypatch)
+        common = ["--spec", spec, "--trace", str(trace)]
+        want = run_on_cpus(["simulate", "--policy", first] + common, cpus)
+        assert want[0] in (2, 3) and want[2].startswith(f"error: policy {first!r}: ")
+        assert run_on_cpus(["compare", "--policies", f"{first};{second}"] + common,
+                           cpus) == want
+
+    @pytest.mark.parametrize("cpus", [1, 2])
     def test_a_trace_past_the_spec_is_not_the_policys(self, tmp_path, two_type_config_path,
                                                       cpus):
         trace = tmp_path / "t.csv"

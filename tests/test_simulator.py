@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -520,6 +521,45 @@ class TestBusyPeriods:
     def test_periodic_arrivals(self, two_type_spec, pol):
         tr = generate_trace(two_type_spec, 2000, seed=32, arrivals="periodic")
         self.assert_matches_reference(tr, two_type_spec, pol)
+
+
+class TestColumnsReadInPlace:
+    """A pooled replay reads the trace's columns and writes its outputs in
+    place: it holds Python objects only for the jobs present, so its peak
+    memory is a few columns whatever the load, and a column's layout does
+    not move a bit of any replay."""
+
+    BENCHMARK_POOLS = [StaticClusterEqualSplit(8.0), SmallestRemainingFirst(8.0, 4.0),
+                       StaticClusterEqualSplit(1.25), SmallestRemainingFirst(1.25, 1.0)]
+
+    @pytest.mark.parametrize(
+        "pol", [StaticClusterEqualSplit(1.25), SmallestRemainingFirst(1.25, 1.0)], ids=str)
+    def test_peak_memory_is_a_few_columns(self, two_type_spec, pol):
+        # The outputs and the solo run take about four columns; Python lists
+        # of the trace's columns would add about seven more.
+        tr = generate_trace(two_type_spec, 50_000, seed=4)
+        tracemalloc.start()
+        try:
+            _replay_cluster(tr, two_type_spec, pol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * tr.arrival_times.nbytes
+
+    @pytest.mark.parametrize("jobs", [0, 1, 3000])
+    def test_strided_columns_replay_as_contiguous_ones(self, two_type_spec, jobs):
+        whole = generate_trace(two_type_spec, 2 * jobs, seed=6)
+        strided = Trace(whole.arrival_times[::2], whole.type_indices[::2], whole.sizes[::2])
+        if jobs > 1:
+            assert not strided.arrival_times.flags.c_contiguous
+            assert not strided.sizes.flags.c_contiguous
+        contiguous = Trace(*(np.ascontiguousarray(c) for c in (
+            strided.arrival_times, strided.type_indices, strided.sizes)))
+        assert len(strided) == jobs and contiguous.arrival_times.flags.c_contiguous
+        for pol in ALL_POLICIES + self.BENCHMARK_POOLS:
+            a, b = _replay(strided, two_type_spec, pol), _replay(contiguous, two_type_spec, pol)
+            for field in ("completions", "gpu_hours", "widths", "k_by_count"):
+                assert np.array_equal(getattr(a, field), getattr(b, field)), (pol, field)
 
 
 class TestAloneInAPool:
