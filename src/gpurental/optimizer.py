@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AxiomError, BruteForceError
-from .speedup import DEFAULT_K_MAX, SpeedupFunction, validate
-from .speedup import _check_width
+from .speedup import DEFAULT_K_MAX, SpeedupFunction
+from .speedup import _axiom_failures, _check_width
 from .workload import WorkloadSpec, _check_budget, _check_stable
 
 _BUDGET_TOL = 1e-9  # relative slack on the budget; the fill pass stops within it
@@ -196,15 +196,15 @@ def _search(spec: WorkloadSpec, budgets, *, k_max: float) -> list[Allocation]:
     builtin ``sum``.  So one budget gets the same bits alone as in a sweep.
 
     A bad ``k_max`` raises SpecError first.  The minimizers assume the
-    speedup axioms, so a type whose speedup fails ``validate`` raises
-    AxiomError next.
+    speedup axioms, so a type whose speedup fails them raises AxiomError
+    next, on ``validate``'s decision and with its first failed check.
     """
     _check_width("k_max", k_max)
     for t in spec.types:
-        report = validate(t.speedup)
-        if not report.ok:
-            check = next(c for c in report.checks() if not c.passed)
-            raise AxiomError(f"type {t.name!r}: speedup is not {check.name}: {check.detail}")
+        failed, _ = _axiom_failures(t.speedup)
+        if failed:  # the first failed check, in validate's order
+            name, detail = next(iter(failed.items()))
+            raise AxiomError(f"type {t.name!r}: speedup is not {name}: {detail}")
     if len(budgets) == 0:  # e.g. pareto with every budget unstable
         return []
     minimizers = [t.speedup.minimizer(k_max) for t in spec.types]

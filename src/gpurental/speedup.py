@@ -79,6 +79,14 @@ class SpeedupFunction:
         or above the chord of its neighbours."""
         raise TypeError(f"no axiom decision points for speedup {type(self).__name__}")
 
+    def _axiom_speeds(self) -> tuple[tuple[float, ...], list[float]]:
+        """``axiom_ks`` and the speeds there, as Python floats: what
+        ``validate`` decides on.  A family that holds those speeds returns
+        them without evaluating."""
+        ks = self.axiom_ks()
+        with np.errstate(over="ignore"):  # k**alpha past the range of a double
+            return ks, self._value(np.array(ks)).tolist()
+
     def minimizer(self, k_max: float) -> Minimizer:
         """The exact minimizer of g(k) = (1 + mu*k) / s(k) over [1, k_max],
         with the breakpoints and power term of its usage in mu.
@@ -265,6 +273,14 @@ class Tabular(SpeedupFunction):
         last = float(self.knots[-1])
         return tuple(sorted({1.0, *self.knots.tolist(), min(2.0 * last, sys.float_info.max)}))
 
+    def _axiom_speeds(self):
+        # The table's own entries, with no np.interp: s is flat below the
+        # first knot and past the last, and np.interp at a knot returns its speed.
+        ks, ss = self.axiom_ks(), self._speeds.tolist()
+        head = ss[:1] if ks[0] < self.knots[0] else []
+        tail = ss[-1:] if ks[-1] > self.knots[-1] else []
+        return ks, head + ss + tail
+
     def _walk_envelope(self, k_max: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # g is monotone on each linear piece, so the minimum sits on a knot,
         # at 1 or at the cap: one line in mu, g = 1/s + mu*k/s, per width.
@@ -352,18 +368,14 @@ class ValidationReport:
         return [self.monotone, self.sublinear, self.concave, self.normalized]
 
 
-def validate(f: SpeedupFunction) -> ValidationReport:
-    """Decide the speedup axioms for all k >= 1 on the family's ``axiom_ks``:
-    monotonicity and sub-linearity on consecutive pairs, concavity on
-    consecutive triples (each interior width on or above the chord of its
-    neighbours).  Violations below REL_TOL, relative to the compared
-    quantities (speeds, or for sub-linearity the average speeds s(k)/k), are
-    ignored.  A speed that is not finite fails sub-linearity at the first
-    pair that reaches it.
-    """
-    ks = f.axiom_ks()
-    with np.errstate(over="ignore"):  # k**alpha past the range of a double
-        s = f._value(np.array(ks)).tolist()
+_AXIOMS = ("monotone", "sublinear", "concave")
+
+
+def _axiom_failures(f: SpeedupFunction) -> tuple[dict[str, str], float]:
+    """The axiom decision of ``validate``, without its report: the detail of
+    each failed axiom's first violation, by name in ``_AXIOMS`` order, and
+    s(1)."""
+    ks, s = f._axiom_speeds()
     mono = sub = conc = None
     for i in range(1, len(ks)):
         a, b, sa, sb = ks[i - 1], ks[i], s[i - 1], s[i]
@@ -381,11 +393,22 @@ def validate(f: SpeedupFunction) -> ValidationReport:
             chord = theta * s_lo + (1.0 - theta) * sb
             if chord - sa > REL_TOL * max(abs(s_lo), abs(sb)):
                 conc = f"s({a:.6g}) = {sa:.6g} < chord of s({lo:.6g}), s({b:.6g}) = {chord:.6g}"
-    checks = [
-        AxiomCheck(name, detail is None, detail or "")
-        for name, detail in (("monotone", mono), ("sublinear", sub), ("concave", conc))
-    ]
-    s1 = s[0]  # the widths start at 1
+    failed = {name: d for name, d in zip(_AXIOMS, (mono, sub, conc)) if d is not None}
+    return failed, s[0]  # the widths start at 1
+
+
+def validate(f: SpeedupFunction) -> ValidationReport:
+    """Decide the speedup axioms for all k >= 1 on the family's ``axiom_ks``:
+    monotonicity and sub-linearity on consecutive pairs, concavity on
+    consecutive triples (each interior width on or above the chord of its
+    neighbours).  Violations below REL_TOL, relative to the compared
+    quantities (speeds, or for sub-linearity the average speeds s(k)/k), are
+    ignored.  A speed that is not finite fails sub-linearity at the first
+    pair that reaches it.  The solver refuses a speedup on this same
+    decision, ``_axiom_failures``, without building the report.
+    """
+    failed, s1 = _axiom_failures(f)
+    checks = [AxiomCheck(name, name not in failed, failed.get(name, "")) for name in _AXIOMS]
     norm = AxiomCheck("normalized", abs(s1 - 1.0) <= REL_TOL)
     if not norm.passed:
         norm = AxiomCheck("normalized", False, f"s(1) = {s1:.6g}, expected 1")

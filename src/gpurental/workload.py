@@ -24,8 +24,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -130,68 +129,69 @@ class JobType:
     speedup: SpeedupFunction
     arrival_rate: float  # jobs per hour
     size_dist: SizeDistribution  # single-GPU work-hours
+    # Work arriving per hour, arrival_rate * mean job size, and the speed
+    # s(1) at width 1: derived once, here.
+    load: float = field(init=False, repr=False, compare=False)
+    _speed_at_1: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.arrival_rate > 0 and math.isfinite(self.arrival_rate)):
             raise SpecError(f"type {self.name!r}: arrival rate must be positive")
         _check_size_dist(self.size_dist, f"type {self.name!r}")
-        if not self.load < math.inf:
+        load = self.arrival_rate * self.size_dist.mean
+        object.__setattr__(self, "load", load)
+        if not load < math.inf:
             raise SpecError(f"type {self.name!r}: load arrival_rate * mean size overflows")
-        if not self.load > 0.0:  # its objective and usage terms would be 0, or 0 * inf
+        if not load > 0.0:  # its objective and usage terms would be 0, or 0 * inf
             raise SpecError(f"type {self.name!r}: load arrival_rate * mean size underflows to 0")
+        object.__setattr__(self, "_speed_at_1", float(self.speedup._value(1.0)))
 
     @property
-    def load(self) -> float:
-        """Work arriving per hour: arrival_rate * mean job size."""
-        return self.arrival_rate * self.size_dist.mean
-
-    @cached_property
     def least_usage(self) -> float:
         """GPUs the type uses at width 1, load / s(1); the axioms make
         k / s(k) non-decreasing, so no width uses fewer."""
-        return self.load / float(self.speedup._value(1.0))
+        return self.load / self._speed_at_1
 
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """The solver input: job types plus the time-average GPU budget."""
+    """The solver input: job types plus the time-average GPU budget.
+
+    Derived once, here: ``loads``, each type's load as a read-only array;
+    ``total_load``, the least GPU usage any plan reaches (every type at
+    width 1); and ``total_rate``, the total arrival rate."""
 
     types: tuple[JobType, ...]
     budget: float
+    loads: np.ndarray = field(init=False, repr=False, compare=False)
+    total_load: float = field(init=False, repr=False, compare=False)
+    total_rate: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.types) == 0:
             raise SpecError("workload needs at least one job type")
         object.__setattr__(self, "types", tuple(self.types))
         _check_budget(self.budget)
+        loads = np.array([t.load for t in self.types])
+        loads.flags.writeable = False
         with np.errstate(over="ignore"):
-            load_overflows = not self.total_load < math.inf
-            rate_overflows = not self.total_rate < math.inf
-        if load_overflows:
+            total_load = float(np.array([t.least_usage for t in self.types]).sum())
+            total_rate = float(np.array([t.arrival_rate for t in self.types]).sum())
+        for name, value in (("loads", loads), ("total_load", total_load),
+                            ("total_rate", total_rate)):
+            object.__setattr__(self, name, value)
+        if not total_load < math.inf:
             raise SpecError("total load overflows")
-        if rate_overflows:  # every objective divides by it
+        if not total_rate < math.inf:  # every objective divides by it
             raise SpecError("total arrival rate overflows")
         for t in self.types:  # the objective at width 1 averages these by rate
-            if not t.size_dist.mean / float(t.speedup._value(1.0)) < math.inf:
+            if not t.size_dist.mean / t._speed_at_1 < math.inf:
                 raise SpecError(f"type {t.name!r}: mean response time at width 1, "
                                 "mean size / s(1), overflows")
         # That average bounds every plan's objective, but can round past a
         # double when types' values lie near the largest one.
-        if not self.total_load / self.total_rate < math.inf:
+        if not total_load / total_rate < math.inf:
             raise SpecError("mean response time at width 1 overflows")
-
-    @property
-    def loads(self) -> np.ndarray:
-        return np.array([t.load for t in self.types])
-
-    @property
-    def total_load(self) -> float:
-        """The least GPU usage any plan reaches: every type at width 1."""
-        return float(np.array([t.least_usage for t in self.types]).sum())
-
-    @property
-    def total_rate(self) -> float:
-        return float(np.array([t.arrival_rate for t in self.types]).sum())
 
     def check_stability(self) -> None:
         """The system can only keep up if total load is strictly below budget."""

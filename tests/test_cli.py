@@ -484,6 +484,18 @@ class TestBudgetPromiseAtTheEdges:
                   "size_dist": deterministic(2.0578981220339323e-268)}]
         self.solve(tmp_path, capsys, types, 0.5, "1.7e308")
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_budget_used_overflows_to_infinity(self, tmp_path, capsys):
+        # The cap-side breakpoint underflows as in the root below the smallest
+        # double; the plan's usage overflows in the optimizer's multiply, which
+        # the suite's filter raises, and prints "budget_used": Infinity without it.
+        types = [{"name": "a", "speedup": {"kind": "amdahl", "p": 0.5},
+                  "arrival_rate": 768.3583287856661,
+                  "size_dist": {"kind": "exponential", "mean": 3}},
+                 {"name": "b", "speedup": {"kind": "power", "alpha": 1},
+                  "arrival_rate": 3.7414008264405805e-06, "size_dist": deterministic(2)}]
+        self.solve(tmp_path, capsys, types, 1e308, "1.7e308")
+
 
 class TestUnnormalizedSpeedup:
     """s(1) = 0.5: width 1 already uses 2 GPUs for load 1, so budgets below 2

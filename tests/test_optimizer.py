@@ -30,11 +30,13 @@ from gpurental import (
     objective,
     pareto_frontier,
     solve_allocation,
+    validate,
 )
 from gpurental import SmallestRemainingFirst, load_spec, optimizer, simulator
 from gpurental.speedup import DEFAULT_K_MAX, _check_width
 from randspecs import random_concave_tabular, random_spec, random_speedup
 from reference_search import _search as reference_search
+from reference_validate import validate as reference_validate
 
 FOUR_TYPE_TABULAR = Path(__file__).resolve().parents[1] / "perfbench" / "four_type_tabular.json"
 
@@ -235,6 +237,32 @@ class TestClosedFormInner:
             solve_allocation(spec)
 
 
+@st.composite
+def axiom_speedups(draw):
+    """A speedup that passes the axioms, or one built to break one of them:
+    k**alpha with alpha > 1, or a concave table with one knot moved so that
+    the speed falls, s(k)/k rises, or the slope rises there."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    broken = draw(st.sampled_from([None, "monotone", "sublinear", "concave", "power"]))
+    if broken is None:
+        return random_speedup(rng) if draw(st.booleans()) else random_concave_tabular(rng)
+    if broken == "power":
+        return PowerLaw(draw(st.floats(1.0, 3.0, exclude_min=True)))
+    f = random_concave_tabular(rng)
+    ks, ss = f.knots.tolist(), f._speeds.tolist()
+    j = draw(st.integers(1, len(ks) - 1 if broken != "concave" else len(ks) - 2))
+    x = draw(st.floats(1e-12, 0.5) | st.floats(1e-10, 1e-8))  # at REL_TOL, or past it
+    if broken == "monotone":
+        ss[j] = ss[j - 1] * (1.0 - x)
+    elif broken == "sublinear":
+        ss[j] = ss[j - 1] / ks[j - 1] * ks[j] * (1.0 + x)
+    else:  # the next piece is steeper than this one; the speeds past it move up with it
+        slope = (ss[j] - ss[j - 1]) / (ks[j] - ks[j - 1])
+        rise = ss[j] + slope * (1.0 + x) * (ks[j + 1] - ks[j]) - ss[j + 1]
+        ss[j + 1:] = [v + rise for v in ss[j + 1:]]
+    return Tabular(tuple(zip(ks, ss)))
+
+
 class TestAxiomRefusal:
     """The solver refuses a type whose speedup fails the axioms its closed
     forms rely on; the grid oracle does not check."""
@@ -261,11 +289,36 @@ class TestAxiomRefusal:
             solve_allocation(spec)
 
     def test_each_type_validated_once_per_sweep(self, two_type_spec, monkeypatch):
+        # The axioms are decided by the one function validate also reports.
         seen = []
-        real = optimizer.validate
-        monkeypatch.setattr(optimizer, "validate", lambda f: seen.append(f) or real(f))
+        real = optimizer._axiom_failures
+        monkeypatch.setattr(optimizer, "_axiom_failures", lambda f: seen.append(f) or real(f))
         pareto_frontier(two_type_spec, np.linspace(0.5, 4.0, 50))
         assert seen == [t.speedup for t in two_type_spec.types]
+
+    @settings(max_examples=300, deadline=None)
+    @given(f=axiom_speedups(), others=st.lists(st.integers(0, 2**32 - 1), max_size=2),
+           at=st.integers(0, 2))
+    def test_refuses_exactly_what_validate_fails(self, f, others, at):
+        # Among passing types, at any position: solve and pareto refuse f iff
+        # the reference decision fails it, naming its first failed check.
+        with np.errstate(all="ignore"):
+            expected = reference_validate(f)
+        assert validate(f) == expected
+        types = [JobType(f"ok{i}", random_speedup(np.random.default_rng(seed)), 0.5,
+                         Deterministic(1.0)) for i, seed in enumerate(others)]
+        types.insert(min(at, len(types)), JobType("f", f, 0.5, Deterministic(1.0)))
+        b = 2.0 * sum(t.least_usage for t in types)
+        spec = WorkloadSpec(tuple(types), budget=b)
+        if expected.ok:
+            assert solve_allocation(spec).budget_used <= b * (1 + 1e-9)
+            return
+        check = next(c for c in expected.checks() if not c.passed)
+        msg = f"type 'f': speedup is not {check.name}: {check.detail}"
+        for solve in (solve_allocation, lambda spec: pareto_frontier(spec, [b])):
+            with pytest.raises(AxiomError) as info:
+                solve(spec)
+            assert str(info.value) == msg
 
     def test_oracle_does_not_check(self, spec):
         alloc = brute_force_allocation(spec, grid_step=0.01)

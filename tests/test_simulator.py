@@ -1,3 +1,4 @@
+import math
 import os
 import tracemalloc
 
@@ -417,16 +418,29 @@ class TestOnePassLoop:
         # Two sqrt jobs arrive at a and run at s(1) = 1.  The first completes
         # after exactly arr - a, tied with the next arrival, so it goes first,
         # but a + (arr - a) rounds to one ulp past arr.  That arrival is then
-        # at or before the clock and advances nothing.  (The reference's K(t)
-        # steps then go back in time, so only the per-job arrays compare.)
+        # at or before the clock and advances nothing.  The reference's K(t)
+        # steps then go back in time, from the completion to the arrival: its
+        # segments overlap on [arr, a + (arr - a)), and one has negative
+        # length.  Elsewhere K(t) compares, on its segments of positive length.
         a, arr = 0.9014274576114836, 3.0589983033553536
-        assert a + (arr - a) > arr
+        done = a + (arr - a)
+        assert done > arr
         tr = Trace(np.array([a, a, arr]), np.array([1, 1, 1]), np.array([arr - a, 5.0, 1.0]))
         rep = _replay_cluster(tr, two_type_spec, pol)
         ref = reference_replay_cluster(tr, two_type_spec, pol)
-        assert rep.completions[0] > arr
+        assert rep.completions[0] == done
         for field in ("completions", "gpu_hours"):
             assert np.array_equal(getattr(rep, field), ref[field]), field
+        seg_t, seg_k = ref["seg_times"].tolist(), ref["seg_k"].tolist()
+        segments = [(lo, hi, k) for lo, hi, k in zip(seg_t, seg_t[1:] + [math.inf], seg_k)
+                    if lo < hi]
+        times, ks = _k_steps(tr, rep)
+        compared = 0
+        for t, k in zip(times.tolist(), ks.tolist()):
+            if not arr <= t < done:
+                assert [sk for lo, hi, sk in segments if lo <= t < hi] == [k], t
+                compared += 1
+        assert compared == len(times) - 1  # every step but the arrival's
 
     def test_srf_arrival_sends_a_running_job_to_wait(self, two_type_spec):
         # srf:4,4 grants only the first rank.  The size-4 sqrt job runs at

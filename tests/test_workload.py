@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import os
@@ -30,6 +31,7 @@ from gpurental import (
     write_trace,
 )
 from gpurental import workload
+from randspecs import random_spec
 
 
 def one_type_spec(dist=Deterministic(1.0), rate=1.0, budget=10.0):
@@ -150,6 +152,46 @@ class TestSpecTypes:
         }
         spec = spec_from_dict(doc)
         assert [t.size_dist for t in spec.types] == [dist for _, dist in dists]
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12),
+           kinds=st.lists(st.integers(0, 3), min_size=12, max_size=12))
+    def test_derived_values_are_the_expressions_they_replace(self, seed, m, kinds):
+        # Derived once at construction, each value has the bits of the
+        # expression that computed it on every read before; up to 12 types,
+        # so numpy's pairwise sum (past 7 terms) is met too.
+        rng = np.random.default_rng(seed)
+        dists = (Deterministic(float(rng.uniform(0.5, 2.0))),
+                 Exponential(float(rng.uniform(0.5, 2.0))),
+                 BoundedPareto(float(rng.uniform(0.5, 3.0)), 1.0, float(rng.uniform(2.0, 50.0))),
+                 Weibull(float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.5, 2.0))))
+        base = random_spec(rng, m, with_tabular=True)
+        types = tuple(dataclasses.replace(t, size_dist=dists[k]) for t, k in zip(base.types, kinds))
+        spec = WorkloadSpec(types, budget=base.budget)
+        for t in types:
+            assert t.load == t.arrival_rate * t.size_dist.mean
+            assert t.least_usage == t.load / float(t.speedup._value(1.0))
+        assert spec.loads.tobytes() == np.array([t.arrival_rate * t.size_dist.mean
+                                                 for t in types]).tobytes()
+        least = [t.arrival_rate * t.size_dist.mean / float(t.speedup._value(1.0)) for t in types]
+        assert spec.total_load == float(np.array(least).sum())
+        assert spec.total_rate == float(np.array([t.arrival_rate for t in types]).sum())
+
+        # perfbench's _with_budget: a replaced spec derives values of its own.
+        other = dataclasses.replace(spec, budget=2.0 * spec.budget)
+        assert other.loads is not spec.loads and other.loads.tobytes() == spec.loads.tobytes()
+        assert (other.total_load, other.total_rate) == (spec.total_load, spec.total_rate)
+        first = dataclasses.replace(spec, types=types[:1])
+        assert first.loads.tolist() == [types[0].load]
+        assert (first.total_load, first.total_rate) == (least[0], types[0].arrival_rate)
+        faster = dataclasses.replace(types[0], arrival_rate=2.0 * types[0].arrival_rate)
+        assert faster.load == 2.0 * types[0].arrival_rate * types[0].size_dist.mean
+
+    def test_loads_are_read_only(self):
+        spec = one_type_spec()
+        with pytest.raises(ValueError, match="read-only"):
+            spec.loads[0] = 2.0
+        assert spec.loads.tolist() == [1.0]
 
     def test_spec_from_dict_errors(self):
         with pytest.raises(SpecError):
