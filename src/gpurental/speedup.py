@@ -45,6 +45,37 @@ def _check_width(what: str, value) -> None:
         raise SpecError(f"{what} must be finite and >= 1, got {float(arr[bad].flat[0])}")
 
 
+def _number(value, where: str) -> float:
+    """A number of a spec document, or a refusal named by its JSON path."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise SpecError(f"{where}: expected a number") from None
+    except OverflowError as exc:  # an integer past the range of a double
+        raise SpecError(f"{where}: {exc}") from None
+
+
+def _from_kind(obj, where: str, kinds: dict, noun: str):
+    """The family that the spec object at JSON path ``where`` names by its
+    ``kind``, which ``kinds`` maps to a class and its fields' readers, in
+    order; ``noun`` names the kinds.  A class's refusal is prefixed ``where``."""
+    if not isinstance(obj, dict) or "kind" not in obj:
+        raise SpecError(f"{where}: expected an object with a 'kind' field")
+    kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise SpecError(f"{where}.kind: unknown {noun} {kind!r}")
+    cls, readers = kinds[kind]
+    args = []
+    for name, read in readers.items():
+        if name not in obj:
+            raise SpecError(f"{where}: missing field {name!r} for kind {kind!r}")
+        args.append(read(obj[name], f"{where}.{name}"))
+    try:
+        return cls(*args)
+    except SpecError as exc:
+        raise SpecError(f"{where}: {exc}") from None
+
+
 class Minimizer(NamedTuple):
     """A family's exact minimizer of g(k) = (1 + mu*k) / s(k) over [1, k_max].
 
@@ -424,25 +455,33 @@ def scalar_fn(f: SpeedupFunction):
     return lambda k: float(value(k))
 
 
-def parse_speedup(obj, where: str = "speedup") -> SpeedupFunction:
-    """Build a speedup function from its config-document form."""
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise SpecError(f"{where}: expected an object with a 'kind' field")
-    kind = obj["kind"]
-    try:
-        if kind == "amdahl":
-            return Amdahl(float(obj["p"]))
-        if kind == "power":
-            return PowerLaw(float(obj["alpha"]))
-        if kind == "tabular":
-            pts = obj["points"]
-            if not isinstance(pts, list):
-                raise SpecError(f"{where}.points: expected a list of [k, s] pairs")
-            return Tabular(tuple((float(k), float(s)) for k, s in pts))
-    except KeyError as exc:
-        raise SpecError(f"{where}: missing field {exc.args[0]!r} for kind {kind!r}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, SpecError):
+def _points(value, where: str) -> tuple[tuple[float, float], ...]:
+    """A table's points: a list of [k, s] pairs, each a list or a tuple.  A
+    number's path is built only when ``_number`` must name it."""
+    if not isinstance(value, list):
+        raise SpecError(f"{where}: expected a list of [k, s] pairs")
+    pairs = []
+    for i, point in enumerate(value):
+        if not (isinstance(point, (list, tuple)) and len(point) == 2):
+            raise SpecError(f"{where}[{i}]: expected a [k, s] pair")
+        try:
+            pairs.append((float(point[0]), float(point[1])))
+        except (TypeError, ValueError, OverflowError):  # the first that fails is named
+            for j, x in enumerate(point):
+                _number(x, f"{where}[{i}][{j}]")
             raise
-        raise SpecError(f"{where}: {exc}") from None
-    raise SpecError(f"{where}.kind: unknown speedup kind {kind!r}")
+    return tuple(pairs)
+
+
+_SPEEDUP_KINDS = {
+    "amdahl": (Amdahl, {"p": _number}),
+    "power": (PowerLaw, {"alpha": _number}),
+    "tabular": (Tabular, {"points": _points}),
+}
+
+
+def parse_speedup(obj, where: str = "speedup") -> SpeedupFunction:
+    """Build a speedup function from its config-document form, the object at
+    JSON path ``where``.  A refusal reads ``<path>: <reason>``: the path of
+    a field that does not read, or ``where`` for values the family refuses."""
+    return _from_kind(obj, where, _SPEEDUP_KINDS, "speedup kind")

@@ -1,7 +1,9 @@
 """Job-type populations, synthetic arrival traces, and trace files.
 
 A workload is a list of job types (speedup function, arrival rate, size
-distribution) plus a GPU budget.  Traces are concrete arrival sequences,
+distribution) plus a GPU budget; a spec document's refusals read
+``<JSON path>: <reason>`` (``speedup._from_kind``), and a size family checks
+its parameters when built.  Traces are concrete arrival sequences,
 either generated here (Poisson or periodic arrivals, i.i.d. sizes) or read
 from CSV files with header ``arrival_time,type,size``.
 
@@ -25,12 +27,29 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import _fork
 from .errors import InstabilityError, SpecError, TraceError
-from .speedup import SpeedupFunction, parse_speedup
+from .speedup import SpeedupFunction, _from_kind, _number, parse_speedup
+
+
+def _check_finite(*params: float) -> None:
+    """A size family's first check, before its own rule: every parameter is finite."""
+    if not all(map(math.isfinite, params)):
+        raise SpecError("size distribution parameters must be finite")
+
+
+def _check_mean(dist) -> None:
+    """A size family's last check, after its own rule: its mean is positive and finite."""
+    try:
+        mean = dist.mean
+    except (OverflowError, ZeroDivisionError):  # past the range of a double
+        mean = math.nan
+    if not 0.0 < mean < math.inf:
+        raise SpecError("size distribution mean is not positive and finite")
 
 
 @dataclass(frozen=True)
@@ -38,6 +57,11 @@ class Deterministic:
     """Every job has exactly this size."""
 
     size: float
+
+    def __post_init__(self):
+        _check_finite(self.size)
+        if not self.size > 0:
+            raise SpecError("deterministic size must be positive")
 
     @property
     def mean(self) -> float:
@@ -51,6 +75,11 @@ class Deterministic:
 class Exponential:
     mean_size: float
 
+    def __post_init__(self):
+        _check_finite(self.mean_size)
+        if not self.mean_size > 0:
+            raise SpecError("exponential mean must be positive")
+
     @property
     def mean(self) -> float:
         return self.mean_size
@@ -63,15 +92,21 @@ class Exponential:
 class BoundedPareto:
     """Pareto distribution truncated to [lower, upper].
 
-    The mean is computed in closed form; shape = 1 uses the logarithmic
-    special case.
+    The mean is computed in closed form, once; shape = 1 uses the
+    logarithmic special case.
     """
 
     shape: float
     lower: float
     upper: float
 
-    @property
+    def __post_init__(self):
+        _check_finite(self.shape, self.lower, self.upper)
+        if not (self.shape > 0 and 0 < self.lower < self.upper):
+            raise SpecError("bounded pareto needs shape > 0 and 0 < min < max")
+        _check_mean(self)
+
+    @cached_property
     def mean(self) -> float:
         a, lo, hi = self.shape, self.lower, self.upper
         if a == 1.0:
@@ -90,7 +125,13 @@ class Weibull:
     shape: float
     scale: float
 
-    @property
+    def __post_init__(self):
+        _check_finite(self.shape, self.scale)
+        if not (self.shape > 0 and self.scale > 0):
+            raise SpecError("weibull needs positive shape and scale")
+        _check_mean(self)
+
+    @cached_property
     def mean(self) -> float:
         return self.scale * math.gamma(1.0 + 1.0 / self.shape)
 
@@ -99,26 +140,6 @@ class Weibull:
 
 
 SizeDistribution = Deterministic | Exponential | BoundedPareto | Weibull
-
-
-def _check_size_dist(dist: SizeDistribution, where: str) -> None:
-    if not all(math.isfinite(v) for v in vars(dist).values()):
-        raise SpecError(f"{where}: size distribution parameters must be finite")
-    if isinstance(dist, Deterministic) and not dist.size > 0:
-        raise SpecError(f"{where}: deterministic size must be positive")
-    if isinstance(dist, Exponential) and not dist.mean_size > 0:
-        raise SpecError(f"{where}: exponential mean must be positive")
-    if isinstance(dist, BoundedPareto):
-        if not (dist.shape > 0 and 0 < dist.lower < dist.upper):
-            raise SpecError(f"{where}: bounded pareto needs shape > 0 and 0 < min < max")
-    if isinstance(dist, Weibull) and not (dist.shape > 0 and dist.scale > 0):
-        raise SpecError(f"{where}: weibull needs positive shape and scale")
-    try:
-        mean = dist.mean
-    except (OverflowError, ZeroDivisionError):  # past the range of a double
-        mean = math.nan
-    if not 0.0 < mean < math.inf:
-        raise SpecError(f"{where}: size distribution mean is not positive and finite")
 
 
 @dataclass(frozen=True)
@@ -137,7 +158,6 @@ class JobType:
     def __post_init__(self):
         if not (self.arrival_rate > 0 and math.isfinite(self.arrival_rate)):
             raise SpecError(f"type {self.name!r}: arrival rate must be positive")
-        _check_size_dist(self.size_dist, f"type {self.name!r}")
         load = self.arrival_rate * self.size_dist.mean
         object.__setattr__(self, "load", load)
         if not load < math.inf:
@@ -473,10 +493,19 @@ _TRACE_ROW = np.dtype([("arrival_time", np.float64), ("type", np.int64), ("size"
 _RANGE_BYTES = _BLOCK_ROWS * 40
 
 
+def _not_utf8(text: str) -> str | None:
+    """The refusal naming text's first byte that is not UTF-8, or None.  The
+    trace readers decode with errors="surrogateescape", so such a byte reads
+    as a lone surrogate, and the line that holds it does not parse."""
+    bad = next((c for c in text if "\udc80" <= c <= "\udcff"), None)
+    return bad and f"byte 0x{ord(bad) - 0xDC00:02x} is not UTF-8"
+
+
 def _check_header(fh) -> None:
     header = fh.readline().strip()
     if header != TRACE_HEADER:
-        raise TraceError(f"expected header {TRACE_HEADER!r}, got {header!r}", line=1)
+        why = _not_utf8(header) or f"expected header {TRACE_HEADER!r}, got {header!r}"
+        raise TraceError(why, line=1)
 
 
 def _load_rows(fh) -> np.ndarray:
@@ -530,7 +559,7 @@ def read_trace(path) -> Trace:
     accepts 1.0 in an int column with only a warning, so there the scanner
     reads every file."""
     if _C_READER:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             _check_header(fh)
             body = fh.tell()
             size = os.fstat(fh.fileno()).st_size
@@ -562,7 +591,7 @@ def _scan_trace(path) -> Trace:
     types: list[int] = []
     sizes: list[float] = []
     fault = None  # (line, message) of the row that did not parse
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         _check_header(fh)
         for lineno, raw in enumerate(fh, start=2):
             row = raw.strip()
@@ -587,46 +616,25 @@ def _scan_trace(path) -> Trace:
     bad = _first_bad_row(*arrays)
     if bad is not None:
         raise TraceError(bad[1], line=_row_line(path, bad[0]))
-    if fault is not None:
-        raise TraceError(fault[1], line=fault[0])
+    if fault is not None:  # every line with a byte that is not UTF-8 is one
+        raise TraceError(_not_utf8(row) or fault[1], line=fault[0])
     return Trace(*arrays)
 
 
 def _row_line(path, row: int) -> int:
     """The line of the trace CSV at path that holds row ``row`` (0-based), past the
     blank lines the readers skip, read no further (row + 2 if there is no such row)."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         lines = (n for n, text in enumerate(fh, start=1) if text.strip())  # the header is 1
         return next((n for i, n in enumerate(lines) if i > row), row + 2)
 
 
-def _parse_size_dist(obj, where: str) -> SizeDistribution:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise SpecError(f"{where}: expected an object with a 'kind' field")
-    kind = obj["kind"]
-    try:
-        if kind == "deterministic":
-            return Deterministic(float(obj["x"]))
-        if kind == "exponential":
-            return Exponential(float(obj["mean"]))
-        if kind == "bounded_pareto":
-            return BoundedPareto(float(obj["shape"]), float(obj["min"]), float(obj["max"]))
-        if kind == "weibull":
-            return Weibull(float(obj["shape"]), float(obj["scale"]))
-    except KeyError as exc:
-        raise SpecError(f"{where}: missing field {exc.args[0]!r} for kind {kind!r}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SpecError(f"{where}: {exc}") from None
-    raise SpecError(f"{where}.kind: unknown size distribution {kind!r}")
-
-
-def _number(value, where: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise SpecError(f"{where}: expected a number") from None
-    except OverflowError as exc:  # an integer past the range of a double
-        raise SpecError(f"{where}: {exc}") from None
+_SIZE_KINDS = {
+    "deterministic": (Deterministic, {"x": _number}),
+    "exponential": (Exponential, {"mean": _number}),
+    "bounded_pareto": (BoundedPareto, {"shape": _number, "min": _number, "max": _number}),
+    "weibull": (Weibull, {"shape": _number, "scale": _number}),
+}
 
 
 def spec_from_dict(doc) -> WorkloadSpec:
@@ -646,14 +654,10 @@ def spec_from_dict(doc) -> WorkloadSpec:
             if field not in entry:
                 raise SpecError(f"{where}: missing field {field!r}")
         rate = _number(entry["arrival_rate"], f"{where}.arrival_rate")
-        types.append(
-            JobType(
-                name=str(entry["name"]),
-                speedup=parse_speedup(entry["speedup"], where=f"{where}.speedup"),
-                arrival_rate=rate,
-                size_dist=_parse_size_dist(entry["size_dist"], where=f"{where}.size_dist"),
-            )
-        )
+        speedup = parse_speedup(entry["speedup"], f"{where}.speedup")
+        size = _from_kind(entry["size_dist"], f"{where}.size_dist", _SIZE_KINDS,
+                          "size distribution")
+        types.append(JobType(str(entry["name"]), speedup, rate, size))
     return WorkloadSpec(types=tuple(types), budget=_number(doc["budget"], "budget"))
 
 
@@ -667,4 +671,6 @@ def load_spec(path) -> WorkloadSpec:
         raise SpecError(f"{path}: invalid JSON: {exc}") from None
     except ValueError:  # Python's own cap on the digits of an integer literal
         raise SpecError(f"{path}: a number literal is too long") from None
+    except RecursionError:  # arrays or objects nested past the parser's depth
+        raise SpecError(f"{path}: JSON nests too deeply") from None
     return spec_from_dict(doc)

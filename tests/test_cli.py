@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -19,13 +20,17 @@ from hypothesis import strategies as st
 
 from gpurental import (
     FixedWidth,
+    InstabilityError,
     SmallestRemainingFirst,
+    SpecError,
     StaticClusterEqualSplit,
+    WorkloadSpec,
     budget_timeseries,
     generate_trace,
     load_spec,
     read_trace,
     simulate,
+    spec_from_dict,
     write_trace,
 )
 from gpurental import cli, simulator, workload
@@ -208,11 +213,11 @@ class TestValidate:
             (("types", 0, "size_dist"), {"kind": "lognormal"},
              "types[0].size_dist.kind: unknown size distribution 'lognormal'"),
             (("types", 0, "size_dist"), {"kind": "exponential", "mean": "big"},
-             "types[0].size_dist: could not convert string to float: 'big'"),
+             "types[0].size_dist.mean: expected a number"),
             (("types", 0, "size_dist"), {"kind": "exponential", "mean": 0},
-             "type 'sqrt': exponential mean must be positive"),
+             "types[0].size_dist: exponential mean must be positive"),
             (("types", 0, "size_dist"), {"kind": "weibull", "shape": 0, "scale": 1},
-             "type 'sqrt': weibull needs positive shape and scale"),
+             "types[0].size_dist: weibull needs positive shape and scale"),
             (("types", 0, "speedup"), {"kind": "tabular", "points": "1,1"},
              "types[0].speedup.points: expected a list of [k, s] pairs"),
             # float() of an integer past the range of a double raises
@@ -221,17 +226,29 @@ class TestValidate:
              "types[0].arrival_rate: int too large to convert to float"),
             (("budget",), 10**400, "budget: int too large to convert to float"),
             (("types", 0, "speedup"), {"kind": "tabular", "points": [[1, 1], [10**400, 2]]},
-             "types[0].speedup: int too large to convert to float"),
+             "types[0].speedup.points[1][0]: int too large to convert to float"),
             (("types", 0, "size_dist", "mean"), 10**400,
-             "types[0].size_dist: int too large to convert to float"),
+             "types[0].size_dist.mean: int too large to convert to float"),
             # Python's json refuses an integer literal of more than 4,300
             # digits before any field is read.
             (("budget",), LONG_LITERAL, "{path}: a number literal is too long"),
+            # A family's own refusal of a parameter is named by its object.
+            (("types", 0, "speedup"), {"kind": "amdahl", "p": 2},
+             "types[0].speedup: amdahl parallel fraction must be in [0, 1], got 2.0"),
+            (("types", 0, "speedup"), {"kind": "tabular", "points": [[1, 1], 2]},
+             "types[0].speedup.points[1]: expected a [k, s] pair"),
+            (("types", 0, "speedup"), {"kind": "tabular", "points": [[1, 1], [2, 1.5, 3]]},
+             "types[0].speedup.points[1]: expected a [k, s] pair"),
+            (("types", 0, "speedup"), {"kind": ["power"], "alpha": 0.5},
+             "types[0].speedup.kind: unknown speedup kind ['power']"),
+            (("types", 0, "size_dist"), {"kind": "bounded_pareto", "shape": 1, "min": 1},
+             "types[0].size_dist: missing field 'max' for kind 'bounded_pareto'"),
         ],
         ids=["root", "no-types", "type-entry", "arrival-rate", "budget", "size-kind",
              "size-field", "exponential-mean", "weibull-shape", "tabular-points",
              "huge-arrival-rate", "huge-budget", "huge-table-point", "huge-size-param",
-             "long-literal"],
+             "long-literal", "amdahl-p", "table-point-not-a-list", "table-point-of-three",
+             "kind-not-a-string", "missing-size-field"],
     )
     def test_malformed_spec_exits_3(self, tmp_path, capsys, where, value, message):
         path = write_config(tmp_path, edited(SINGLE_POWER_CONFIG, where, value))
@@ -285,6 +302,104 @@ class TestValidate:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"unrecognized arguments: --k-max {k_max}" in err
+
+
+# Every spec a command reads, from the repository's shipped ones.
+SHIPPED_SPECS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json")) + [
+    FOUR_TYPE_TABULAR]
+# What replaces one field: a string, a list, an object, null, numbers past,
+# at and near the ends of a double's range, and a few that read as numbers
+# or as a speedup table's point.
+ODD_VALUES = ["big", "", "nan", [1], [1, "x"], {"a": 1}, {"kind": "power"}, None, 10**400, 0,
+              -0.0, 5e-324, 1e308]
+# The refusals of a value derived from several fields, named by the type
+# or by the spec rather than by a field.
+DERIVED = re.compile(r"type '[^']*': (load arrival_rate \* mean size|mean response time at "
+                     r"width 1, )|total load overflows$|total arrival rate overflows$"
+                     r"|mean response time at width 1 overflows$")
+
+
+def json_path(keys) -> str:
+    """The JSON path of a key path: ``types[0].speedup.points[1][0]``."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys).lstrip(".")
+
+
+@st.composite
+def edited_specs(draw):
+    """A shipped spec with one field in a type's speedup or size
+    distribution, a type's arrival rate, or the budget replaced by an
+    ``ODD_VALUES`` value: (document, key path of the field, value)."""
+    doc = json.loads(draw(st.sampled_from(SHIPPED_SPECS)).read_text(encoding="utf-8"))
+    i = draw(st.integers(0, len(doc["types"]) - 1))
+    entry = doc["types"][i]
+    fields = [("budget",), ("types", i, "arrival_rate")]
+    for family in ("speedup", "size_dist"):
+        fields += [("types", i, family)] + [("types", i, family, k) for k in entry[family]]
+    for j, point in enumerate(entry["speedup"].get("points", [])):
+        fields += [("types", i, "speedup", "points", j)]
+        fields += [("types", i, "speedup", "points", j, c) for c in range(len(point))]
+    where, value = draw(st.sampled_from(fields)), draw(st.sampled_from(ODD_VALUES))
+    return edited(doc, where, value), where, value
+
+
+class TestSpecDocuments:
+    """Any one field of a shipped spec replaced by an odd value gives a spec
+    or a refusal, never a traceback; a refusal of a field inside a speedup
+    or a size distribution starts with that field's JSON path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=edited_specs())
+    def test_one_odd_field_is_read_or_named(self, case):
+        doc, where, value = case
+        try:
+            outcome = spec_from_dict(doc)
+        except (SpecError, InstabilityError) as exc:  # any other error fails the test
+            outcome = exc
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_config(Path(tmp), doc)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(["validate", "--spec", path])
+        if isinstance(outcome, WorkloadSpec):
+            assert rc in (0, 1, 2) and err.getvalue() == ""
+            return
+        message = str(outcome)
+        assert (rc, out.getvalue(), err.getvalue()) == (3, "", f"error: {message}\n")
+        try:
+            float(value)
+            # A number that the field's family or a derived value refuses.
+            family = len(where) >= 3 and where[2] in ("speedup", "size_dist")
+            prefix = json_path(where[:3]) if family else None
+        except (TypeError, ValueError, OverflowError):
+            # A value that does not read as a number names its own field.
+            prefix = json_path(where)
+        if prefix is not None and not DERIVED.match(message):
+            assert message.startswith(prefix) and message[len(prefix)] in ":.[", message
+
+
+def deep_spec(tmp_path) -> str:
+    """A spec whose ``types`` nests 100,000 lists deep, past the depth Python's
+    json parser reaches on every Python version: its C scanner's limit is
+    the recursion limit (1,000) on 3.10 and 3.11 and the larger C recursion
+    limit (under 10,000) on 3.12 and 3.13."""
+    path = tmp_path / "deep.json"
+    path.write_text('{"types": ' + "[" * 100_000 + "]" * 100_000 + ', "budget": 1}',
+                    encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [
+    ["validate"], ["solve"], ["pareto", "--b-min", "2", "--b-max", "3", "--points", "2"],
+    ["gen-trace", "--jobs", "10", "--seed", "1", "--out", "t.csv"],
+    ["simulate", "--policy", "optimal", "--trace", "t.csv"],
+    ["compare", "--policies", "optimal;cluster:8", "--trace", "t.csv"],
+], ids=["validate", "solve", "pareto", "gen-trace", "simulate", "compare"])
+def test_deeply_nested_spec_exits_3(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.csv").write_text("arrival_time,type,size\n0.5,0,1\n", encoding="utf-8")
+    spec = deep_spec(tmp_path)
+    assert main(command + ["--spec", spec]) == 3
+    assert capsys.readouterr() == ("", f"error: {spec}: JSON nests too deeply\n")
 
 
 class TestParserReuse:
@@ -1277,14 +1392,15 @@ class TestOverflowingSpecs:
     @pytest.mark.parametrize(
         "size_dist, rate, message",
         [
+            # gamma(201), min**-29.5, and a normaliser that rounds to 0.
             ({"kind": "weibull", "shape": 0.005, "scale": 1}, 0.4,
-             "size distribution mean is not positive and finite"),  # gamma(201)
+             "types[0].size_dist: size distribution mean is not positive and finite"),
             ({"kind": "bounded_pareto", "shape": 30.5, "min": 1e-12, "max": 2e-12}, 0.4,
-             "size distribution mean is not positive and finite"),  # min**-29.5
+             "types[0].size_dist: size distribution mean is not positive and finite"),
             ({"kind": "bounded_pareto", "shape": 1e-300, "min": 1, "max": 100}, 0.4,
-             "size distribution mean is not positive and finite"),  # normaliser 0
+             "types[0].size_dist: size distribution mean is not positive and finite"),
             ({"kind": "deterministic", "x": 1e300}, 1e10,
-             "load arrival_rate * mean size overflows"),
+             "type 'amdahl': load arrival_rate * mean size overflows"),
         ],
         ids=["weibull-mean", "bounded-pareto-mean", "bounded-pareto-normaliser", "load"],
     )
@@ -1296,7 +1412,7 @@ class TestOverflowingSpecs:
         rc = main(command + ["--spec", spec])
         out, err = capsys.readouterr()
         assert (rc, out) == (3, "")
-        assert err == f"error: type 'amdahl': {message}\n"
+        assert err == f"error: {message}\n"
 
 
     @pytest.mark.parametrize("command", [["validate"], ["solve"]], ids=["validate", "solve"])
@@ -1884,6 +2000,27 @@ class TestParallelTraceFiles:
         rc, out, err = serial
         assert (rc, out) == (3, "")
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("small, at", [(True, 0), (True, -1), (False, BLOCK),
+                                           (False, 2 * BLOCK), (False, -1)],
+                             ids=["small-header", "small-last-row", "first-half",
+                                  "second-half", "last-row"])
+    def test_a_byte_that_is_not_utf8_is_named_as_on_one_cpu(self, tmp_path, trace_lines,
+                                                             small, at):
+        # The byte 0xe9, which is not UTF-8, ends line ``at``: in a small
+        # file, or in either half of one past two reader ranges, which a
+        # forked child and this process read on two CPUs.
+        lines = trace_lines[:4] if small else list(trace_lines)
+        lines[at] = lines[at].rstrip("\n") + "\udce9\n"
+        path = tmp_path / "faulty.csv"
+        path.write_text("".join(lines), encoding="utf-8", errors="surrogateescape")
+        assert small or path.stat().st_size > 2 * workload._RANGE_BYTES
+        argv = ["simulate", "--spec", str(TWO_TYPE), "--trace", str(path), "--policy", "optimal"]
+        want = (3, "", f"error: line {at % len(lines) + 1}: byte 0xe9 is not UTF-8\n")
+        assert run_on_cpus(argv, 1) == want
+        with on_cpus(2) as forks:
+            assert run_on_cpus(argv, 2) == want
+        assert bool(forks) == (not small and at != 0)
 
     def test_a_trace_writer_that_dies_exits_3(self, tmp_path, monkeypatch):
         monkeypatch.setattr(workload, "_trace_block", kill_in_a_child(workload._trace_block))

@@ -96,15 +96,38 @@ class TestSpecTypes:
             JobType("a", Amdahl(0.5), 1.0, BoundedPareto(1.0, 2.0, 1.0))
 
     @pytest.mark.parametrize(
-        "dist",
-        [Weibull(0.005, 1.0), BoundedPareto(30.5, 1e-12, 2e-12), BoundedPareto(1e-300, 1.0, 100.0)],
+        "family, params",
+        [(Weibull, (0.005, 1.0)), (BoundedPareto, (30.5, 1e-12, 2e-12)),
+         (BoundedPareto, (1e-300, 1.0, 100.0))],
         ids=["weibull-gamma-overflows", "bounded-pareto-power-overflows",
              "bounded-pareto-normaliser-is-zero"],
     )
-    def test_mean_past_a_double_refused(self, dist):
-        with pytest.raises(SpecError, match="^type 'a': size distribution mean is not positive "
+    def test_mean_past_a_double_refused(self, family, params):
+        # The family refuses it as it is built, before any JobType sees it.
+        with pytest.raises(SpecError, match="^size distribution mean is not positive "
                                             "and finite$"):
-            JobType("a", Amdahl(0.5), 1.0, dist)
+            JobType("a", Amdahl(0.5), 1.0, family(*params))
+
+    @pytest.mark.parametrize("family, params, reason", [
+        (Deterministic, (0.0,), "deterministic size must be positive"),
+        (Exponential, (math.nan,), "size distribution parameters must be finite"),
+        (BoundedPareto, (1.0, 1.0, math.inf), "size distribution parameters must be finite"),
+        (BoundedPareto, (1.0, 2.0, 1.0), "bounded pareto needs shape > 0 and 0 < min < max"),
+        (Weibull, (-math.inf, 1.0), "size distribution parameters must be finite"),
+        (Weibull, (1.0, -1.0), "weibull needs positive shape and scale"),
+    ], ids=["deterministic", "exponential-nan", "pareto-inf", "pareto-order", "weibull-inf",
+            "weibull-scale"])
+    def test_family_refuses_its_parameters_when_built(self, family, params, reason):
+        # Finiteness is checked before the family's own rule.
+        with pytest.raises(SpecError, match=f"^{re.escape(reason)}$"):
+            family(*params)
+
+    def test_mean_computed_once(self, monkeypatch):
+        calls, gamma = [], math.gamma
+        monkeypatch.setattr(math, "gamma", lambda x: calls.append(x) or gamma(x))
+        spec = one_type_spec(Weibull(0.8, 1.0))
+        assert spec.total_load == spec.types[0].size_dist.mean == gamma(1.0 + 1.0 / 0.8)
+        assert len(calls) == 1
 
     def test_load_overflow_refused(self):
         with pytest.raises(SpecError, match="^type 'a': load arrival_rate \\* mean size overflows$"):
@@ -354,6 +377,35 @@ class TestTraceFiles:
         p.write_text("time,type,size\n", encoding="utf-8")
         with pytest.raises(TraceError, match="line 1"):
             read_trace(p)
+
+    @pytest.mark.parametrize("data, line", [
+        (b"arrival_time,type,size\n1.0,0,1.0\n2.0,0,\xe9\n", 3),
+        (b"arrival_time,type,siz\xe9\n1.0,0,1.0\n", 1),
+        (b"arrival_time,type,size\r1.0,0,1.0\r\r2.0,0,1\xe9\r", 4),
+        (b"arrival_time,type,size\r\n1.0,0,1.0\r\n \r\n2.0,\xe9,1.0\r\n", 4),
+    ], ids=["row", "header", "cr-and-blank-line", "crlf-and-blank-line"])
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path, data, line):
+        p = tmp_path / "t.csv"
+        p.write_bytes(data)
+        for read in (read_trace, workload._scan_trace):
+            with pytest.raises(TraceError, match=f"^line {line}: byte 0xe9 is not UTF-8$"):
+                read(p)
+
+    @pytest.mark.parametrize("end", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    def test_line_ends_and_blank_lines_read_alike(self, tmp_path, end):
+        p = tmp_path / "t.csv"
+        p.write_bytes(end.join(["arrival_time,type,size", "0.5,0,1.25", "", " ", "1.5,1,2.0",
+                                ""]).encode("utf-8"))
+        assert read_trace(p) == Trace(np.array([0.5, 1.5]), np.array([0, 1]),
+                                      np.array([1.25, 2.0]))
+
+    def test_a_byte_order_mark_is_not_the_header(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_bytes("\ufeffarrival_time,type,size\n0.5,0,1.25\n".encode("utf-8"))
+        with pytest.raises(TraceError) as exc:
+            read_trace(p)
+        assert str(exc.value) == ("line 1: expected header 'arrival_time,type,size', "
+                                  "got '\\ufeffarrival_time,type,size'")
 
     def test_roundtrip_large_trace(self, tmp_path, two_type_spec):
         tr = generate_trace(two_type_spec, 100_000, seed=9)
@@ -610,11 +662,12 @@ class TestTraceBoundary:
 
 
 # Field texts for the two trace readers to agree on: odd spellings of valid
-# values and values or spellings that one of them refuses.
+# values and values or spellings that one of them refuses.  "\udce9" is
+# written as the byte 0xe9, which is not UTF-8.
 ODD_FLOATS = ["-0", "+0", "1_0", "\u0661", "\u00b2", " 2.5 ", "\u20032.5", "1e400", "1e-400",
-              "nan", "inf", "-inf", "Infinity", "#1", '"1"', "0x1p3", "1 0", ""]
+              "nan", "inf", "-inf", "Infinity", "#1", '"1"', "0x1p3", "1 0", "", "1\udce9"]
 ODD_TYPES = ["-0", "+0", "1_0", "\u0661", " 1 ", "1.0", "1e0", "nan", str(2**63),
-             str(-(2**63)), "#0", '"0"', "0x1", ""]
+             str(-(2**63)), "#0", '"0"', "0x1", "", "\udce9"]
 SKIPPED_LINES = ["", " ", "\t", "\x0c", "\x1c", "\u3000", "# comment", '""']
 NEWLINES = ["\n", "\r\n", "\r"]
 
@@ -669,7 +722,7 @@ class TestTraceReaders:
     @given(text=trace_files())
     def test_fast_reader_agrees_with_line_scanner(self, tmp_path, text):
         p = tmp_path / "t.csv"
-        p.write_bytes(text.encode("utf-8"))
+        p.write_bytes(text.encode("utf-8", "surrogateescape"))
         assert _read_outcome(read_trace, p) == _read_outcome(workload._scan_trace, p)
 
     @settings(max_examples=200, deadline=None,
@@ -683,7 +736,7 @@ class TestTraceReaders:
         # that one range reads without the line scanner, the ranges read
         # without it too.
         p = tmp_path / "t.csv"
-        p.write_bytes(text.encode("utf-8"))
+        p.write_bytes(text.encode("utf-8", "surrogateescape"))
         scans, scan = [], workload._scan_trace
 
         def counted_scan(path):
