@@ -15,15 +15,25 @@ remaining work at a constant speed, so the next completion is solved exactly
 (no time stepping): the loop advances time to the earlier of the next arrival
 and the smallest remaining/speed.  At each event one pass over the present
 jobs advances them to it, re-grants the pool and finds that smallest
-remaining/speed for the next event; under SRF the advance takes only the
-jobs granted at the last event, since a waiting job's fields do not change.
-A completion tied with an arrival goes first; of tied completions, the job
-that arrived first goes first.  Each present job is one record, kept in
-arrival order; its GPU-hours go to the outputs once, when it completes.  A
-grant depends only on m, the number of jobs present (equal split: C/m
-each), or on a job's rank by remaining work (SRF: min(k_cap, what is left),
-in rank order), so grants and their speed per job type are computed once per
-m or rank and then looked up.
+remaining/speed for the next event.  A completion tied with an arrival goes
+first; of tied completions, the job that arrived first goes first.  A grant
+depends only on m, the number of jobs present (equal split: C/m each), or on
+a job's rank by remaining work (SRF: min(k_cap, what is left), in rank
+order), so grants and their speed per job type are computed once per m or
+rank and then looked up.
+
+Each present job is one record, kept in arrival order: its remaining work,
+its GPU-hours so far, its trace index and its type.  Its GPU-hours go to the
+outputs once, when it completes.  Under equal split every job present holds
+the same grant, so the loop holds the last event's grant and its speed per
+type once, outside the records: the pass advances each job on the old grant
+and finds its completion on the new one, and a job that arrives joins after
+the pass, with nothing to advance.  Under SRF grants differ by rank, so a
+record also holds its job's grant and speed, and only the jobs granted at
+the last event advance, since a waiting job's fields do not change.  The
+jobs are ranked only when their grants differ: with no more jobs present
+than the leading ranks that grant min(k_cap, C), every job holds that grant,
+and two jobs are ranked by one comparison.
 
 Most jobs at moderate load never share the pool.  A job that arrives to an
 empty pool runs alone on the first grant: the pool under equal split,
@@ -201,7 +211,8 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
     n_types = len(spec.types)
     equal_split = isinstance(policy, StaticClusterEqualSplit)
     pool = policy.cluster_size
-    k_cap = policy.k_cap if isinstance(policy, SmallestRemainingFirst) else math.inf
+    inf = math.inf
+    k_cap = policy.k_cap if isinstance(policy, SmallestRemainingFirst) else inf
 
     # Grants are looked up, not recomputed.  Equal split: m -> (C/m, speed
     # per type).  SRF: the grant by rank, which no m changes, and its speed
@@ -213,6 +224,10 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
     rank_alloc: list[float] = [first]
     rank_speed: list[list[float]] = [solo_speeds]
     left = pool - first
+    # SRF: the ranks held, and how many of them lead with the first grant.
+    # With no more jobs present than those, every job holds the first grant
+    # whatever its rank, so none is ranked.
+    n_ranks = n_full = 1
 
     # Every job's outcome if it runs alone; the loop overwrites those of jobs
     # in busy periods.  Each job in ``outlasts`` runs alone past the next
@@ -225,12 +240,16 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
     # is the array's own double or int, boxed only when the loop touches it.
     arr_t, arr_ty, arr_x, outlasts, out_t, out_hours = map(memoryview, (
         trace.arrival_times, trace.type_indices, trace.sizes, outlasts, completions, gpu_hours))
-    jobs: list[list] = []  # [rem, gpu_hours, alloc, speed, idx, type], in arrival order
+    # [rem, gpu_hours, idx, type, alloc, speed], in arrival order.  Under
+    # equal split every job present holds one grant, the last event's
+    # ``share`` and its ``speeds`` per type, so alloc and speed stay unused.
+    jobs: list[list] = []
     granted: list[list] = []  # SRF: the jobs granted at the last event
+    share, speeds = first, solo_speeds
     t = 0.0
     i_next = 0
     p, n_outlasts = 0, len(outlasts)  # outlasts[p] is the next busy period's start
-    dt, done = math.inf, None  # time to the next completion and its job, if any
+    dt, done = inf, None  # time to the next completion and its job, if any
 
     while True:
         if not jobs:
@@ -240,80 +259,119 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
             if p == n_outlasts:
                 break
             i_next = outlasts[p]
-        dt_arr = arr_t[i_next] - t if i_next < n else math.inf
-        arriving = done is None or dt > dt_arr  # a completion tied with an arrival goes first
-        if arriving:
+        dt_arr = arr_t[i_next] - t if i_next < n else inf
+        if done is None or dt > dt_arr:  # a completion tied with an arrival goes first
             if i_next == n:  # no job present completes in finite time
                 for job in jobs:
-                    out_t[job[4]] = math.inf
+                    out_t[job[2]] = inf
                 break
             # An arrival at or before t (t can round past it) advances by
             # 0.0, which changes no bit: every speed and grant is finite.
             dt = dt_arr if dt_arr > 0.0 else 0.0
             t = arr_t[i_next]
-            jobs.append([arr_x[i_next], 0.0, 0.0, 0.0, i_next, arr_ty[i_next]])
+            new = [arr_x[i_next], 0.0, i_next, arr_ty[i_next], 0.0, 0.0]
             i_next += 1
         else:
             # The pass below no longer sees the job, so its last interval is
-            # added here (under SRF, ``granted`` still advances its record).
+            # added here (under SRF, ``granted`` may still advance its record,
+            # which is no longer read).
             t += dt
             jobs.remove(done)
-            out_t[done[4]] = t
-            out_hours[done[4]] = done[1] + done[2] * dt
+            out_t[done[2]] = t
+            out_hours[done[2]] = done[1] + (share if equal_split else done[4]) * dt
+            new = None
 
         # One pass per event advances the jobs by dt, re-grants the pool and
-        # finds the next completion, the least max(rem, 0) / speed.  A new
-        # job has speed and grant 0.0, so advancing it changes no bit.
-        adv, dt, done = dt, math.inf, None
+        # finds the next completion, the least max(rem, 0) / speed.
+        adv, dt, done = dt, inf, None
+        if equal_split:
+            m = len(jobs) if new is None else len(jobs) + 1
+            if m == 0:
+                continue
+            # The jobs present before the event advance on the old grant and
+            # find their completions on the new one.  In arrival order, a
+            # strict < keeps the earliest of tied completions.
+            hours_adv, old_speeds = share * adv, speeds
+            row = share_of.get(m)
+            if row is None:
+                row = share_of[m] = (pool / m, _speeds(spec, [pool / m] * n_types))
+            share, speeds = row
+            for job in jobs:
+                rem, hours, _, ty, _, _ = job
+                job[0] = rem = rem - old_speeds[ty] * adv
+                job[1] = hours + hours_adv
+                speed = speeds[ty]
+                if speed > 0.0:
+                    tc = (rem if rem > 0.0 else 0.0) / speed
+                    if tc < dt:
+                        dt, done = tc, job
+            if new is not None:  # it arrives last, and has nothing to advance
+                jobs.append(new)
+                speed = speeds[new[3]]
+                if speed > 0.0:
+                    tc = new[0] / speed
+                    if tc < dt:
+                        dt, done = tc, new
+            continue
+
+        # SRF.  A new job has speed and grant 0.0, so advancing it changes no
+        # bit; only the jobs granted at the last event advance, since a
+        # waiting job's would add 0.0 to each field.
+        if new is not None:
+            jobs.append(new)
         m = len(jobs)
         if m == 0:
             granted = []
             continue
-        if equal_split:
-            row = share_of.get(m)
-            if row is None:
-                share = pool / m
-                row = share_of[m] = (share, _speeds(spec, [share] * n_types))
-            share, speeds = row
-            for job in jobs:  # in arrival order: a strict < keeps the earliest of ties
-                rem, hours, alloc, speed, _, ty = job
-                job[0] = rem = rem - speed * adv
-                job[1] = hours + alloc * adv
-                job[2] = share
-                job[3] = speed = speeds[ty]
-                if speed > 0.0:
-                    tc = (rem if rem > 0.0 else 0.0) / speed
-                    if tc < dt:
-                        dt, done = tc, job
-        else:
-            # Only the jobs granted at the last event advance: a waiting
-            # job's would add 0.0 to each field.
-            for job in granted:
-                rem, hours, alloc, speed, _, _ = job
-                job[0] = rem - speed * adv
-                job[1] = hours + alloc * adv
-            # A stable sort of the arrival-ordered list ranks by (remaining,
-            # arrival).  It is a copy: reordering ``jobs`` would change which
-            # of two jobs with equal remaining work ranks first.
-            ranked = sorted(jobs, key=_remaining) if m > 1 else jobs
-            while len(rank_alloc) < m and left > 0.0:
-                a = min(k_cap, left)
-                left -= a
-                rank_alloc.append(a)
-                rank_speed.append(_speeds(spec, [a] * n_types))
-            granted = ranked[: len(rank_alloc)]
-            for job, a, speeds in zip(granted, rank_alloc, rank_speed):
-                job[2] = a
-                job[3] = speed = speeds[job[5]]
+        for job in granted:
+            rem, hours, _, _, alloc, speed = job
+            job[0] = rem - speed * adv
+            job[1] = hours + alloc * adv
+        while n_ranks < m and left > 0.0:
+            a = min(k_cap, left)
+            left -= a
+            rank_alloc.append(a)
+            rank_speed.append(_speeds(spec, [a] * n_types))
+            n_ranks += 1
+            if a == first:
+                n_full += 1
+        if m <= n_full:
+            # Every job holds the first grant; in arrival order a strict <
+            # keeps the earliest of tied completions.  ``granted`` is
+            # ``jobs`` itself: a job that arrives joins it with grant 0.0,
+            # and one that completes has been written out.
+            granted = jobs
+            for job in jobs:
+                job[4] = first
+                job[5] = speed = solo_speeds[job[3]]
                 if speed > 0.0:
                     rem = job[0]
                     tc = (rem if rem > 0.0 else 0.0) / speed
-                    # In rank order, of ties the earlier arrival (the
-                    # smaller trace index) completes first.
                     if tc < dt:
                         dt, done = tc, job
-                    elif tc == dt and done is not None and job[4] < done[4]:
-                        done = job
+            continue
+        # A stable sort of the arrival-ordered list ranks by (remaining,
+        # arrival); of two jobs, one comparison does.  ``jobs`` keeps its
+        # order: reordering it would change which of two jobs with equal
+        # remaining work ranks first.
+        if m == 2:
+            j0, j1 = jobs
+            ranked = jobs if j0[0] <= j1[0] else [j1, j0]
+        else:
+            ranked = sorted(jobs, key=_remaining)
+        granted = ranked[:n_ranks]
+        for job, a, a_speeds in zip(granted, rank_alloc, rank_speed):
+            job[4] = a
+            job[5] = speed = a_speeds[job[3]]
+            if speed > 0.0:
+                rem = job[0]
+                tc = (rem if rem > 0.0 else 0.0) / speed
+                # In rank order, of ties the earlier arrival (the
+                # smaller trace index) completes first.
+                if tc < dt:
+                    dt, done = tc, job
+                elif tc == dt and done is not None and job[2] < done[2]:
+                    done = job
 
     if equal_split:
         k_by_count = [0.0, pool]

@@ -510,10 +510,12 @@ def _check_header(fh) -> None:
 
 def _load_rows(fh) -> np.ndarray:
     """The rows of the text file fh from where it stands to its end, as
-    _TRACE_ROW records, by numpy's C reader.  A text without a row that is
-    not blank gives none: numpy warns on it."""
+    _TRACE_ROW records, by numpy's C reader.  A text whose lines are all
+    empty gives none: numpy warns on it.  As to numpy, only an empty line is
+    blank: one of whitespace alone goes to numpy, which refuses it, as it
+    would within a longer text."""
     start = fh.tell()
-    if not any(line.strip() for line in iter(fh.readline, "")):
+    if not any(line != "\n" for line in iter(fh.readline, "")):
         return np.empty(0, dtype=_TRACE_ROW)
     fh.seek(start)
     return np.loadtxt(fh, delimiter=",", dtype=_TRACE_ROW, comments=None, ndmin=1)
@@ -661,10 +663,23 @@ def spec_from_dict(doc) -> WorkloadSpec:
     return WorkloadSpec(types=tuple(types), budget=_number(doc["budget"], "budget"))
 
 
+def _line_not_utf8(path) -> str | None:
+    """The refusal naming the text file's first byte that is not UTF-8 and
+    its line, counted as a text-mode read counts lines, or None."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if why := _not_utf8(line):
+                return f"line {lineno}: {why}"
+    return None
+
+
 def load_spec(path) -> WorkloadSpec:
     """Read a workload config JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:  # located only now: a spec that decodes pays nothing
+            raise SpecError(f"{path}: {_line_not_utf8(path) or exc}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

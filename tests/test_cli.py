@@ -402,6 +402,20 @@ def test_deeply_nested_spec_exits_3(tmp_path, monkeypatch, capsys, command):
     assert capsys.readouterr() == ("", f"error: {spec}: JSON nests too deeply\n")
 
 
+@pytest.mark.parametrize("text, line, byte", [
+    (b'{"types": [], "budget": 1, "x": "\xe9"}', 1, "0xe9"),
+    # Lines end as a text-mode read ends them: LF, CRLF or CR.
+    (b'{\r\n"types": [],\r"budget": 1,\n "x": "\xc3\xa9 \xff"}', 4, "0xff"),
+    (b'{"types": [], "budget": 1, "x": "\xc3', 1, "0xc3"),  # cut short
+], ids=["latin-1", "line-ends", "truncated"])
+@pytest.mark.parametrize("command", [["validate"], ["solve"]], ids=["validate", "solve"])
+def test_spec_byte_not_utf8_exits_3(tmp_path, capsys, command, text, line, byte):
+    spec = tmp_path / "bad.json"
+    spec.write_bytes(text)
+    assert main(command + ["--spec", str(spec)]) == 3
+    assert capsys.readouterr() == ("", f"error: {spec}: line {line}: byte {byte} is not UTF-8\n")
+
+
 class TestParserReuse:
     """``main`` builds its parser once per process; a parse failure leaves
     it as it was, so later calls print what a fresh process prints."""

@@ -537,6 +537,60 @@ class TestBusyPeriods:
         self.assert_matches_reference(tr, two_type_spec, pol)
 
 
+class TestFastPaths:
+    """The loop's shortcuts against the reference loop, bit for bit.  Under
+    SRF, with no more jobs present than the leading ranks that grant
+    min(k_cap, C), the jobs are not ranked, and two jobs are ranked by one
+    comparison.  Under equal split, a job that arrives at the instant of a
+    completion or of another arrival joins after the pass, which advances
+    the others by 0.0."""
+
+    # Leading ranks of the first grant: 2, 3, 3 and 2 (then 1 GPU); then
+    # one (2, then 1 GPU; 1, then 0.25): two jobs present are ranked.
+    POOLED = [SmallestRemainingFirst(8.0, 4.0), SmallestRemainingFirst(6.0, 2.0),
+              SmallestRemainingFirst(4.5, 1.5), SmallestRemainingFirst(5.0, 2.0),
+              SmallestRemainingFirst(3.0, 2.0), SmallestRemainingFirst(1.25, 1.0),
+              StaticClusterEqualSplit(2.0), StaticClusterEqualSplit(4.0),
+              StaticClusterEqualSplit(3.0)]
+
+    assert_matches_reference = TestBusyPeriods.assert_matches_reference
+
+    @settings(max_examples=300, deadline=None)
+    @given(tr=tie_heavy_traces(), pol=st.sampled_from(POOLED))
+    def test_drawn_traces(self, two_type_spec, tr, pol):
+        self.assert_matches_reference(tr, two_type_spec, pol)
+
+    @pytest.mark.parametrize("pol", [SmallestRemainingFirst(3.0, 2.0),
+                                     SmallestRemainingFirst(1.25, 1.0)], ids=str)
+    def test_two_jobs_with_equal_remaining_work(self, two_type_spec, pol):
+        # Two size-1 sqrt jobs arrive together: of equal remaining work, the
+        # earlier arrival ranks first, takes the larger grant and completes
+        # first.
+        tr = Trace(np.zeros(2), np.array([1, 1]), np.array([1.0, 1.0]))
+        rep = self.assert_matches_reference(tr, two_type_spec, pol)
+        assert rep.completions[0] < rep.completions[1]
+
+    @pytest.mark.parametrize("pol", [SmallestRemainingFirst(6.0, 3.0), StaticClusterEqualSplit(6.0)],
+                             ids=str)
+    def test_exact_completion_tie_without_ranking(self, two_type_spec, pol):
+        # Both jobs hold 3 GPUs, unranked under SRF; under equal split the
+        # second arrives after the pass.  size / speed rounds to the same
+        # double for both, yet neither remainder is exactly zero there: the
+        # earlier arrival must complete first, as in the reference.
+        sizes = np.array([2.2171330912780918, 1.7920873419100867])
+        tr = Trace(np.zeros(2), np.array([0, 1]), sizes)
+        self.assert_matches_reference(tr, two_type_spec, pol)
+
+    def test_equal_split_arrival_tied_with_a_completion(self, two_type_spec):
+        # On 2 GPUs two sqrt jobs each run at s(1) = 1: the size-0.5 one
+        # completes at exactly 0.5, as the third job arrives.  The
+        # completion goes first; the arrival then advances nothing.
+        tr = Trace(np.array([0.0, 0.0, 0.5]), np.array([1, 1, 1]), np.array([0.5, 5.0, 1.0]))
+        rep = self.assert_matches_reference(tr, two_type_spec, StaticClusterEqualSplit(2.0))
+        assert rep.completions[0] == 0.5
+        assert rep.gpu_hours[0] == 0.5
+
+
 class TestColumnsReadInPlace:
     """A pooled replay reads the trace's columns and writes its outputs in
     place: it holds Python objects only for the jobs present, so its peak

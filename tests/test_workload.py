@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from gpurental import (
@@ -728,6 +728,12 @@ class TestTraceReaders:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=trace_files(), cpus=st.integers(2, 4), range_bytes=st.sampled_from([1, 16, 64]))
+    # A range that holds only a whitespace line: numpy refuses that line, so
+    # the ranges, like one range, send the file to the scanner.
+    @example(text="arrival_time,type,size\n0.0,9223372036854775807,1.0\n0.0,0,1.0147994494625436\r"
+                  "0.0,9223372036854775807,1.7444452639994097\n \n0.0,9223372036854775807,"
+                  "1.6336317857727636\n0.0,0,1.095183793577121\n0.0,9223372036854775807,1.0\n",
+             cpus=4, range_bytes=1)
     def test_ranges_read_what_one_range_reads(self, tmp_path, text, cpus, range_bytes):
         # With ranges of a few bytes, the cuts land between any two lines,
         # among blank and faulty ones, and ranges may hold no row at all:
