@@ -269,15 +269,14 @@ def _cmd_compare(args) -> int:
         raise SpecError("--policies must name at least one policy")
     # Each label is parsed and checked before the next is parsed, so the
     # refusal printed is the first in policy order, whichever step makes it.
-    policies = []
+    checked = []
     for label in labels:
         try:
             policy = parse_policy(label, spec, args.k_max)
-            _check_policy(spec, policy)
+            checked.append((policy, _check_policy(spec, policy)))
         except Exception as exc:
             raise _refused(label, exc, args.trace) from None
-        policies.append(policy)
-    results, failure = _simulate_each(trace, spec, policies)
+    results, failure = _simulate_each(trace, spec, checked)
     if failure is not None:
         raise _refused(labels[failure[0]], failure[1], args.trace)
     row = "%s,%s,%s," + _numbers(2) + "\n"

@@ -11,11 +11,11 @@ class AxiomError(SpecError):
 
 class ReplayError(SpecError):
     """A replay finished with a job's or the trace's result past the range of a double.
-    ``row`` is the trace row of the job at fault, named as line row + 2, else None."""
+    ``row`` is the 0-based trace row of the job at fault, else None."""
 
     def __init__(self, reason: str, row: int | None = None):
         self.reason, self.row = reason, row
-        super().__init__(reason if row is None else f"trace line {row + 2}: {reason}")
+        super().__init__(reason if row is None else f"row {row}: {reason}")
 
 
 class TraceError(ValueError):

@@ -62,19 +62,13 @@ sample.
 
 One replay is strictly sequential (event-ordered); distinct replays share
 no state, so ``compare_policies`` (and the CLI's ``compare``) runs them
-concurrently, in forked processes, at most one per CPU the process may use.
-Every policy is checked first (``_check_policy``), in policy order, so one
-that cannot be replayed is refused before any replay or fork.
-Fixed-width replays are closed-form and stay in the calling process.  The
-pooled ones are sorted by pool size, smallest (busiest) first, and dealt to
-the processes back and forth; the caller replays the first share, and each
-forked child replays its share and sends the pickled results back through a
-pipe.  The forking, the pipes and the reaping are ``_fork.forked``'s, which
-the trace and CSV readers and writers share.  Each replay is the same
-computation wherever it runs, so the results are bit for bit those of
-replaying the policies one after another, which is what runs when there is
-one such CPU or one pooled policy, or where the platform has no ``os.fork``
-or ``os.sched_getaffinity``.
+concurrently, in forked processes, at most one per CPU the process may use
+(``_simulate_each``).  A replay is the same computation wherever it runs,
+so the results are bit for bit those of one replay after another.  Every
+policy is checked once, first (``_check_policy``), in policy order, so one
+that cannot be replayed is refused before any replay or fork, a speed at
+its first grant that is not finite included, for every kind of policy.
+The check returns those speeds, and each replay starts from them.
 """
 
 from __future__ import annotations
@@ -197,16 +191,11 @@ def _run_fixed(trace: Trace, widths: np.ndarray, speeds: np.ndarray):
         return durations, trace.arrival_times + durations, widths[trace.type_indices] * durations
 
 
-def _replay_fixed(trace: Trace, spec: WorkloadSpec, widths: np.ndarray) -> _Replay:
-    speeds = np.array(_speeds(spec, widths.tolist()))
-    _, completions, gpu_hours = _run_fixed(trace, widths, speeds)
-    return _Replay(completions, gpu_hours, widths=widths)
-
-
 _remaining = itemgetter(0)
 
 
-def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay:
+def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy,
+                    solo_speeds: list[float]) -> _Replay:
     n = len(trace)
     n_types = len(spec.types)
     equal_split = isinstance(policy, StaticClusterEqualSplit)
@@ -217,9 +206,9 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
     # Grants are looked up, not recomputed.  Equal split: m -> (C/m, speed
     # per type).  SRF: the grant by rank, which no m changes, and its speed
     # per type, extended while the pool lasts (later ranks wait).  Both start
-    # from the first grant, which a job alone in the pool holds.
+    # from the first grant, which a job alone in the pool holds, and its
+    # speeds, ``solo_speeds``, as ``_check_policy`` returns them.
     first = pool if equal_split else min(k_cap, pool)
-    solo_speeds = _speeds(spec, [first] * n_types)
     share_of: dict[int, tuple[float, list[float]]] = {1: (first, solo_speeds)}
     rank_alloc: list[float] = [first]
     rank_speed: list[list[float]] = [solo_speeds]
@@ -331,7 +320,7 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
             a = min(k_cap, left)
             left -= a
             rank_alloc.append(a)
-            rank_speed.append(_speeds(spec, [a] * n_types))
+            rank_speed.append(solo_speeds if a == first else _speeds(spec, [a] * n_types))
             n_ranks += 1
             if a == first:
                 n_full += 1
@@ -380,31 +369,39 @@ def _replay_cluster(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay
     return _Replay(completions, gpu_hours, k_by_count=np.array(k_by_count))
 
 
-def _check_policy(spec: WorkloadSpec, policy: Policy) -> None:
-    """A fixed-width policy needs one width per type.  A pooled policy keeps
+def _check_policy(spec: WorkloadSpec, policy: Policy) -> list[float]:
+    """Refuse a policy that cannot be replayed; else return each type's
+    speed at its first grant, where its replays start: its width under a
+    fixed-width policy, C under equal split, a = min(k_cap, C) under SRF.
+
+    A fixed-width policy needs one width per type.  A pooled policy keeps
     up only if the total load is below its pool.  With m jobs present each
     holds at most C/m GPUs, and once that is below one a job runs at
     (C/m) * s(1): the pool then serves no faster than C GPUs of width-1
-    jobs, which need the total load's GPUs to keep up.
+    jobs, which need the total load's GPUs to keep up.  A speed that is not
+    finite is refused here, for every kind: no later grant is wider, and
+    each family's speed is finite and non-decreasing below a finite value.
 
-    SRF must also keep up at its largest grant, a = min(k_cap, C): the
-    axioms make s(g)/g non-increasing, so no grant does less work per GPU
-    than s(a)/a, and sum_i load_i * a / s_i(a) < C suffices.  The test is
-    conservative: a smaller leftover grant does more per GPU."""
+    SRF must also keep up at a: the axioms make s(g)/g non-increasing, so
+    no grant does less work per GPU than s(a)/a, and sum_i load_i * a /
+    s_i(a) < C suffices.  The test is conservative: a smaller leftover
+    grant does more per GPU."""
     if isinstance(policy, FixedWidth):
         if len(policy.ks) != len(spec.types):
             raise SpecError(f"policy has {len(policy.ks)} widths but workload has "
                             f"{len(spec.types)} types")
-        return
+        return _speeds(spec, policy.ks)
     pool = policy.cluster_size
     _check_stable(spec.total_load, pool)
-    if isinstance(policy, SmallestRemainingFirst):
-        a = min(policy.k_cap, pool)
-        speeds = np.array(_speeds(spec, [a] * len(spec.types)))
+    equal_split = isinstance(policy, StaticClusterEqualSplit)
+    a = pool if equal_split else min(policy.k_cap, pool)
+    speeds = _speeds(spec, [a] * len(spec.types))
+    if not equal_split:
         with np.errstate(over="ignore"):  # an infinite usage is refused
-            usage = float((spec.loads * (a / speeds)).sum())
+            usage = float((spec.loads * (a / np.array(speeds))).sum())
         if usage >= pool:
             raise InstabilityError(f"usage {usage:.6g} at grant {a:.6g} >= pool {pool:.6g}")
+    return speeds
 
 
 def _check_finite(rep: _Replay) -> None:
@@ -417,15 +414,23 @@ def _check_finite(rep: _Replay) -> None:
         raise ReplayError(f"job {what} is not finite", row=i)
 
 
-def _replay(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay:
-    _check_policy(spec, policy)
-    trace.check_against(spec)
-    if not isinstance(policy, FixedWidth):
-        rep = _replay_cluster(trace, spec, policy)
+def _replay_checked(trace: Trace, spec: WorkloadSpec, policy: Policy,
+                    speeds: list[float]) -> _Replay:
+    """Replay a policy ``_check_policy`` passed, from the speeds it returned."""
+    if isinstance(policy, FixedWidth):
+        widths = np.asarray(policy.ks)
+        _, completions, gpu_hours = _run_fixed(trace, widths, np.array(speeds))
+        rep = _Replay(completions, gpu_hours, widths=widths)
     else:
-        rep = _replay_fixed(trace, spec, np.asarray(policy.ks))
+        rep = _replay_cluster(trace, spec, policy, speeds)
     _check_finite(rep)
     return rep
+
+
+def _replay(trace: Trace, spec: WorkloadSpec, policy: Policy) -> _Replay:
+    speeds = _check_policy(spec, policy)
+    trace.check_against(spec)
+    return _replay_checked(trace, spec, policy, speeds)
 
 
 def _per_job_rows(trace: Trace, rep: _Replay, lo: int, hi: int) -> np.ndarray:
@@ -448,7 +453,7 @@ def _measure(trace: Trace, rep: _Replay, collect_per_job: bool) -> SimMetrics:
     return SimMetrics(
         job_count=n,
         mean_response_time=mean_response,
-        time_avg_budget=total / horizon,
+        time_avg_budget=total / horizon if horizon > 0.0 else 0.0,
         total_gpu_hours=total,
         per_job=_per_job_rows(trace, rep, 0, n) if collect_per_job else None,
     )
@@ -542,59 +547,56 @@ def simulate(
 
     Every job runs to completion, including those still in flight past the
     last arrival; the time-average budget divides by the last completion
-    time, over which K(t) is identically zero afterwards.
+    time, over which K(t) is identically zero afterwards, or is 0.0 when
+    every job completes at t = 0, having rented nothing, as on no jobs.
 
     The policy is checked before any replay (``_check_policy``): a
-    fixed-width policy without one width per type raises SpecError, and a
+    fixed-width policy without one width per type, or of any kind with a
+    type whose speed at its first grant is not finite, raises SpecError; a
     pooled policy whose pool is at or below the total load, or an SRF pool
     at or below its usage at the largest grant, cannot keep up and raises
-    InstabilityError.  A type whose speed at a width the policy grants is
-    not finite raises SpecError, and a job's completion time or GPU-hours,
-    or their totals, past the range of a double raise ReplayError.
+    InstabilityError.  A job's completion time or GPU-hours, or their
+    totals, past the range of a double raise ReplayError.
     """
     return _measure(trace, _replay(trace, spec, policy), collect_per_job)
 
 
 def _simulate_each(
-    trace: Trace, spec: WorkloadSpec, policies, collect_per_job: bool = False
+    trace: Trace, spec: WorkloadSpec, checked, collect_per_job: bool = False
 ) -> tuple[list[SimMetrics], tuple[int, Exception] | None]:
     """Each policy's metrics in policy order, and None; or, at the first
-    failure in policy order, [] and that failure as (index, exception).
+    replay failure in policy order, [] and that failure as (index, exc).
 
-    Every policy is checked (``_check_policy``), in policy order, before
-    any replay or fork, so a policy the check refuses is the failure and
-    nothing is replayed.  Then, with W = min(pooled policies, CPUs this
-    process may use) of two or more, pooled policies are sorted by pool
-    size and dealt to W processes in snake order (0, 1, .., W-1, W-1, ..,
-    0, 0, ..), since a smaller pool has more events to replay.  This
-    process replays share 0 and every fixed-width policy, and W - 1
-    children forked by ``_fork.forked`` the other shares, each in policy
-    order up to its first failure, and send back their pickled results.  A
-    child that ends without writing its results raises ChildProcessError.
-    Every child is reaped before this returns or raises, and killed first
-    if this process raises before it has their results."""
-    for i, policy in enumerate(policies):
-        try:
-            _check_policy(spec, policy)
-        except Exception as exc:
-            return [], (i, exc)
-    pooled = sorted(
-        (i for i, p in enumerate(policies) if not isinstance(p, FixedWidth)),
-        key=lambda i: policies[i].cluster_size,
-    )
+    ``checked`` pairs each policy, checked by the caller before any replay
+    or fork, with its speeds from ``_check_policy``; the trace is checked
+    here, once.  With W = min(pooled policies, CPUs this process may use)
+    of two or more, pooled policies are sorted by pool size and dealt to W
+    processes in snake order (0, 1, .., W-1, W-1, .., 0, 0, ..), since a
+    smaller pool has more events to replay.  This process replays share 0
+    and every fixed-width policy, and W - 1 children forked by
+    ``_fork.forked`` the other shares, each in policy order up to its first
+    failure, and send back their pickled results.  A child that ends
+    without writing its results raises ChildProcessError.  Every child is
+    reaped before this returns or raises, and killed first if this process
+    raises before it has their results."""
+    trace.check_against(spec)
+    pooled = sorted((i for i, (p, _) in enumerate(checked) if not isinstance(p, FixedWidth)),
+                    key=lambda i: checked[i][0].cluster_size)
     workers = max(1, min(len(pooled), _fork.cpus()))
     shares: list[list[int]] = [[] for _ in range(workers)]
     for j, i in enumerate(pooled):
         lap, w = divmod(j, workers)
         shares[w if lap % 2 == 0 else workers - 1 - w].append(i)
-    shares[0] += (i for i, p in enumerate(policies) if isinstance(p, FixedWidth))
+    shares[0] += (i for i, (p, _) in enumerate(checked) if isinstance(p, FixedWidth))
     shares = [sorted(share) for share in shares]
 
     def replay(share: list[int]) -> list[SimMetrics | Exception]:
         results = []
         for i in share:
             try:
-                results.append(simulate(trace, spec, policies[i], collect_per_job))
+                # No name holds a replay's arrays past its measure.
+                results.append(_measure(trace, _replay_checked(trace, spec, *checked[i]),
+                                        collect_per_job))
             except Exception as exc:
                 results.append(exc)
                 break
@@ -606,10 +608,10 @@ def _simulate_each(
         for child, share in zip(children, shares[1:]):
             results.update(zip(share, pickle.loads(child.result())))
     # A share stops at its first failure, so a missing result follows one.
-    for i in range(len(policies)):
+    for i in range(len(checked)):
         if isinstance(results[i], Exception):
             return [], (i, results[i])
-    return [results[i] for i in range(len(policies))], None
+    return [results[i] for i in range(len(checked))], None
 
 
 def compare_policies(
@@ -620,19 +622,18 @@ def compare_policies(
 ) -> list[tuple[Policy, SimMetrics]]:
     """Simulate each policy on the identical trace; results in the given order.
 
-    Every policy is checked, in the given order, before any is replayed: a
-    policy ``simulate`` would refuse before its replay (a wrong width
-    count, a pool that cannot keep up) raises here with nothing replayed.
-    Pooled replays then run concurrently, one forked process per CPU this
-    process may use (see ``_simulate_each``); fixed-width ones run here.
-    The metrics are bit for bit those of calling ``simulate`` on each
-    policy in turn.  The error raised is the first check failure in policy
-    order, else the first replay failure in policy order."""
-    policies = list(policies)
-    metrics, failure = _simulate_each(trace, spec, policies, collect_per_job)
+    Every policy is checked once (``_check_policy``), in the given order,
+    before any replay or fork, so the error raised is the first refusal in
+    policy order, whichever check makes it, else the first replay failure
+    in policy order.  Pooled replays run concurrently, one forked process
+    per CPU this process may use (see ``_simulate_each``); fixed-width ones
+    run here.  The metrics are bit for bit those of calling ``simulate`` on
+    each policy in turn."""
+    checked = [(policy, _check_policy(spec, policy)) for policy in policies]
+    metrics, failure = _simulate_each(trace, spec, checked, collect_per_job)
     if failure is not None:
         raise failure[1]
-    return list(zip(policies, metrics))
+    return [(policy, m) for (policy, _), m in zip(checked, metrics)]
 
 
 def budget_timeseries(

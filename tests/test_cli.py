@@ -26,6 +26,7 @@ from gpurental import (
     StaticClusterEqualSplit,
     WorkloadSpec,
     budget_timeseries,
+    compare_policies,
     generate_trace,
     load_spec,
     read_trace,
@@ -1226,7 +1227,7 @@ def refuse_replays(monkeypatch):
         raise AssertionError("replayed before every pool was checked")
 
     monkeypatch.setattr(simulator, "_replay_cluster", refuse)
-    monkeypatch.setattr(simulator, "_replay_fixed", refuse)
+    monkeypatch.setattr(simulator, "_run_fixed", refuse)
 
 
 class TestPooledRefusals:
@@ -1704,6 +1705,18 @@ def compare_cases(draw):
     return {"types": types, "budget": 2.0}, trace, ";".join(policies)
 
 
+# A spec whose second type's speed, k**717, is past a double at k = 4.
+REFUSED_SPEC = {"types": [{"name": "tab",
+                           "speedup": {"kind": "tabular", "points": [[1, 0.5], [2, 0.9]]},
+                           "arrival_rate": 0.1,
+                           "size_dist": {"kind": "deterministic", "x": 1}},
+                          {"name": "steep",
+                           "speedup": {"kind": "power", "alpha": 717},
+                           "arrival_rate": 0.1,
+                           "size_dist": {"kind": "deterministic", "x": 1}}],
+                "budget": 2}
+
+
 class TestParallelCompare:
     """``compare`` replays pooled policies in forked children, one per CPU
     it may use; it prints what the serial loop prints and leaves no child."""
@@ -1713,18 +1726,9 @@ class TestParallelCompare:
         """cluster:2 replays a 1e308-size job to GPU-hours past a double
         (ReplayError); cluster:4 grants the steep type a width whose speed,
         4**717, is not finite (SpecError)."""
-        doc = {"types": [{"name": "tab",
-                          "speedup": {"kind": "tabular", "points": [[1, 0.5], [2, 0.9]]},
-                          "arrival_rate": 0.1,
-                          "size_dist": {"kind": "deterministic", "x": 1}},
-                         {"name": "steep",
-                          "speedup": {"kind": "power", "alpha": 717},
-                          "arrival_rate": 0.1,
-                          "size_dist": {"kind": "deterministic", "x": 1}}],
-               "budget": 2}
         trace = tmp_path / "t.csv"
         trace.write_text("arrival_time,type,size\n1.0,0,1e308\n2.0,0,1.0\n", encoding="utf-8")
-        return ["compare", "--spec", write_config(tmp_path, doc), "--trace", str(trace)]
+        return ["compare", "--spec", write_config(tmp_path, REFUSED_SPEC), "--trace", str(trace)]
 
     @pytest.fixture()
     def four_pools(self, tmp_path, two_type_config_path):
@@ -1755,44 +1759,50 @@ class TestParallelCompare:
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("policies, message", [
-        ("cluster:2;cluster:4", "error: policy 'cluster:2': trace line 2: job GPU-hours is not "
+        ("cluster:2;cluster:1", "error: policy 'cluster:2': trace line 2: job GPU-hours is not "
                                 "finite\n"),
+        ("cluster:2;cluster:4", "error: policy 'cluster:4': type 'steep': speed at width 4 is "
+                                "not finite\n"),
         ("cluster:4;cluster:2", "error: policy 'cluster:4': type 'steep': speed at width 4 is "
                                 "not finite\n"),
-        ("cluster:4;cluster:2;cluster:1", "error: policy 'cluster:4': type 'steep': speed at "
-                                          "width 4 is not finite\n"),
-    ], ids=["replay-error-first", "spec-error-first", "child-share-in-label-order"])
+        ("cluster:2;cluster:1.5;cluster:1", "error: policy 'cluster:2': trace line 2: job "
+                                            "GPU-hours is not finite\n"),
+    ], ids=["replay-error-first", "check-before-replay", "spec-error-first",
+            "child-share-in-label-order"])
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_first_failure_in_label_order_is_printed(self, both_fail, policies, message, cpus):
-        # On two CPUs the smallest pool is replayed here and the next two in
-        # the child, in label order: each case has an error cross the pipe.
-        # cluster:1 fails too, on the 1e308-size job's completion time.
+        # Every policy is checked before any replay, so cluster:4's speed
+        # is refused ahead of the replay error of cluster:2 before it.  On
+        # two CPUs the smallest pool is replayed here and the next two in
+        # the child, in label order: cluster:2's error crosses the pipe.
+        # cluster:1.5 and cluster:1 fail too, on the 1e308-size job's
+        # GPU-hours and completion time.
         assert run_on_cpus(both_fail + ["--policies", policies], cpus) == (3, "", message)
 
     def test_a_worker_that_dies_exits_3(self, four_pools, monkeypatch):
-        parent, simulate = os.getpid(), simulator.simulate
+        parent, replay = os.getpid(), simulator._replay_checked
 
         def dies_in_a_child(*args, **kwargs):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return simulate(*args, **kwargs)
+            return replay(*args, **kwargs)
 
-        monkeypatch.setattr(simulator, "simulate", dies_in_a_child)
+        monkeypatch.setattr(simulator, "_replay_checked", dies_in_a_child)
         assert run_on_cpus(four_pools, 2) == (
             3, "", "error: a replay worker ended without a result (exit code -9)\n")
 
     def test_the_callers_failure_kills_and_reaps_the_children(self, four_pools, monkeypatch):
         # This process's share is interrupted at once, while the child's
         # replay would take a minute: the child is killed, not waited for.
-        parent, simulate = os.getpid(), simulator.simulate
+        parent, replay = os.getpid(), simulator._replay_checked
 
         def interrupted_here(*args, **kwargs):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             time.sleep(60)
-            return simulate(*args, **kwargs)
+            return replay(*args, **kwargs)
 
-        monkeypatch.setattr(simulator, "simulate", interrupted_here)
+        monkeypatch.setattr(simulator, "_replay_checked", interrupted_here)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             run_on_cpus(four_pools, 2)
@@ -1841,9 +1851,9 @@ class TestOneRefusalRule:
          "0.5,0,1.0\n", True, 2, "total load 1.6 >= budget 1"),
         ("srf:2,2", ((("types", 0, "arrival_rate"), 0.95), (("types", 1, "arrival_rate"), 0.95)),
          "0.5,0,1.0\n", True, 2, "usage 2.4835 at grant 2 >= pool 2"),
-        ("fixed:2,4", STEEP, "0.5,1,1.0\n", False, 3,
+        ("fixed:2,4", STEEP, "0.5,1,1.0\n", True, 3,
          "type 'sqrt': speed at width 4 is not finite"),
-        ("cluster:4", STEEP, "0.5,1,1.0\n", False, 3,
+        ("cluster:4", STEEP, "0.5,1,1.0\n", True, 3,
          "type 'sqrt': speed at width 4 is not finite"),
         ("srf:8,4", STEEP, "0.5,1,1.0\n", True, 3,
          "type 'sqrt': speed at width 4 is not finite"),
@@ -1900,6 +1910,186 @@ class TestOneRefusalRule:
         assert run_on_cpus(["simulate", "--policy", "cluster:4"] + common, cpus) == want
         assert run_on_cpus(["compare", "--policies", "uniform:2;cluster:4"] + common,
                            cpus) == want
+
+
+class TestZeroHorizon:
+    """A trace whose every job completes at t = 0 (a 5e-324-size job at
+    s(4) > 2 runs for no time) rents nothing: its time-average budget is 0,
+    as an empty trace's is, under every kind of policy."""
+
+    POLICIES = ["fixed:4,4", "cluster:4", "srf:4,4"]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_simulate_and_compare(self, tmp_path, cpus):
+        trace = tmp_path / "t.csv"
+        trace.write_text("arrival_time,type,size\n0.0,0,5e-324\n", encoding="utf-8")
+        common = ["--spec", str(TWO_TYPE), "--trace", str(trace)]
+        for policy in self.POLICIES:
+            rc, out, err = run_on_cpus(["simulate", "--policy", policy] + common, cpus)
+            assert (rc, err) == (0, "")
+            assert json.loads(out) == {"job_count": 1, "mean_response_time": 0.0,
+                                       "time_avg_budget": 0.0, "total_gpu_hours": 0.0}
+        assert run_on_cpus(["compare", "--policies", ";".join(self.POLICIES)] + common,
+                           cpus) == (0, "policy,job_count,mean_response_time,time_avg_budget,"
+                                        "total_gpu_hours\n\"fixed:4,4\",1,0,0,0\n"
+                                        "cluster:4,1,0,0,0\n\"srf:4,4\",1,0,0,0\n", "")
+
+
+@st.composite
+def refusal_cases(draw):
+    """A spec of a k**717 type among 1-2 others, a trace of 0-20 of its jobs
+    that every policy replays, and 1-5 policies of every kind: fixed widths
+    (at times of the wrong count), uniform widths, and equal-split and SRF
+    pools, some at or below the load or, for SRF, its usage."""
+    types = [{"name": f"t{i}", "speedup": draw(st.sampled_from(
+                  [{"kind": "amdahl", "p": p} for p in (0.3, 0.8)]
+                  + [{"kind": "power", "alpha": 0.5}]
+                  + [{"kind": "tabular", "points": t} for t in TABLES])),
+              "arrival_rate": draw(st.sampled_from([0.1, 0.4, 0.8])),
+              "size_dist": {"kind": "exponential", "mean": 1.0}}
+             for i in range(draw(st.integers(1, 2)))]
+    types.insert(draw(st.integers(0, len(types))),
+                 {"name": "steep", "speedup": {"kind": "power", "alpha": 717},
+                  "arrival_rate": 0.1, "size_dist": {"kind": "exponential", "mean": 1.0}})
+    n_types = len(types)
+    n = draw(st.integers(0, 20))
+    gaps = draw(st.lists(st.sampled_from([0.0, 0.5, 2.0]), min_size=n, max_size=n))
+    rows = zip(np.cumsum(gaps).tolist(),
+               draw(st.lists(st.integers(0, n_types - 1), min_size=n, max_size=n)),
+               draw(st.lists(st.sampled_from([0.1, 1.0, 3.0]), min_size=n, max_size=n)))
+    trace = "arrival_time,type,size\n" + "".join(f"{t!r},{ty},{x!r}\n" for t, ty, x in rows)
+    width = st.sampled_from(["1", "1.5", "2", "4", "8"])
+    pool = st.sampled_from(["1", "1.25", "2", "4", "8"])
+    labels = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["fixed", "uniform", "cluster", "srf"]))
+        if kind == "fixed":
+            count = draw(st.sampled_from([n_types, n_types, n_types - 1, n_types + 1]))
+            labels.append("fixed:" + ",".join(draw(st.lists(width, min_size=count,
+                                                            max_size=count))))
+        elif kind == "uniform":
+            labels.append(f"uniform:{draw(width)}")
+        elif kind == "cluster":
+            labels.append(f"cluster:{draw(pool)}")
+        else:
+            labels.append(f"srf:{draw(pool)},{draw(width)}")
+    return {"types": types, "budget": 2.0}, trace, labels
+
+
+class TestRefusalOrder:
+    """``compare`` and ``compare_policies`` refuse the first policy, in
+    policy order, that ``simulate`` refuses, before any replay or fork, on
+    one CPU and on two; when none is refused, each prints or returns what
+    ``simulate`` gives for each policy."""
+
+    @staticmethod
+    def assert_first_refusal(doc, trace_text, labels):
+        with tempfile.TemporaryDirectory() as tmp:
+            spec_path, trace_path = os.path.join(tmp, "spec.json"), os.path.join(tmp, "t.csv")
+            with open(spec_path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            with open(trace_path, "w", encoding="utf-8") as fh:
+                fh.write(trace_text)
+            spec, trace = load_spec(spec_path), read_trace(trace_path)
+            policies = [cli.parse_policy(label, spec, 1e6) for label in labels]
+            refusal, metrics = None, []
+            for label, policy in zip(labels, policies):
+                try:
+                    metrics.append(simulate(trace, spec, policy, collect_per_job=False))
+                except (SpecError, InstabilityError) as exc:
+                    refusal = label, exc
+                    break
+            argv = ["compare", "--spec", spec_path, "--trace", trace_path,
+                    "--policies", ";".join(labels)]
+            for cpus in (1, 2):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+                    if refusal is None:
+                        got = compare_policies(trace, spec, policies)
+                        assert [m for _, m in got] == metrics
+                        assert run_on_cpus(argv, cpus)[::2] == (0, "")
+                        continue
+
+                    def refuse(*args):
+                        raise AssertionError("replayed or forked before every policy was "
+                                             "checked")
+
+                    for module, name in ((os, "fork"), (simulator, "_replay_cluster"),
+                                         (simulator, "_run_fixed")):
+                        mp.setattr(module, name, refuse)
+                    label, exc = refusal
+                    with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                        compare_policies(trace, spec, policies)
+                    rc = 2 if isinstance(exc, InstabilityError) else 3
+                    assert run_on_cpus(argv, cpus) == (rc, "", f"error: policy {label!r}: {exc}\n")
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=refusal_cases())
+    def test_drawn_policies(self, case):
+        self.assert_first_refusal(*case)
+
+    @pytest.mark.parametrize("labels", [["cluster:4", "fixed:1"], ["uniform:4", "fixed:1"],
+                                        ["srf:4,4", "fixed:1"], ["fixed:1", "cluster:4"]])
+    def test_the_first_policy_is_named(self, labels):
+        self.assert_first_refusal(REFUSED_SPEC, "arrival_time,type,size\n1.0,0,1.0\n", labels)
+
+
+class TestOneCheckPerPolicy:
+    """One compare checks each policy once and the trace once, and an SRF
+    policy's speeds at its first grant are evaluated once, by its check."""
+
+    POLICIES = "optimal;cluster:8;srf:8,4;cluster:1.25;srf:1.25,1"
+
+    @pytest.mark.parametrize("entry", ["cli", "library"])
+    def test_counts(self, tmp_path, two_type_config_path, monkeypatch, entry):
+        trace_path = tmp_path / "t.csv"
+        main(["gen-trace", "--spec", two_type_config_path, "--jobs", "300", "--seed", "2",
+              "--out", str(trace_path)])
+        checks, trace_checks, evals, current = [], [], [], [None]
+        check_policy, check_against = simulator._check_policy, workload.Trace.check_against
+        speeds, replay_cluster = simulator._speeds, simulator._replay_cluster
+
+        def counted_check(spec, policy):
+            checks.append(policy)
+            current[0] = policy
+            return check_policy(spec, policy)
+
+        def counted_check_against(trace, spec):
+            trace_checks.append(spec)
+            return check_against(trace, spec)
+
+        def counted_replay(trace, spec, policy, *rest):
+            current[0] = policy
+            return replay_cluster(trace, spec, policy, *rest)
+
+        def counted_speeds(spec, widths):
+            evals.append((current[0], list(widths)))
+            return speeds(spec, widths)
+
+        monkeypatch.setattr(simulator, "_check_policy", counted_check)
+        monkeypatch.setattr(cli, "_check_policy", counted_check)
+        monkeypatch.setattr(workload.Trace, "check_against", counted_check_against)
+        monkeypatch.setattr(simulator, "_replay_cluster", counted_replay)
+        monkeypatch.setattr(simulator, "_speeds", counted_speeds)
+        labels = self.POLICIES.split(";")
+        if entry == "cli":
+            argv = ["compare", "--spec", two_type_config_path, "--trace", str(trace_path),
+                    "--policies", self.POLICIES]
+            rc, out, err = run_on_cpus(argv, 1)
+            assert (rc, err, out.count("\n")) == (0, "", 1 + len(labels))
+        else:
+            spec, trace = load_spec(two_type_config_path), read_trace(str(trace_path))
+            policies = [cli.parse_policy(label, spec, 1e6) for label in labels]
+            checks.clear()
+            with on_cpus(1):
+                assert len(compare_policies(trace, spec, policies)) == len(labels)
+        assert [type(p).__name__ for p in checks] == [
+            "FixedWidth", "StaticClusterEqualSplit", "SmallestRemainingFirst",
+            "StaticClusterEqualSplit", "SmallestRemainingFirst"]
+        assert len(trace_checks) == 1
+        for policy, a in ((SmallestRemainingFirst(8.0, 4.0), 4.0),
+                          (SmallestRemainingFirst(1.25, 1.0), 1.0)):
+            assert evals.count((policy, [a, a])) == 1, policy
 
 
 BLOCK = workload._BLOCK_ROWS

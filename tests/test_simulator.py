@@ -15,6 +15,7 @@ from gpurental import (
     InstabilityError,
     JobType,
     PowerLaw,
+    ReplayError,
     SmallestRemainingFirst,
     SpecError,
     StaticClusterEqualSplit,
@@ -92,6 +93,12 @@ def assert_work_conserved(tr, spec):
             work = ref["work_done"]
         err = np.abs(work - tr.sizes)
         assert np.all(err <= 1e-9 * np.maximum(1.0, tr.sizes)), type(pol).__name__
+
+
+def replay_cluster(tr, spec, pol):
+    """A pooled replay, unchecked, from its speeds at its first grant."""
+    first = min(pol.cluster_size, getattr(pol, "k_cap", math.inf))
+    return _replay_cluster(tr, spec, pol, simulator._speeds(spec, [first] * len(spec.types)))
 
 
 def replay_arrays(tr, rep):
@@ -322,7 +329,7 @@ class TestReplayMatchesReference:
     def test_drawn_traces(self, two_type_spec, tr, pool, cap):
         for pol in (StaticClusterEqualSplit(pool), SmallestRemainingFirst(pool, cap)):
             assert_same_replay(
-                replay_arrays(tr, _replay_cluster(tr, two_type_spec, pol)),
+                replay_arrays(tr, replay_cluster(tr, two_type_spec, pol)),
                 reference_replay_cluster(tr, two_type_spec, pol),
             )
 
@@ -336,7 +343,7 @@ class TestReplayMatchesReference:
         assert sizes[0] / speeds[0] == sizes[1] / speeds[1]
         pol = SmallestRemainingFirst(6.0, 3.0)
         assert_same_replay(
-            replay_arrays(tr, _replay_cluster(tr, two_type_spec, pol)),
+            replay_arrays(tr, replay_cluster(tr, two_type_spec, pol)),
             reference_replay_cluster(tr, two_type_spec, pol),
         )
 
@@ -349,7 +356,7 @@ class TestReplayMatchesReference:
     def test_generated_trace(self, two_type_spec, pol):
         tr = generate_trace(two_type_spec, 3000, seed=31)
         assert_same_replay(
-            replay_arrays(tr, _replay_cluster(tr, two_type_spec, pol)),
+            replay_arrays(tr, replay_cluster(tr, two_type_spec, pol)),
             reference_replay_cluster(tr, two_type_spec, pol),
         )
 
@@ -393,7 +400,7 @@ class TestOnePassLoop:
         # leftover; later ranks wait.
         for pol in (StaticClusterEqualSplit(pool), SmallestRemainingFirst(pool, cap)):
             assert_same_replay(
-                replay_arrays(tr, _replay_cluster(tr, THREE_TYPE_SPEC, pol)),
+                replay_arrays(tr, replay_cluster(tr, THREE_TYPE_SPEC, pol)),
                 reference_replay_cluster(tr, THREE_TYPE_SPEC, pol),
             )
 
@@ -408,7 +415,7 @@ class TestOnePassLoop:
             budget=2.0,
         )
         tr = Trace(np.array([1.0, 2.0]), np.array([0, 0]), np.array([1e308, 1e308]))
-        rep = _replay_cluster(tr, spec, pol)
+        rep = replay_cluster(tr, spec, pol)
         assert rep.completions.tolist() == [np.inf, np.inf]
 
     @pytest.mark.parametrize(
@@ -426,7 +433,7 @@ class TestOnePassLoop:
         done = a + (arr - a)
         assert done > arr
         tr = Trace(np.array([a, a, arr]), np.array([1, 1, 1]), np.array([arr - a, 5.0, 1.0]))
-        rep = _replay_cluster(tr, two_type_spec, pol)
+        rep = replay_cluster(tr, two_type_spec, pol)
         ref = reference_replay_cluster(tr, two_type_spec, pol)
         assert rep.completions[0] == done
         for field in ("completions", "gpu_hours"):
@@ -449,7 +456,7 @@ class TestOnePassLoop:
         # meanwhile, then finishes its 2 at speed 2, at 2.25.
         tr = Trace(np.array([0.0, 1.0]), np.array([1, 1]), np.array([4.0, 0.5]))
         pol = SmallestRemainingFirst(4.0, 4.0)
-        rep = _replay_cluster(tr, two_type_spec, pol)
+        rep = replay_cluster(tr, two_type_spec, pol)
         ref = reference_replay_cluster(tr, two_type_spec, pol)
         assert_same_replay(replay_arrays(tr, rep), ref)
         assert rep.completions.tolist() == [2.25, 1.25]
@@ -467,7 +474,7 @@ class TestBusyPeriods:
     POOLED = [StaticClusterEqualSplit(4.0), SmallestRemainingFirst(6.0, 4.0)]
 
     def assert_matches_reference(self, tr, spec, pol):
-        rep = _replay_cluster(tr, spec, pol)
+        rep = replay_cluster(tr, spec, pol)
         assert_same_replay(replay_arrays(tr, rep), reference_replay_cluster(tr, spec, pol))
         return rep
 
@@ -608,7 +615,7 @@ class TestColumnsReadInPlace:
         tr = generate_trace(two_type_spec, 50_000, seed=4)
         tracemalloc.start()
         try:
-            _replay_cluster(tr, two_type_spec, pol)
+            replay_cluster(tr, two_type_spec, pol)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -744,6 +751,34 @@ class TestPooledRefusals:
         assert simulate(tr, spec, SmallestRemainingFirst(8.0, 2.0)).job_count == 20
 
 
+class TestOutcomesAtTheEdges:
+    """A replay with no time to average over, and one whose job's result is
+    past a double."""
+
+    @pytest.mark.parametrize("pol", ALL_POLICIES[:1] + [
+        FixedWidth((4.0, 4.0)), StaticClusterEqualSplit(4.0), SmallestRemainingFirst(8.0, 4.0)],
+        ids=str)
+    def test_jobs_done_at_time_zero_rent_nothing(self, two_type_spec, pol):
+        # A 5e-324-size job at a speed above 2 runs for no time, so the last
+        # completion is t = 0 and K(t) is identically 0.
+        tr = Trace(np.zeros(2), np.array([0, 1]), np.full(2, 5e-324))
+        assert simulate(tr, two_type_spec, pol).to_dict() == {
+            "job_count": 2, "mean_response_time": 0.0, "time_avg_budget": 0.0,
+            "total_gpu_hours": 0.0}
+
+    def test_replay_error_names_the_row(self):
+        # s(2) = 0.9: the 1e308-size job in row 1 runs ~1.1e308 hours on 2
+        # GPUs, so its GPU-hours are past a double.
+        spec = WorkloadSpec(
+            (JobType("tab", Tabular(((1, 0.5), (2, 0.9))), 0.1, Deterministic(1.0)),),
+            budget=2.0,
+        )
+        tr = Trace(np.array([1.0, 2.0, 3.0]), np.zeros(3, dtype=int), np.array([1.0, 1e308, 1.0]))
+        with pytest.raises(ReplayError, match="^row 1: job GPU-hours is not finite$") as info:
+            simulate(tr, spec, FixedWidth((2.0,)))
+        assert (info.value.row, info.value.reason) == (1, "job GPU-hours is not finite")
+
+
 class TestCompare:
     def test_identical_policies_identical_metrics(self, two_type_spec):
         tr = generate_trace(two_type_spec, 2000, seed=13)
@@ -806,7 +841,7 @@ class TestCompare:
             raise AssertionError("replayed or forked before every policy was checked")
 
         monkeypatch.setattr(simulator, "_replay_cluster", refuse)
-        monkeypatch.setattr(simulator, "_replay_fixed", refuse)
+        monkeypatch.setattr(simulator, "_run_fixed", refuse)
         monkeypatch.setattr(os, "fork", refuse)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         pols = [FixedWidth((2.0,)), StaticClusterEqualSplit(8.0), StaticClusterEqualSplit(1.0)]
