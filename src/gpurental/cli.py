@@ -8,17 +8,17 @@ or a command that runs out of memory.
 All numbers are printed with 12 significant digits so repeated runs with
 the same inputs are byte-identical.
 
-The argument parser is built once per process and reused by every ``main``
-call; parsing does not change it.
+The argument parsers are built once per process and reused by every
+``main`` call; parsing does not change them.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -93,6 +93,36 @@ def _json_ready(value):
     if isinstance(value, (list, tuple)):
         return [_json_ready(v) for v in value]
     return value
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """value, made of what ``_json_ready`` returns, as ``json.dumps(value,
+    indent=2)`` writes it: the same layout and spellings, without the
+    pure-Python encoder that ``json.dumps`` falls back to whenever it
+    indents."""
+    kind = type(value)
+    if kind is float:
+        if value - value == 0.0:  # finite
+            return repr(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    if kind is dict or kind is list:
+        brackets = "{}" if kind is dict else "[]"
+        if not value:
+            return brackets
+        inner = indent + "  "
+        if kind is dict:
+            items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+                     for k, v in value.items()]
+        else:
+            items = [_json_text(v, inner) for v in value]
+        return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return repr(value)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -176,11 +206,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    spec = load_spec(args.spec)
     _check_width("k_max", args.k_max)
+    spec = load_spec(args.spec)
     alloc = solve_allocation(spec, k_max=args.k_max)
-    text = json.dumps(_json_ready(alloc.to_dict()), indent=2) + "\n"
-    _emit(text, args.out)
+    _emit(_json_text(_json_ready(alloc.to_dict())) + "\n", args.out)
     if args.out:
         print(f"wrote {args.out}")
     return EXIT_OK
@@ -195,13 +224,13 @@ def _cmd_gen_trace(args) -> int:
 
 
 def _metrics_json(metrics: SimMetrics) -> str:
-    return json.dumps(_json_ready(metrics.to_dict()), indent=2) + "\n"
+    return _json_text(_json_ready(metrics.to_dict())) + "\n"
 
 
 def _cmd_simulate(args) -> int:
+    _check_width("k_max", args.k_max)
     spec = load_spec(args.spec)
     trace = read_trace(args.trace)
-    _check_width("k_max", args.k_max)
     # One replay serves the metrics and the K(t) samples: what simulate and
     # budget_timeseries would each compute from their own replay.
     try:
@@ -221,8 +250,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_pareto(args) -> int:
-    spec = load_spec(args.spec)
     _check_width("k_max", args.k_max)
+    spec = load_spec(args.spec)
     if args.points < 1:
         raise SpecError("--points must be >= 1")
     if args.points >= 2**60:  # numpy refuses an array of more than 2**63 - 1 bytes
@@ -261,9 +290,9 @@ def _cmd_pareto(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    _check_width("k_max", args.k_max)
     spec = load_spec(args.spec)
     trace = read_trace(args.trace)
-    _check_width("k_max", args.k_max)
     labels = [s for s in args.policies.split(";") if s]
     if not labels:
         raise SpecError("--policies must name at least one policy")
@@ -295,7 +324,8 @@ def _cmd_compare(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser, and each command's own parser by its name."""
     parser = argparse.ArgumentParser(
         prog="gpurental",
         description="Plan and verify cloud-GPU rental policies under a time-average budget.",
@@ -350,12 +380,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policies", required=True, help="semicolon-separated policy strings")
     p.add_argument("--out", help="write the comparison CSV here instead of stdout")
     p.set_defaults(fn=_cmd_compare)
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """What the full parser's ``parse_args(argv)`` returns, or its exit.
+    The full parser hands every argument after a command's name to that
+    command's parser and adds only the name, so argv that opens with a
+    command name goes straight to its parser: one parse, not two.  What it
+    leaves over, the full parser refuses, as it would itself."""
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else argv
+    command = commands.get(argv[0]) if argv else None
+    if command is None:  # no command, an unknown one, or an option first
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.fn(args)
     except AxiomError as exc:

@@ -18,7 +18,6 @@ in closed form or by a few monotone Newton steps.  ``pareto_frontier`` and
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass
 
@@ -213,7 +212,6 @@ def _search(spec: WorkloadSpec, budgets, *, k_max: float) -> list[Allocation]:
     bps = sorted({0.0, math.inf}.union(*(m.breakpoints for m in minimizers)))
     ks_bp, speeds_bp = np.empty((len(bps), len(loads))), np.empty((len(bps), len(loads)))
 
-    @functools.cache
     def piece(p: int) -> tuple:
         # Piece p is [bps[p], bps[p + 1]].  A type whose power term is active
         # on it uses load * (a * mu**-e + c); any other, its left end's usage.
@@ -240,7 +238,7 @@ def _search(spec: WorkloadSpec, budgets, *, k_max: float) -> list[Allocation]:
         # load times a wide k_max does not overflow where their ratio is modest.
         use_bp = loads * (ks_bp / speeds_bp)
         fits = (-np.minimum.accumulate(use_bp.sum(axis=1))).tolist()
-    rows, mus, jumps = [0] * len(budgets), [0.0] * len(budgets), []
+    rows, mus, jumps, pieces = [0] * len(budgets), [0.0] * len(budgets), [], {}
     with np.errstate(divide="ignore"):  # log 0 = -inf: mu = 0, or a root past the smallest double
         for r, b in enumerate(budgets):
             j = bisect.bisect_left(fits, -b)  # the first breakpoint whose usage fits
@@ -253,7 +251,9 @@ def _search(spec: WorkloadSpec, budgets, *, k_max: float) -> list[Allocation]:
                 # smooth width is already 1 there, as in the last row.
                 rows[r], mus[r] = j - 1, bps[-2]
                 continue
-            C, A, E, at_hi, closed, sum_a, x_lo, x_hi = piece(j - 1)
+            if j - 1 not in pieces:  # a sweep computes each piece once
+                pieces[j - 1] = piece(j - 1)
+            C, A, E, at_hi, closed, sum_a, x_lo, x_hi = pieces[j - 1]
             if at_hi > b:  # usage jumps across b at bps[j]
                 rows[r], mus[r] = j, bps[j]
                 jumps.append((r, j))

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -125,6 +126,23 @@ def test_csv_rows_match_per_value_format(table):
         ",".join(format(float(x), ".12g") for x in row) + "\n" for row in table
     )
     assert _csv_block(table) == reference
+
+
+JSON_FLOATS = CSV_FLOATS | st.just(1e308)
+# What solve and simulate print: an allocation's and a metrics' to_dict().
+ALLOCATION_DICTS = st.fixed_dictionaries({
+    "ks": st.lists(JSON_FLOATS, max_size=5), "objective": JSON_FLOATS,
+    "budget_used": JSON_FLOATS, "multiplier": JSON_FLOATS, "cap_active": st.booleans()})
+METRICS_DICTS = st.fixed_dictionaries({
+    "job_count": st.integers(0, 2**64), "mean_response_time": st.none() | JSON_FLOATS,
+    "time_avg_budget": JSON_FLOATS, "total_gpu_hours": JSON_FLOATS})
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=ALLOCATION_DICTS | METRICS_DICTS)
+def test_json_text_is_what_json_dumps_indents(doc):
+    for value in (doc, cli._json_ready(doc)):
+        assert cli._json_text(value) == json.dumps(value, indent=2)
 
 
 SMALL_BLOCK = 7  # rows per block in the block-boundary tests
@@ -440,7 +458,7 @@ class TestParserReuse:
         expected = [(*self.fresh(argv, tmp_path), written()) for argv in runs]
         assert expected[0][0] == 2 and "--spec" in expected[0][2]  # argparse's own exit
 
-        assert cli._build_parser() is cli._build_parser()
+        assert cli._parsers() is cli._parsers()
         capsys.readouterr()
         for argv, want in zip(runs, expected):
             try:
@@ -448,6 +466,54 @@ class TestParserReuse:
             except SystemExit as exc:
                 rc = exc.code
             assert (rc, *capsys.readouterr(), written()) == want, argv
+
+
+# argvs that main parses: those that open with a command name go straight
+# to the command's parser, and the rest through the full parser.
+DISPATCH_ARGVS = {
+    "none": [],
+    "unknown-command": ["solvee", "--spec", "s.json"],
+    "help": ["-h"],
+    "option-first": ["--spec", "s.json", "solve"],
+    "command-help": ["solve", "-h"],
+    "help-after-an-error": ["pareto", "--points", "x", "-h"],
+    "missing-spec": ["solve"],
+    "no-value": ["solve", "--spec"],
+    "bad-int": ["gen-trace", "--spec", "s.json", "--jobs", "1.5", "--seed", "1", "--out", "t"],
+    "bad-choice": ["gen-trace", "--spec", "s.json", "--jobs", "1", "--seed", "1", "--out", "t",
+                   "--arrivals", "bursty"],
+    "unknown-option": ["solve", "--spec", "s.json", "--bogus", "1"],
+    "other-command's-option": ["validate", "--spec", "s.json", "--k-max", "8"],
+    "extra-positional": ["solve", "--spec", "s.json", "more"],
+    "abbreviated": ["solve", "--sp", "s.json", "--k", "8"],
+    "equals": ["solve", "--spec=s.json", "--out=a.json"],
+    "separator-last": ["solve", "--spec", "s.json", "--"],
+    "separator-then-option": ["solve", "--", "--spec", "s.json"],
+    "separator-then-words": ["compare", "--spec", "s.json", "--trace", "t.csv", "--policies",
+                             "optimal", "--", "x", "y"],
+    "exponent-after-minus": ["pareto", "--spec", "s.json", "--b-min", "-2e3", "--b-max", "1",
+                             "--points", "3"],
+    "valid-pareto": ["pareto", "--spec", "s.json", "--b-min", "-1.5", "--b-max", "2e3",
+                     "--points", "3", "--k-max", "1e3"],
+    "valid-simulate": ["simulate", "--spec", "s.json", "--trace", "t.csv", "--policy",
+                       "srf:8,4", "--per-job", "p.csv", "--timeseries-step", "0.5"],
+}
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS.values(), ids=DISPATCH_ARGVS.keys())
+def test_main_parses_as_the_full_parser_does(argv, capsys):
+    def outcome(parse):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exc:
+            result = exc.code
+        return (result, *capsys.readouterr())
+
+    want = outcome(cli._parsers()[0].parse_args)
+    # A valid argv gives the same namespace; any other, the same exit, with
+    # the same usage, error or help text.
+    got = outcome(cli._parse_args if isinstance(want[0], argparse.Namespace) else main)
+    assert got == want
 
 
 class TestSolve:
@@ -544,13 +610,14 @@ class TestSolve:
         assert out["cap_active"] is True
 
 
+K_MAX_COMMANDS = [
+    ["solve"], ["pareto", "--b-min", "2", "--b-max", "3", "--points", "2"],
+    ["simulate", "--policy", "fixed:2,2"], ["compare", "--policies", "cluster:4"]]
+K_MAX_COMMAND_IDS = ["solve", "pareto", "simulate-fixed", "compare-cluster"]
+
+
 @pytest.mark.parametrize("k_max", ["nan", "inf", "0.5"])
-@pytest.mark.parametrize(
-    "command",
-    [["solve"], ["pareto", "--b-min", "2", "--b-max", "3", "--points", "2"],
-     ["simulate", "--policy", "fixed:2,2"], ["compare", "--policies", "cluster:4"]],
-    ids=["solve", "pareto", "simulate-fixed", "compare-cluster"],
-)
+@pytest.mark.parametrize("command", K_MAX_COMMANDS, ids=K_MAX_COMMAND_IDS)
 def test_bad_k_max_exits_3(tmp_path, two_type_config_path, capsys, command, k_max):
     # simulate and compare check the cap even when no policy solves.
     if command[0] in ("simulate", "compare"):
@@ -564,6 +631,15 @@ def test_bad_k_max_exits_3(tmp_path, two_type_config_path, capsys, command, k_ma
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: k_max must be finite and >= 1, got {float(k_max)}\n"
+
+
+@pytest.mark.parametrize("command", K_MAX_COMMANDS, ids=K_MAX_COMMAND_IDS)
+def test_bad_k_max_is_refused_before_any_file_is_read(tmp_path, capsys, command):
+    # Neither the spec nor the trace exists, and the cap is refused first.
+    if command[0] in ("simulate", "compare"):
+        command = command + ["--trace", str(tmp_path / "no.csv")]
+    rc = main(command + ["--spec", str(tmp_path / "no.json"), "--k-max", "0.5"])
+    assert (rc, *capsys.readouterr()) == (3, "", "error: k_max must be finite and >= 1, got 0.5\n")
 
 
 def deterministic(x):

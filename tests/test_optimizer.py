@@ -828,6 +828,17 @@ class TestMergeSegments:
 
 
 class TestPareto:
+    def test_each_piece_computed_once_per_sweep(self, single_power_spec, monkeypatch):
+        # Every budget here lands on the power law's one piece, where the
+        # root is in closed form, so the piece's own sums are the sweep's.
+        calls = []
+        real = optimizer._numpy_sum
+        monkeypatch.setattr(optimizer, "_numpy_sum", lambda row: calls.append(row) or real(row))
+        one = pareto_frontier(single_power_spec, [1.0])
+        assert len(calls) == 3 and one[0].allocation.ks == (4.0,)
+        pareto_frontier(single_power_spec, np.linspace(0.6, 1.5, 50))
+        assert len(calls) == 6
+
     def test_single_type_closed_form(self, single_power_spec):
         # Budget binds: 0.5*sqrt(k) = b, so E[T] = 1/(2b).
         pts = pareto_frontier(single_power_spec, [1.0, 2.0])
